@@ -155,8 +155,7 @@ int main() {
   // The 4-thread wall measurement only means something when the host can
   // actually run the threads concurrently; on a 1-core box it measures the
   // scheduler, not the tracker, and a sub-1x "scaling" number would read
-  // as a regression. Skip it there and report the isolated-shard aggregate
-  // (below) as the honest concurrency figure.
+  // as a regression. Skip it there.
   double rate_4t = 0.0;
   double scaling = 0.0;
   if (hw > 1) {
@@ -164,29 +163,6 @@ int main() {
     rate_4t = run_batch(*app4, kThreads, "scale-");
     scaling = rate_4t / rate_1t;
   }
-  // Per-shard independence measured without scheduler interference: four
-  // quarter-workloads against isolated trackers, rates summed (the honest
-  // aggregate on boxes with fewer cores than announce threads).
-  double agg_isolated = 0.0;
-  for (int q = 0; q < kThreads; ++q) {
-    auto appq = MakeTracker(itracker, pid_map, kShards);
-    const auto t0 = Clock::now();
-    core::AnnounceRequest req;
-    req.want = 20;
-    std::mt19937_64 ip_rng(900 + static_cast<std::uint64_t>(q));
-    for (int s = 0; s < batch_swarms / kThreads; ++s) {
-      req.content_id = "iso-" + std::to_string(s);
-      for (int i = 0; i < batch_size; ++i) {
-        const std::uint64_t salt = ip_rng();
-        req.client_ip = ClientIp(static_cast<int>(salt % kAses) + 1,
-                                 static_cast<int>(salt / 7 % num_pids), salt);
-        (void)appq->Announce(req);
-      }
-    }
-    agg_isolated +=
-        static_cast<double>(batch_swarms / kThreads) * batch_size / SecondsSince(t0);
-  }
-  const double shard_scaling = agg_isolated / rate_1t;
   std::printf("  1 thread : %.0f announces/s\n", rate_1t);
   if (hw > 1) {
     std::printf("  %d threads: %.0f announces/s (%.2fx wall scaling on %u hw threads)\n",
@@ -195,8 +171,6 @@ int main() {
     std::printf("  %d threads: skipped (1 hw thread — wall scaling unmeasurable)\n",
                 kThreads);
   }
-  std::printf("  isolated shard aggregate: %.0f announces/s (%.2fx over 1 thread)\n",
-              agg_isolated, shard_scaling);
 
   // ---- churn: steady-state announce/depart mix ----
   bench::PrintSubHeader("4) Churn (50/50 announce/depart, 4 threads)");
@@ -297,12 +271,6 @@ int main() {
       {"selection cost vs swarm size", "index-driven (no full-swarm scan)",
        bench::Fmt("%.0f ns vs %.0f ns span path", sel_ns, span_ns),
        sel_ns * 4 < span_ns},
-      {"disjoint-swarm shard independence", ">= 3x across 4 shards",
-       hw > 1 ? bench::Fmt("%.2fx isolated aggregate (%.2fx wall)", shard_scaling,
-                           scaling)
-              : bench::Fmt("%.2fx isolated aggregate (wall skipped: 1 hw thread)",
-                           shard_scaling),
-       shard_scaling >= 3.0},
   });
 
   // Wall-clock thread-scaling keys are only emitted when the host could
@@ -317,8 +285,6 @@ int main() {
       {"announce_largest_swarm", static_cast<double>(max_swarm)},
       {"announce_shards", static_cast<double>(kShards)},
       {"announce_1thread_per_sec", rate_1t},
-      {"announce_agg_4shard_per_sec", agg_isolated},
-      {"announce_shard_scaling_x", shard_scaling},
       {"selection_ns_per_announce", sel_ns},
       {"selection_span_ns_per_announce", span_ns},
   };

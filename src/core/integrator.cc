@@ -30,9 +30,11 @@ std::optional<double> Integrator::MeanEgress(std::int32_t as_number, Pid pid) co
   const ITracker& tracker = *it->second;
   if (pid < 0 || pid >= tracker.num_pids()) return std::nullopt;
   if (tracker.num_pids() <= 1) return 0.0;
+  const auto snap = tracker.snapshot();
+  const PDistanceRow dist = tracker.row(*snap, pid);
   double sum = 0.0;
   for (Pid j = 0; j < tracker.num_pids(); ++j) {
-    if (j != pid) sum += tracker.pdistance(pid, j);
+    if (j != pid) sum += dist(j);
   }
   return sum / static_cast<double>(tracker.num_pids() - 1);
 }

@@ -325,7 +325,7 @@ PDistanceMatrix ITracker::BuildViewLocked() const {
 
 std::shared_ptr<const PriceSnapshot> ITracker::snapshot() const {
   // Fast path: the published snapshot matches the current version. This is
-  // the whole steady-state read path — one acquire load, no lock.
+  // the whole steady-state read path — one atomic shared_ptr load, no mutex.
   auto snap = snapshot_.load(std::memory_order_acquire);
   const std::uint64_t v = version_.load(std::memory_order_acquire);
   if (snap && snap->version == v) return snap;
@@ -343,28 +343,29 @@ std::shared_ptr<const PriceSnapshot> ITracker::snapshot() const {
   return next;
 }
 
-double ITracker::pdistance(Pid i, Pid j) const {
-  if (i < 0 || j < 0 || i >= num_pids() || j >= num_pids()) {
-    throw std::out_of_range("ITracker: PID out of range");
-  }
-  if (i == j) return config_.intra_pid_distance;
-  if (!routing_.reachable(i, j)) {
-    throw std::runtime_error("ITracker: PID " + std::to_string(j) +
-                             " unreachable from " + std::to_string(i));
-  }
-  return snapshot()->view.at(i, j);
+void PDistanceRow::ThrowOutOfRange() {
+  throw std::out_of_range("ITracker: PID out of range");
 }
+
+void PDistanceRow::ThrowUnreachable(Pid from, Pid to) {
+  throw std::runtime_error("ITracker: PID " + std::to_string(to) + " unreachable from " +
+                           std::to_string(from));
+}
+
+PDistanceRow ITracker::row(const PriceSnapshot& snap, Pid i) const {
+  const bool valid = i >= 0 && i < snap.view.size();
+  return PDistanceRow(routing_, valid ? snap.view.row(i) : std::span<const double>(), i);
+}
+
+double ITracker::pdistance(Pid i, Pid j) const { return row(*snapshot(), i)(j); }
 
 std::vector<double> ITracker::GetPDistances(Pid i) const {
   if (i < 0 || i >= num_pids()) {
     throw std::out_of_range("ITracker: PID out of range");
   }
   const auto snap = snapshot();
-  std::vector<double> row(static_cast<std::size_t>(num_pids()), 0.0);
-  for (Pid j = 0; j < num_pids(); ++j) {
-    row[static_cast<std::size_t>(j)] = snap->view.at(i, j);
-  }
-  return row;
+  const auto values = snap->view.row(i);
+  return std::vector<double>(values.begin(), values.end());
 }
 
 PDistanceMatrix ITracker::external_view() const { return snapshot()->view; }

@@ -27,6 +27,7 @@
 #pragma once
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -87,6 +88,38 @@ struct PriceSnapshot {
   PDistanceMatrix view{0};
 };
 
+/// One source PID's row of a pinned PriceSnapshot, read with the checks of
+/// ITracker::pdistance(): a PID outside the view throws std::out_of_range
+/// and an unreachable pair std::runtime_error. The checks run on each read,
+/// so a row for a bad source PID throws only once something reads it. Made
+/// by ITracker::row(); the snapshot must outlive the row.
+class PDistanceRow {
+ public:
+  double operator()(Pid j) const {
+    if (j < 0 || j >= static_cast<Pid>(values_.size())) {
+      ThrowOutOfRange();
+    }
+    const double d = values_[static_cast<std::size_t>(j)];
+    // Every unreachable pair is stored as +inf, but a reachable one can
+    // also price at +inf (infinite static prices): the route settles it.
+    if (std::isinf(d) && j != from_ && !routing_->reachable(from_, j)) {
+      ThrowUnreachable(from_, j);
+    }
+    return d;
+  }
+
+ private:
+  friend class ITracker;
+  PDistanceRow(const net::RoutingTable& routing, std::span<const double> values, Pid from)
+      : routing_(&routing), values_(values), from_(from) {}
+  [[noreturn]] static void ThrowOutOfRange();
+  [[noreturn]] static void ThrowUnreachable(Pid from, Pid to);
+
+  const net::RoutingTable* routing_;
+  std::span<const double> values_;  // empty (every read throws) for a bad `from_`
+  Pid from_;
+};
+
 class ITracker {
  public:
   /// `graph` and `routing` must outlive the tracker.
@@ -132,22 +165,32 @@ class ITracker {
   // The full p-distance mesh is published as an immutable PriceSnapshot via
   // an atomic shared_ptr: the first query after a price/background mutation
   // materializes the matrix from the routing table's flattened path arena
-  // (serialized on an internal mutex with the mutators), swaps it in, and
-  // every later pdistance / GetPDistances / external_view / snapshot call
-  // until the next mutation is one acquire load. Readers never contend with
-  // the optimizer thread in the steady state, so the tracker is safe to
-  // query from N server threads while Update() runs elsewhere.
+  // (serialized on an internal mutex with the mutators) and swaps it in.
+  // Later reads take no mutex, but they are not free: a libstdc++
+  // atomic<shared_ptr> load sets a lock bit and increments the refcount,
+  // and dropping the copy decrements it — read-modify-writes on cache lines
+  // that every reader thread shares. Hot loops therefore pin one snapshot
+  // and read it through row() (peer selection pins one per selection);
+  // pdistance() pays a full load per call and is for the control plane.
+  // Readers never wait on the optimizer in the steady state, so the tracker
+  // is safe to query from N server threads while Update() runs elsewhere.
   /// Current revealed price of one link. Control-plane accessor: callers
   /// must not race it with mutators (serving threads use snapshot()).
   double link_price(net::LinkId link) const {
     return prices_.at(static_cast<std::size_t>(link));
   }
-  /// The currently published (version, view) pair. One atomic load in the
-  /// steady state; never returns null.
+  /// The currently published (version, view) pair; never returns null.
+  /// Costs one atomic shared_ptr load (see above): pin the result for the
+  /// length of a hot loop instead of calling again per read.
   std::shared_ptr<const PriceSnapshot> snapshot() const;
+  /// Row `i` of `snap`, which must come from this tracker's snapshot(), read
+  /// with pdistance()'s checks. No atomic load: one pinned snapshot serves
+  /// any number of reads at one price version.
+  PDistanceRow row(const PriceSnapshot& snap, Pid i) const;
   /// p-distance between two PIDs, including BDP distance terms, interdomain
-  /// duals, and privacy perturbation. Throws std::runtime_error when j is
-  /// unreachable from i.
+  /// duals, and privacy perturbation. Throws std::out_of_range for a bad
+  /// PID and std::runtime_error when j is unreachable from i. Control-plane
+  /// convenience: each call loads a snapshot (see above).
   double pdistance(Pid i, Pid j) const;
   /// One row of the external view (distances from `i` to every PID).
   /// Unreachable destinations carry +infinity.

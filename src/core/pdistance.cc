@@ -27,6 +27,12 @@ double PDistanceMatrix::at(Pid i, Pid j) const {
                  static_cast<std::size_t>(j)];
 }
 
+std::span<const double> PDistanceMatrix::row(Pid i) const {
+  check(i, i);
+  const auto n = static_cast<std::size_t>(n_);
+  return std::span<const double>(values_).subspan(static_cast<std::size_t>(i) * n, n);
+}
+
 void PDistanceMatrix::set(Pid i, Pid j, double value) {
   check(i, j);
   values_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +

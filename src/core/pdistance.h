@@ -25,6 +25,10 @@ class PDistanceMatrix {
   /// by the wire encoders to serialize the matrix without per-cell calls.
   std::span<const double> values() const { return values_; }
 
+  /// Row i: the n distances from PID i, entry j at index j. Throws
+  /// std::out_of_range for a bad PID.
+  std::span<const double> row(Pid i) const;
+
   /// The coarsest usage in the paper's ISP use cases: given PID i, rank all
   /// PIDs by ascending distance (most preferred first, i itself first).
   /// Deterministic: equal distances rank by PID.

@@ -172,6 +172,9 @@ std::vector<sim::PeerId> P4PSelector::SelectPeers(
   }
   const ITracker& tracker = *tracker_it->second;
   const Pid my_pid = client.node;  // PoP-level aggregation: PID == node id
+  // One pinned snapshot serves every stage: one price version per selection.
+  const auto snap = tracker.snapshot();
+  const PDistanceRow pdist = tracker.row(*snap, my_pid);
 
   // Partition candidates.
   std::vector<sim::PeerId> same_pid;
@@ -201,9 +204,9 @@ std::vector<sim::PeerId> P4PSelector::SelectPeers(
     double min_outside = std::numeric_limits<double>::infinity();
     for (const auto& [pid, ids] : same_as_by_pid) {
       (void)ids;
-      min_outside = std::min(min_outside, tracker.pdistance(my_pid, pid));
+      min_outside = std::min(min_outside, pdist(pid));
     }
-    if (std::isfinite(min_outside) && tracker.pdistance(my_pid, my_pid) > min_outside) {
+    if (std::isfinite(min_outside) && pdist(my_pid) > min_outside) {
       intra_bound *= 0.5;
     }
   }
@@ -222,7 +225,7 @@ std::vector<sim::PeerId> P4PSelector::SelectPeers(
     double min_positive = std::numeric_limits<double>::infinity();
     for (const auto& [pid, ids] : by_pid) {
       if (ids.empty()) continue;
-      const double p = tracker.pdistance(my_pid, pid);
+      const double p = pdist(pid);
       if (p > 0) min_positive = std::min(min_positive, p);
     }
     const double zero_weight = std::isfinite(min_positive)
@@ -243,7 +246,7 @@ std::vector<sim::PeerId> P4PSelector::SelectPeers(
             pid < static_cast<Pid>((*match_w)[static_cast<std::size_t>(my_pid)].size())) {
           w = (*match_w)[static_cast<std::size_t>(my_pid)][static_cast<std::size_t>(pid)];
         } else {
-          const double p = tracker.pdistance(my_pid, pid);
+          const double p = pdist(pid);
           w = p > 0 ? 1.0 / p : zero_weight;
         }
         if (w <= 0) continue;
@@ -324,6 +327,10 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
   }
   const ITracker& tracker = *tracker_it->second;
   const Pid my_pid = client.node;  // PoP-level aggregation: PID == node id
+  // One pinned snapshot serves every stage and the backfill: one price
+  // version per selection, and one atomic load rather than one per bucket.
+  const auto snap = tracker.snapshot();
+  const PDistanceRow pdist = tracker.row(*snap, my_pid);
 
   const auto& buckets = swarm.buckets();
   const auto client_slot = swarm.SlotOf(client.id);
@@ -353,9 +360,9 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
     double min_outside = std::numeric_limits<double>::infinity();
     for (std::uint32_t b : same_as) {
       if (b == my_bucket || avail(b) <= 0) continue;
-      min_outside = std::min(min_outside, tracker.pdistance(my_pid, buckets[b].pid));
+      min_outside = std::min(min_outside, pdist(buckets[b].pid));
     }
-    if (std::isfinite(min_outside) && tracker.pdistance(my_pid, my_pid) > min_outside) {
+    if (std::isfinite(min_outside) && pdist(my_pid) > min_outside) {
       intra_bound *= 0.5;
     }
   }
@@ -397,7 +404,7 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
     // distance so they always dominate, regardless of the dual price scale.
     double min_positive = std::numeric_limits<double>::infinity();
     for (std::uint32_t b : ws.entry_bucket_) {
-      const double p = tracker.pdistance(my_pid, buckets[b].pid);
+      const double p = pdist(buckets[b].pid);
       if (p > 0) min_positive = std::min(min_positive, p);
     }
     const double zero_weight = std::isfinite(min_positive)
@@ -417,7 +424,7 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
             pid < static_cast<Pid>((*match_w)[static_cast<std::size_t>(my_pid)].size())) {
           w = (*match_w)[static_cast<std::size_t>(my_pid)][static_cast<std::size_t>(pid)];
         } else {
-          const double p = tracker.pdistance(my_pid, pid);
+          const double p = pdist(pid);
           w = p > 0 ? 1.0 / p : zero_weight;
         }
         ws.entry_weight_[i] = w > 0 ? w : 0.0;
@@ -538,6 +545,9 @@ std::vector<sim::PeerId> BlackBoxSelector::SelectPeers(
     std::mt19937_64& rng) {
   std::unordered_map<sim::PeerId, net::NodeId> node_of;
   for (const auto& c : candidates) node_of[c.id] = c.node;
+  // Every attempt is costed at the same price version.
+  const auto snap = tracker_.snapshot();
+  const PDistanceRow pdist = tracker_.row(*snap, client.node);
 
   std::vector<sim::PeerId> best;
   double best_cost = std::numeric_limits<double>::infinity();
@@ -545,7 +555,7 @@ std::vector<sim::PeerId> BlackBoxSelector::SelectPeers(
     auto set = inner_->SelectPeers(client, candidates, m, rng);
     double cost = 0.0;
     for (sim::PeerId id : set) {
-      cost += tracker_.pdistance(client.node, node_of.at(id));
+      cost += pdist(node_of.at(id));
     }
     // Prefer larger sets; among equal sizes, lower total p-distance.
     if (set.size() > best.size() ||

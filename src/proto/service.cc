@@ -69,13 +69,9 @@ ITrackerService::encoded_state() const {
   GetPDistancesResp row;
   row.version = snap->version;
   for (core::Pid i = 0; i < n; ++i) {
-    const auto values = snap->view.values().subspan(
-        static_cast<std::size_t>(i) * static_cast<std::size_t>(n),
-        static_cast<std::size_t>(n));
+    const auto values = snap->view.row(i);
     if (diffable) {
-      const auto prev_values = prev->snap->view.values().subspan(
-          static_cast<std::size_t>(i) * static_cast<std::size_t>(n),
-          static_cast<std::size_t>(n));
+      const auto prev_values = prev->snap->view.row(i);
       if (std::memcmp(values.data(), prev_values.data(),
                       static_cast<std::size_t>(n) * sizeof(double)) == 0) {
         next->row_versions[static_cast<std::size_t>(i)] =
@@ -248,9 +244,7 @@ Message ITrackerService::Dispatch(const Message& request) const {
     GetPDistancesResp resp;
     resp.from = req->from;
     resp.version = snap->version;
-    const auto n = static_cast<std::size_t>(snap->view.size());
-    const auto values =
-        snap->view.values().subspan(static_cast<std::size_t>(req->from) * n, n);
+    const auto values = snap->view.row(req->from);
     resp.distances.assign(values.begin(), values.end());
     return resp;
   }

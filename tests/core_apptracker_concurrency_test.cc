@@ -1,7 +1,8 @@
 // Concurrency hammer for the sharded announce plane. Runs under TSan in CI:
 // 8 threads mixing announces, departures, and fallback flips against one
 // AppTracker must produce no data races, no torn accounting, and exact
-// transition counts.
+// transition counts; P4P announces racing a repricing control thread must
+// keep returning well-formed peer sets.
 #include <atomic>
 #include <mutex>
 #include <set>
@@ -12,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include "core/apptracker.h"
+#include "net/topology.h"
 
 namespace p4p::core {
 namespace {
@@ -142,6 +144,68 @@ TEST(AppTrackerConcurrency, ConcurrentDepartsNeverDoubleCount) {
   b.join();
   EXPECT_EQ(wins.load(), 500);
   EXPECT_EQ(tracker.swarm_count(), 0u);
+}
+
+TEST(AppTrackerConcurrency, SelectionUnderReprice) {
+  // Four announce threads select through P4P p-distances while a fifth
+  // keeps repricing the tracker, so selections race snapshot rebuilds.
+  constexpr int kThreads = 4;
+  constexpr int kAnnounces = 300;
+  constexpr int kWant = 20;
+  const net::Graph graph = net::MakeAbilene();
+  const net::RoutingTable routing(graph);
+  ITrackerConfig cfg;
+  cfg.mode = PriceMode::kStatic;
+  ITracker itracker(graph, routing, cfg);
+  auto selector = std::make_unique<P4PSelector>();
+  selector->RegisterITracker(1, &itracker);
+  selector->RegisterITracker(2, &itracker);
+  AppTracker tracker(std::move(selector), TestPidMap(), 13, 8);
+
+  std::atomic<bool> done{false};
+  std::atomic<int> reprices{0};
+  std::thread repricer([&] {
+    std::vector<double> prices(graph.link_count());
+    const std::vector<double> load(graph.link_count(), 1e6);
+    for (std::size_t round = 0; round < 10 || !done.load(); ++round) {
+      for (std::size_t e = 0; e < prices.size(); ++e) {
+        prices[e] = 0.01 * static_cast<double>(1 + (e + round) % 7);
+      }
+      itracker.SetStaticPrices(prices);
+      itracker.Update(load);
+      reprices.fetch_add(1);
+    }
+  });
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&tracker, t] {
+      AnnounceRequest req;
+      req.content_id = "priced-" + std::to_string(t);
+      req.want = kWant;
+      for (int i = 0; i < kAnnounces; ++i) {
+        req.client_ip = i % 4 == 3 ? "20.0.0." + std::to_string(i % 250 + 1)
+                                   : "10." + std::to_string(i % 3) + ".0." +
+                                         std::to_string(i % 250 + 1);
+        const auto resp = tracker.Announce(req);
+        // Selection runs before the client joins: the i-th announce sees i
+        // members and gets min(want, i) distinct peers, never itself.
+        EXPECT_EQ(resp.peers.size(), static_cast<std::size_t>(i < kWant ? i : kWant));
+        const std::set<sim::PeerId> unique(resp.peers.begin(), resp.peers.end());
+        EXPECT_EQ(unique.size(), resp.peers.size());
+        EXPECT_EQ(unique.count(resp.assigned_id), 0u);
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  done.store(true);
+  repricer.join();
+
+  EXPECT_GE(reprices.load(), 10);
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(tracker.swarm_size("priced-" + std::to_string(t)),
+              static_cast<std::size_t>(kAnnounces));
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
 
 #include "net/topology.h"
 
@@ -558,6 +559,169 @@ TEST_F(SelectorsTest, DefaultBucketShimDelegatesToSpanPath) {
   for (sim::PeerId id : chosen) {
     EXPECT_EQ(candidates[static_cast<std::size_t>(id)].node, net::kNewYork);
   }
+}
+
+
+// Golden peer sets for a fixed swarm and seed. They fix which p-distances
+// each selection reads and the order of its RNG draws: a change to either
+// shows up here as a different id list.
+std::string FormatSets(const std::vector<std::vector<sim::PeerId>>& sets) {
+  std::string out;
+  for (const auto& set : sets) {
+    out += "{";
+    for (std::size_t i = 0; i < set.size(); ++i) {
+      out += (i ? ", " : "") + std::to_string(set[i]);
+    }
+    out += "},\n";
+  }
+  return out;
+}
+
+class SelectorsGoldenTest : public SelectorsTest {
+ protected:
+  SelectorsGoldenTest() : tracker_(graph_, routing_, StaticNoisy()) {
+    std::vector<double> prices(graph_.link_count());
+    for (std::size_t e = 0; e < prices.size(); ++e) {
+      prices[e] = 0.01 * static_cast<double>(1 + e % 5);
+    }
+    tracker_.SetStaticPrices(prices);
+    std::vector<std::pair<net::NodeId, std::int32_t>> placements;
+    for (int i = 0; i < 90; ++i) {
+      placements.push_back({static_cast<net::NodeId>((i * 7) % 11), i % 3 == 0 ? 2 : 1});
+    }
+    candidates_ = MakeCandidates(placements);
+    joiner_.id = 500;
+    joiner_.node = net::kAtlanta;
+    joiner_.as_number = 2;
+  }
+
+  static ITrackerConfig StaticNoisy() {
+    ITrackerConfig cfg;
+    cfg.mode = PriceMode::kStatic;
+    cfg.privacy_noise = 0.05;
+    return cfg;
+  }
+
+  ITracker tracker_;
+  std::vector<sim::PeerInfo> candidates_;
+  sim::PeerInfo joiner_;
+};
+
+TEST_F(SelectorsGoldenTest, BucketAndSpanPeerSetsAreBitIdentical) {
+  P4PSelector sel;
+  sel.RegisterITracker(1, &tracker_);
+  sel.RegisterITracker(2, &tracker_);
+  P4PSelector matched;
+  matched.RegisterITracker(1, &tracker_);
+  std::vector<std::vector<double>> weights(
+      graph_.node_count(), std::vector<double>(graph_.node_count(), 0.0));
+  weights[7][3] = 2.0;  // candidates_[1] sits at PID 7
+  weights[7][5] = 1.0;
+  matched.SetMatchingWeights(1, weights);
+  const auto store = MakeStore(candidates_);
+  const std::span<const sim::PeerInfo> few(candidates_.data(), 6);
+  const auto small = MakeStore(few);
+
+  std::mt19937_64 rng(2024);
+  std::vector<std::vector<sim::PeerId>> sets;
+  for (const auto& client : {candidates_[0], candidates_[5], candidates_[13], joiner_}) {
+    for (int m : {12, 30}) {
+      sets.push_back(sel.SelectFromBuckets(client, store, m, rng));
+      sets.push_back(sel.SelectPeers(client, candidates_, m, rng));
+    }
+  }
+  sets.push_back(sel.SelectFromBuckets(candidates_[1], small, 10, rng));
+  sets.push_back(sel.SelectPeers(candidates_[1], few, 10, rng));
+  sets.push_back(matched.SelectFromBuckets(candidates_[1], store, 12, rng));
+  sets.push_back(matched.SelectPeers(candidates_[1], candidates_, 12, rng));
+  BlackBoxSelector bb(std::make_unique<NativeRandomSelector>(), tracker_, 4);
+  sets.push_back(bb.SelectPeers(candidates_[0], candidates_, 12, rng));
+
+  const std::vector<std::vector<sim::PeerId>> golden = {
+      {9, 33, 48, 44, 66, 63, 11, 30, 24, 69, 62, 81},
+      {33, 66, 30, 15, 63, 9, 57, 24, 84, 11, 55, 46},
+      {54, 87, 30, 44, 82, 36, 48, 84, 75, 60, 51, 12, 78, 63, 81,
+       42, 47, 69, 77, 27, 57, 16, 25, 21, 66, 33, 15, 24, 3, 45},
+      {66, 33, 15, 30, 87, 48, 54, 75, 18, 63, 84, 27, 60, 81, 36,
+       51, 21, 3, 9, 12, 24, 39, 57, 6, 59, 11, 55, 10, 40, 22},
+      {30, 62, 49, 16, 68, 56, 38, 71, 60, 82, 45, 74},
+      {71, 38, 16, 82, 49, 64, 32, 25, 2, 27, 54, 60},
+      {65, 50, 26, 49, 79, 59, 85, 20, 76, 32, 38, 19, 60, 68, 45,
+       28, 2, 35, 55, 52, 43, 56, 87, 17, 16, 27, 84, 18, 82, 71},
+      {38, 49, 82, 16, 71, 10, 22, 23, 41, 19, 70, 64, 59, 83, 26,
+       37, 13, 4, 52, 65, 43, 61, 40, 79, 12, 6, 60, 27, 78, 36},
+      {24, 79, 51, 46, 57, 68, 53, 2, 35, 8, 83, 32},
+      {35, 2, 68, 46, 79, 52, 11, 55, 65, 0, 57, 48},
+      {38, 16, 2, 35, 11, 62, 83, 79, 49, 28, 89, 65, 32, 36, 57,
+       86, 84, 54, 40, 85, 52, 68, 8, 58, 82, 46, 10, 45, 64, 24},
+      {79, 2, 46, 35, 68, 41, 43, 65, 52, 74, 25, 17, 4, 76, 37,
+       19, 26, 23, 8, 59, 85, 62, 82, 67, 21, 24, 45, 54, 51, 63},
+      {66, 75, 39, 89, 9, 82, 42, 63, 60, 54, 34, 84},
+      {9, 75, 42, 45, 66, 87, 27, 12, 60, 89, 44, 10},
+      {27, 14, 54, 60, 15, 47, 20, 39, 72, 75, 78, 30, 57, 9, 87,
+       3, 84, 63, 12, 85, 45, 67, 6, 68, 24, 36, 51, 18, 42, 48},
+      {42, 9, 75, 30, 51, 27, 45, 60, 63, 36, 6, 3, 24, 0, 78,
+       39, 87, 12, 72, 48, 33, 84, 54, 69, 32, 64, 20, 34, 53, 37},
+      {2, 0, 5, 4, 3},
+      {5, 2, 4, 3, 0},
+      {67, 34, 79, 7, 73, 56, 89, 78, 46, 54, 23, 12},
+      {89, 56, 23, 67, 34, 46, 35, 13, 68, 12, 24, 45},
+      {87, 88, 39, 8, 19, 27, 30, 64, 86, 89, 16, 70},
+  };
+  EXPECT_EQ(sets, golden) << FormatSets(sets);
+}
+
+// A three-PID network whose PID 2 has no links: every pair with it is
+// unreachable.
+class SelectorsErrorTest : public ::testing::Test {
+ protected:
+  SelectorsErrorTest()
+      : graph_(Islanded()), routing_(graph_), tracker_(graph_, routing_) {
+    sel_.RegisterITracker(1, &tracker_);
+  }
+
+  static net::Graph Islanded() {
+    net::Graph g;
+    for (int i = 0; i < 3; ++i) g.add_node("pid" + std::to_string(i));
+    g.add_duplex_link(0, 1, 1e9);
+    return g;
+  }
+
+  net::Graph graph_;
+  net::RoutingTable routing_;
+  ITracker tracker_;
+  P4PSelector sel_;
+  std::mt19937_64 rng_{7};
+};
+
+TEST_F(SelectorsErrorTest, UnreachablePidThrowsRuntimeError) {
+  const auto candidates = MakeCandidates({{0, 1}, {1, 1}, {2, 1}});
+  const auto store = MakeStore(candidates);
+  EXPECT_THROW(sel_.SelectFromBuckets(candidates[0], store, 2, rng_), std::runtime_error);
+  EXPECT_THROW(sel_.SelectPeers(candidates[0], candidates, 2, rng_), std::runtime_error);
+  BlackBoxSelector bb(std::make_unique<NativeRandomSelector>(), tracker_, 2);
+  EXPECT_THROW(bb.SelectPeers(candidates[0], candidates, 2, rng_), std::runtime_error);
+}
+
+TEST_F(SelectorsErrorTest, BadPidThrowsOutOfRange) {
+  // A candidate PID outside the client's view, and a client PID outside it.
+  const auto far = MakeCandidates({{0, 1}, {1, 1}, {9, 1}});
+  const auto far_store = MakeStore(far);
+  EXPECT_THROW(sel_.SelectFromBuckets(far[0], far_store, 2, rng_), std::out_of_range);
+  EXPECT_THROW(sel_.SelectPeers(far[0], far, 2, rng_), std::out_of_range);
+  const auto lost = MakeCandidates({{9, 1}, {0, 1}, {1, 1}});
+  const auto lost_store = MakeStore(lost);
+  EXPECT_THROW(sel_.SelectFromBuckets(lost[0], lost_store, 2, rng_), std::out_of_range);
+  EXPECT_THROW(sel_.SelectPeers(lost[0], lost, 2, rng_), std::out_of_range);
+}
+
+TEST_F(SelectorsErrorTest, LocalOnlySwarmNeverReadsADistance) {
+  // Every candidate shares the client's PID, so no pair is priced: PIDs are
+  // checked only when a distance is read, and this client's is never read.
+  const auto candidates = MakeCandidates({{9, 1}, {9, 1}, {9, 1}});
+  const auto store = MakeStore(candidates);
+  EXPECT_EQ(sel_.SelectFromBuckets(candidates[0], store, 2, rng_).size(), 2u);
+  EXPECT_EQ(sel_.SelectPeers(candidates[0], candidates, 2, rng_).size(), 2u);
 }
 
 }  // namespace

@@ -77,6 +77,12 @@ struct SynthCase {
   int metros;
 };
 
+// Without this, gtest prints the raw bytes of the case, which include the
+// address of `name`; the discovered ctest names would then change per build.
+void PrintTo(const SynthCase& c, std::ostream* os) {
+  *os << c.name << " (" << c.pops << " pops, " << c.metros << " metros)";
+}
+
 class SynthTopologyTest : public ::testing::TestWithParam<SynthCase> {};
 
 TEST_P(SynthTopologyTest, HasRequestedPopCount) {

@@ -8,7 +8,7 @@
 //   1) Flagship swarm — Scaled(100000) leechers over ISP-B with AS-skewed,
 //      metro-concentrated placement and a residential access mix — the top
 //      of the locality-limit range. Measures per-peer step cost and the
-//      regime-adaptive max-min speedup against periodically sampled full
+//      max-min speedup (clean-step skip) against periodically sampled full
 //      solves (bit-parity checked in-run; mismatches are a hard failure),
 //      with gather/solve attribution from the allocator's counters.
 //   2) Heavy-tailed multi-swarm family — Zipf swarm sizes through the
@@ -112,15 +112,6 @@ int main() {
   big.rechoke_interval = 40.0;
   big.horizon = 1200.0;
   big.maxmin_full_sample_every = 37;
-  // The saturated flagship dirties ~88% of steps, so most recomputes take
-  // the dense cutover; dirty components that do stay incremental may solve
-  // in parallel where the host has cores (rates are bit-identical either
-  // way, so this only moves wall clock).
-  big.maxmin_solver_threads = hw > 1 ? static_cast<int>(std::min(hw, 4u)) : 1;
-  // With ~90% of flows dirtied per recompute, gathering before cutting over
-  // is pure waste: a 0.1 cutover makes the lower-bound shortcut route nearly
-  // every dirty pass straight to the dense solve with no BFS at all.
-  big.maxmin_dense_cutover = 0.1;
   big.rng_seed = 4242;
   sim::BitTorrentSimulator flagship_sim(graph, routing, big);
   core::NativeRandomSelector flagship_selector;
@@ -145,17 +136,15 @@ int main() {
               flagship_speedup, flag.maxmin_full_samples,
               flag.maxmin_parity_mismatches, 100.0 * dirty_fraction);
   // Phase attribution: where the allocator's recompute time actually went.
-  const double flag_recomputes = static_cast<double>(flag.maxmin_dense_solves +
-                                                     flag.maxmin_incremental_solves);
+  const double flag_recomputes = static_cast<double>(flag.maxmin_dense_solves);
   const double gather_ns_per_pass =
       flag_recomputes > 0 ? flag.maxmin_gather_ns / flag_recomputes : 0.0;
   const double solve_ns_per_pass =
       flag_recomputes > 0 ? flag.maxmin_solve_ns / flag_recomputes : 0.0;
   std::printf("  attribution: %.0f ns gather + %.0f ns solve per recompute "
-              "(%llu dense, %llu incremental)\n",
+              "(%llu recomputes)\n",
               gather_ns_per_pass, solve_ns_per_pass,
-              static_cast<unsigned long long>(flag.maxmin_dense_solves),
-              static_cast<unsigned long long>(flag.maxmin_incremental_solves));
+              static_cast<unsigned long long>(flag.maxmin_dense_solves));
 
   // ---- 2) heavy-tailed multi-swarm family through the sharded runner ----
   bench::PrintSubHeader("2) Zipf multi-swarm family (sharded execution)");

@@ -26,6 +26,12 @@ std::vector<std::uint8_t> Seal(Writer& w) {
   return w.take();
 }
 
+/// Smallest encoded rows: a frame row is a u64 stamp plus a u32 blob
+/// length; a delta row adds a u32 pid. Decoders reject a wire row count
+/// the remaining bytes cannot hold before it sizes a reserve().
+constexpr std::size_t kMinFrameRowBytes = 8 + 4;
+constexpr std::size_t kMinDeltaRowBytes = 4 + 8 + 4;
+
 /// Verifies the trailing checksum and the header; returns a Reader over
 /// the payload after the tag, or std::nullopt. `expected` pins the tag.
 std::optional<std::span<const std::uint8_t>> CheckedPayload(
@@ -143,7 +149,8 @@ std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> by
   frames.external_view = r.blob();
   const std::uint32_t num_rows = r.u32();
   if (!r.ok() || frames.num_pids < 0 ||
-      num_rows != static_cast<std::uint32_t>(frames.num_pids)) {
+      num_rows != static_cast<std::uint32_t>(frames.num_pids) ||
+      num_rows > r.remaining() / kMinFrameRowBytes) {
     return std::nullopt;
   }
   frames.rows.reserve(num_rows);
@@ -202,7 +209,8 @@ std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes) {
   if (!r.ok() || delta.num_pids < 0 ||
       delta.base_version >= delta.version ||
       delta.view_version > delta.version ||
-      num_rows > static_cast<std::uint32_t>(delta.num_pids)) {
+      num_rows > static_cast<std::uint32_t>(delta.num_pids) ||
+      num_rows > r.remaining() / kMinDeltaRowBytes) {
     return std::nullopt;
   }
   delta.rows.reserve(num_rows);

@@ -75,8 +75,6 @@ class Engine {
         rng_(cfg.rng_seed),
         alloc_(MakeCapacities(graph, specs)),
         interval_rec_(num_graph_links_, cfg.charging_interval_sec) {
-    alloc_.SetDenseCutover(cfg_.maxmin_dense_cutover);
-    alloc_.SetSolverThreads(cfg_.maxmin_solver_threads);
     joined_.assign(num_peers_, 0);
     departed_.assign(num_peers_, 0);
     completed_.assign(num_peers_, 0);
@@ -794,8 +792,8 @@ BitTorrentResult Engine::Run() {
     }
 
     // Graph-link capacities net of background traffic. Static capacities
-    // never dirty the allocator; a changing background dirties exactly the
-    // links it moves.
+    // never dirty the allocator; only a background that moves a link's
+    // capacity forces a re-solve.
     if (background_) {
       for (std::size_t l = 0; l < num_graph_links_; ++l) {
         alloc_.SetCapacity(
@@ -806,7 +804,7 @@ BitTorrentResult Engine::Run() {
     }
 
     // Max-min fair rates: O(1) when no stream/capacity event occurred since
-    // the previous step, O(dirty components) otherwise.
+    // the previous step, one full progressive-filling solve otherwise.
     const auto t0 = std::chrono::steady_clock::now();
     const auto rates = alloc_.Rates();
     const auto t1 = std::chrono::steady_clock::now();
@@ -944,8 +942,7 @@ BitTorrentResult Engine::Run() {
   }
   result_.maxmin_gather_ns = static_cast<double>(alloc_.total_gather_ns());
   result_.maxmin_solve_ns = static_cast<double>(alloc_.total_solve_ns());
-  result_.maxmin_dense_solves = alloc_.dense_solves();
-  result_.maxmin_incremental_solves = alloc_.incremental_solves();
+  result_.maxmin_dense_solves = alloc_.recompute_passes();
   return std::move(result_);
 }
 

@@ -99,14 +99,6 @@ struct BitTorrentConfig {
   /// incremental allocator, recording both timings for the speedup
   /// metrics (see BitTorrentResult). 0 disables the sampling.
   int maxmin_full_sample_every = 0;
-  /// Worker threads for the incremental allocator's disjoint-component
-  /// solve (1 = inline). Rates are bit-identical at any value, so this is
-  /// outside the determinism contract's inputs; RunSwarms forces it to 1
-  /// when sharding swarms across threads to avoid oversubscription.
-  int maxmin_solver_threads = 1;
-  /// Dense-cutover fraction forwarded to IncrementalMaxMin::SetDenseCutover
-  /// (0 forces dense, >= 1 disables; results bit-identical either way).
-  double maxmin_dense_cutover = 0.5;
   std::uint64_t rng_seed = 1;
 };
 
@@ -140,11 +132,14 @@ struct BitTorrentResult {
   double maxmin_full_ns_est = 0.0;     ///< sampled full-solve time extrapolated to all rounds
   int maxmin_full_samples = 0;         ///< full solves actually run for parity/timing
   int maxmin_parity_mismatches = 0;    ///< bitwise divergences vs the full solve (expect 0)
-  int maxmin_dirty_steps = 0;          ///< steps where any component was re-solved
-  double maxmin_gather_ns = 0.0;       ///< cumulative dirty-set gather / dense-scan time
+  int maxmin_dirty_steps = 0;          ///< steps that re-solved the live flows
+  double maxmin_gather_ns = 0.0;       ///< cumulative live-flow listing time
   double maxmin_solve_ns = 0.0;        ///< cumulative progressive-filling time
-  std::uint64_t maxmin_dense_solves = 0;        ///< recomputes that took the dense path
-  std::uint64_t maxmin_incremental_solves = 0;  ///< recomputes that stayed incremental
+  std::uint64_t maxmin_dense_solves = 0;  ///< recomputes (each solves every live flow)
+  /// Always 0: the allocator has one solve path, counted in
+  /// maxmin_dense_solves. Kept only because perfbench's
+  /// `maxmin.incremental_solves` reads it.
+  std::uint64_t maxmin_incremental_solves = 0;
 
   /// Unit bandwidth-distance product: average backbone links traversed per
   /// unit of P2P traffic.

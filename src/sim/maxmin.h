@@ -2,20 +2,20 @@
 //
 // The paper simulates TCP at session level, "assuming that TCP capacity
 // sharing achieves maxmin fairness in steady state" (Section 7.1, following
-// Bindal et al.). This allocator is the realization of that model: given
-// link capacities and flows (each a list of links it traverses, plus an
-// optional per-flow rate cap), it computes the unique max-min fair rate
-// vector using progressive filling with a lazy priority queue. Each live
-// link holds exactly one heap entry, refreshed on pop when stale (fair
-// shares are monotone non-decreasing), so saturated links are never
-// rescanned through piles of outdated entries.
+// Bindal et al.). MaxMinWorkspace is the one engine that realizes that
+// model: given link capacities and flows (each a list of links it
+// traverses, plus an optional per-flow rate cap), it computes the unique
+// max-min fair rate vector using progressive filling with a lazy priority
+// queue. Each live link holds exactly one heap entry, refreshed on pop when
+// stale (fair shares are monotone non-decreasing), so saturated links are
+// never rescanned through piles of outdated entries.
 //
-// The simulators recompute rates every fluid step over mostly-unchanged
-// flow sets, so the hot entry point is MaxMinWorkspace::Compute, which
-// takes non-owning FlowSpec views (link lists may alias RoutingTable
-// path_view spans or per-stream route buffers) and reuses all scratch
-// storage — adjacency, heap, rate buffers — across rounds. The vector-based
-// MaxMinFairRates wrapper remains for one-shot callers.
+// MaxMinWorkspace::Compute takes non-owning FlowSpec views (link lists may
+// alias RoutingTable path_view spans, per-stream route buffers, or the
+// IncrementalMaxMin flow store's arena) and reuses all scratch storage —
+// adjacency, heap, rate buffers — across rounds. MaxMinFairRates is the
+// one-shot wrapper over it, and the oracle the parity tests compare
+// against.
 #pragma once
 
 #include <limits>
@@ -69,34 +69,5 @@ class MaxMinWorkspace {
 /// flow; same validation rules as Compute().
 std::vector<double> MaxMinFairRates(std::span<const double> capacities,
                                     std::span<const Flow> flows);
-
-/// Incremental allocator used by the simulators: flows are registered once
-/// per step; rates for all flows are produced by allocate().
-class MaxMinAllocator {
- public:
-  explicit MaxMinAllocator(std::vector<double> capacities)
-      : capacities_(std::move(capacities)) {}
-
-  void set_capacity(int link, double capacity_bps) {
-    capacities_.at(static_cast<std::size_t>(link)) = capacity_bps;
-  }
-  double capacity(int link) const { return capacities_.at(static_cast<std::size_t>(link)); }
-  std::size_t num_links() const { return capacities_.size(); }
-
-  /// Rates for the given flows against the configured capacities. Reuses an
-  /// internal workspace across calls (this is invoked every fluid step);
-  /// the returned span stays valid until the next allocate() call.
-  std::span<const double> allocate(std::span<const Flow> flows) {
-    specs_.clear();
-    specs_.reserve(flows.size());
-    for (const Flow& f : flows) specs_.push_back(FlowSpec{f.links, f.rate_cap});
-    return workspace_.Compute(capacities_, specs_);
-  }
-
- private:
-  std::vector<double> capacities_;
-  MaxMinWorkspace workspace_;
-  std::vector<FlowSpec> specs_;
-};
 
 }  // namespace p4p::sim

@@ -1,76 +1,38 @@
-// Incremental max-min fair allocator: O(dirty-component) recomputation,
-// with a regime-adaptive dense cutover and a parallel component solve.
+// Persistent max-min flow store over MaxMinWorkspace.
 //
-// MaxMinWorkspace::Compute rebuilds the link-flow adjacency and re-runs
-// progressive filling from scratch every call. The fluid simulators call it
-// every step over flow sets that barely change: a stream keeps its flow
-// (same route, same cap) across every block it transfers, so between
-// rechoke bursts most steps change nothing at all. This class keeps the
-// flows registered across steps and exploits two exact properties of
-// max-min fairness:
+// The fluid simulators need max-min fair rates every step over flow sets
+// that barely change: a stream keeps its flow (same route, same cap)
+// across every block it transfers, so between rechoke bursts most steps
+// change nothing at all. This class keeps the flows registered across
+// steps and tracks one dirty bit:
 //
-//   1. If nothing changed since the last solve, the old rates are the
-//      answer (Rates() is O(1) on clean calls).
-//   2. The link-flow incidence graph decomposes into connected components
-//      that share no links, and the max-min allocation of a disjoint union
-//      is the union of the per-component allocations. Only components
-//      containing a changed link or flow need re-solving; untouched
-//      components keep their cached rates.
+//   - Clean: nothing changed since the last solve, so Rates() returns the
+//     cached rates in O(1).
+//   - Dirty: Rates() lists every live flow in slot order as FlowSpec views
+//     over its link arena, runs one MaxMinWorkspace::Compute, and scatters
+//     the results back by slot.
 //
-// Rates() picks among three solve paths, all bit-identical to a full
-// progressive-filling solve over all live flows (and to the
-// MaxMinFairRates oracle when flows are enumerated in slot order):
+// Enumerating live slots in ascending order is exactly how the
+// MaxMinFairRates oracle is fed by the parity tests and the simulators'
+// sampling mode, so rates are bit-identical to it by construction.
 //
-//   - Clean: nothing dirty, return cached rates.
-//   - Incremental: BFS-gather each dirty component over the persistent
-//     adjacency and re-solve only those. Disjoint components share no
-//     state, so when more than one is dirty they are solved concurrently
-//     on an internal worker pool (see SetSolverThreads); results are
-//     bit-identical at any thread count because each component's solve is
-//     self-contained and writes only its own flows' rate slots.
-//   - Dense: when the gathered dirty set exceeds a tunable fraction of
-//     the live flows (SetDenseCutover), the gather is abandoned and all
-//     live flows are re-solved directly from the persistent slot state —
-//     identity link numbering, no BFS, no canonical-order pass. This is
-//     the saturated-swarm regime where churn dirties nearly everything
-//     each step and the gather/remap constant factor costs more than the
-//     component restriction saves.
-//
-// Parity holds by construction on every path: within a component the
-// sequence of freeze operations — pop order of the (fair share, link id)
-// min-heap restricted to the component, and the flow iteration order of
-// each freeze — depends only on that component's links and flows, never
-// on what else is in the network. Heap ties break on a global link id
-// (rate-cap virtual links ordered after real links, among themselves by
-// flow slot), which is order-isomorphic to the oracle's numbering, so
-// even exact floating-point share ties resolve identically. The dense
-// path is the degenerate case where the "component" is the whole network.
-//
-// Storage is pooled and hash-free on the hot mutators: flow link lists
-// live in one arena recycled through exact-length free lists, per-link
-// flow membership is a swap-and-pop slab (power-of-two chunks recycled by
-// size class) with back-pointers, traversal marks are epoch stamps (no
-// per-pass clearing), and all recompute scratch is reused across calls.
+// Flow link lists live in one arena recycled through exact-length free
+// lists, so AddFlow/RemoveFlow never hash and, once the arena has grown
+// to the working set, never allocate.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <limits>
-#include <mutex>
 #include <span>
-#include <thread>
 #include <vector>
+
+#include "sim/maxmin.h"
 
 namespace p4p::sim {
 
 class IncrementalMaxMin {
  public:
   explicit IncrementalMaxMin(std::vector<double> capacities);
-  ~IncrementalMaxMin();
-
-  IncrementalMaxMin(const IncrementalMaxMin&) = delete;
-  IncrementalMaxMin& operator=(const IncrementalMaxMin&) = delete;
 
   /// Registers a flow traversing `links` (indices into the capacity
   /// vector) with an optional finite rate cap. Returns the flow's slot id,
@@ -83,132 +45,46 @@ class IncrementalMaxMin {
   /// Unregisters a flow; its slot may be reused by a later AddFlow.
   void RemoveFlow(int slot);
 
-  /// Updates a link capacity (>= 0, non-NaN); dirties the link's component.
-  /// Throws std::invalid_argument on an unknown link, like every other
-  /// mutator.
+  /// Updates a link capacity (>= 0, non-NaN). Throws std::invalid_argument
+  /// on an unknown link, like every other mutator.
   void SetCapacity(int link, double capacity_bps);
 
-  /// Updates a flow's rate cap; dirties the flow's component.
+  /// Updates a flow's rate cap.
   void SetRateCap(int slot, double rate_cap);
 
-  /// Rates indexed by slot (freed slots read 0). Recomputes only dirty
-  /// components; the span stays valid until the next mutating call.
+  /// Rates indexed by slot (freed slots read 0). Re-solves only if a
+  /// mutator changed something; the span stays valid until the next
+  /// mutating call.
   std::span<const double> Rates();
 
-  /// Dense cutover: when a recompute gathers more than `fraction` of the
-  /// live flows, it abandons the gather and re-solves all live flows
-  /// directly (no BFS, identity link ids). 0 forces the dense path on any
-  /// dirty solve; >= 1 disables it. Throws std::invalid_argument on a
-  /// negative or NaN fraction. Results are bit-identical either way.
-  void SetDenseCutover(double fraction);
-  double dense_cutover() const { return dense_cutover_; }
-
-  /// Solver concurrency: dirty components are independent, so when more
-  /// than one needs re-solving (and their combined flow count reaches
-  /// `min_parallel_flows`) they are distributed over `threads - 1` pooled
-  /// workers plus the calling thread. Rates are bit-identical at any
-  /// thread count. Like the mutators, this must not race with Rates().
-  void SetSolverThreads(int threads, std::size_t min_parallel_flows = 2048);
-  int solver_threads() const { return solver_threads_; }
-
-  double capacity(int link) const {
-    return capacities_.at(static_cast<std::size_t>(link));
-  }
   std::span<const double> capacities() const { return capacities_; }
-  std::size_t num_links() const { return capacities_.size(); }
   std::size_t num_flows() const { return num_flows_; }
 
   /// Introspection for tests and benches: flows re-solved by the last
-  /// Rates() call, and cumulative counts across the allocator's lifetime.
+  /// recompute pass (every live flow), and cumulative counts across the
+  /// store's lifetime.
   std::size_t last_recomputed_flows() const { return last_recomputed_flows_; }
   std::uint64_t total_recomputed_flows() const { return total_recomputed_flows_; }
   std::uint64_t recompute_passes() const { return recompute_passes_; }
 
-  /// Which path the last Rates() call took, and how it was executed.
-  enum class SolvePath { kClean, kIncremental, kDense };
-  SolvePath last_path() const { return last_path_; }
-  /// Dirty components re-solved by the last recompute pass (1 on dense).
-  std::size_t last_components() const { return last_components_; }
-  /// Components handed to the worker pool by the last pass (0 = inline).
-  std::size_t last_parallel_jobs() const { return last_parallel_jobs_; }
-  std::uint64_t dense_solves() const { return dense_solves_; }
-  std::uint64_t incremental_solves() const { return incremental_solves_; }
-  std::uint64_t parallel_passes() const { return parallel_passes_; }
-
   /// Time attribution (wall clock, excluded from determinism contracts):
-  /// the gather phase is dirty-set discovery + canonical ordering (or the
-  /// dense live-flow scan), the solve phase is progressive filling. Only
-  /// updated by recompute passes; clean calls leave them untouched.
+  /// the gather phase lists the live flows as FlowSpec views, the solve
+  /// phase is progressive filling plus the scatter by slot. Only updated by
+  /// recompute passes; clean calls leave them untouched.
   std::int64_t last_gather_ns() const { return last_gather_ns_; }
   std::int64_t last_solve_ns() const { return last_solve_ns_; }
   std::int64_t total_gather_ns() const { return total_gather_ns_; }
   std::int64_t total_solve_ns() const { return total_solve_ns_; }
 
  private:
-  struct LinkEntry {
-    int slot;          // flow occupying this entry
-    std::uint32_t li;  // index of this link within the flow's link list
-  };
-  /// Heap entries are (share, local link id) exactly like the oracle's.
-  /// Local ids are assigned in ascending global order (real links) followed
-  /// by ascending slot order (virtual cap links), which is strictly
-  /// monotone in the oracle's global numbering — so tie-breaking on the
-  /// local id makes byte-identical pop decisions to tie-breaking on the
-  /// global id, without carrying it.
-  using HeapEntry = std::pair<double, int>;
-  /// Per-thread progressive-filling scratch; workers own one each so
-  /// concurrent component solves never share mutable state (rate_ and
-  /// link_local_ writes are disjoint by the component partition).
-  struct SolveScratch {
-    std::vector<int> flow_local_cap_;  // comp flow idx -> local cap link or -1
-    std::vector<double> local_remaining_;
-    std::vector<int> local_active_;
-    std::vector<std::size_t> adj_offsets_;
-    std::vector<std::size_t> adj_fill_;
-    std::vector<int> adj_flows_;
-    std::vector<char> local_frozen_;
-    std::vector<HeapEntry> heap_;
-  };
-  /// One gathered dirty component: half-open ranges into the shared
-  /// comp_flows_ / comp_links_ arrays (canonical ascending order).
-  struct CompRange {
-    std::size_t flows_begin, flows_end;
-    std::size_t links_begin, links_end;
-  };
-  struct DenseMap;  // identity link numbering (all live flows)
-  struct CompMap;   // component-local numbering via link_local_
+  /// Throws std::invalid_argument(message) unless `slot` holds a live flow.
+  void CheckLiveSlot(int slot, const char* message) const;
 
-  void MarkLinkDirty(int link);
-  void MarkFlowDirty(int slot);
-  void GrowLinkMembers(std::size_t link);
-  /// BFS-gathers every dirty component into components_; returns false if
-  /// the gathered flow total exceeded `dense_threshold` (cutover: caller
-  /// abandons the partial gather and runs the dense path instead).
-  bool GatherComponents(std::size_t dense_threshold);
-  void BuildDenseFlowList();
-  template <class Map>
-  void SolveSpan(std::span<const int> flows, std::size_t num_real,
-                 const Map& map, SolveScratch& s);
-  void SolveOneComponent(const CompRange& c, SolveScratch& s);
-  void DrainComponents(SolveScratch& s);
-  void SolveComponentsParallel();
-  void EnsurePool();
-  void StopPool();
-  void WorkerLoop(std::size_t worker_index);
-
-  // --- network state ---
   std::vector<double> capacities_;
 
-  // --- per-link flow membership: swap-and-pop chunks in one slab ---
-  std::vector<std::uint32_t> lf_off_;    // chunk offset into lf_slab_
-  std::vector<std::uint32_t> lf_count_;  // live entries
-  std::vector<std::uint32_t> lf_cap_;    // chunk capacity (power of two or 0)
-  std::vector<LinkEntry> lf_slab_;
-  std::vector<std::vector<std::uint32_t>> lf_free_;  // by log2 size class
-
-  // --- per-flow state (slot-indexed SoA) ---
-  std::vector<std::uint32_t> flow_off_;    // offset into links_pool_
-  std::vector<std::uint32_t> flow_len_;    // links on this flow
+  // --- per-flow state (slot-indexed) ---
+  std::vector<std::uint32_t> flow_off_;  // offset into links_pool_
+  std::vector<std::uint32_t> flow_len_;  // links on this flow
   std::vector<double> flow_cap_;
   std::vector<char> flow_live_;
   std::vector<double> rate_;
@@ -216,50 +92,17 @@ class IncrementalMaxMin {
   std::size_t num_flows_ = 0;
 
   // --- pooled link-list storage (exact-length free lists, no hashing) ---
-  std::vector<int> links_pool_;            // flow link ids
-  std::vector<std::uint32_t> pos_pool_;    // back-pointer into the link's chunk
+  std::vector<int> links_pool_;
   std::vector<std::vector<std::uint32_t>> pool_free_;  // [len] -> offsets
 
-  // --- dirty tracking ---
-  std::vector<int> dirty_links_;
-  std::vector<char> link_dirty_;
-  std::vector<int> dirty_flows_;
-  std::vector<char> flow_dirty_;
-  std::uint32_t max_flow_len_ = 1;  // high-water mark, for gather lower bounds
-
-  // --- gather state (epoch stamps: no per-pass clearing) ---
-  std::uint32_t epoch_ = 0;
-  std::vector<std::uint32_t> link_stamp_, flow_stamp_;
-  std::vector<std::uint32_t> link_comp_, flow_comp_;
-  std::vector<int> comp_flows_;  // per-component ascending slot ranges
-  std::vector<int> comp_links_;  // per-component ascending global link ids
-  std::vector<int> bfs_stack_;   // links pending member expansion
-  std::vector<CompRange> components_;
-  std::vector<int> link_local_;  // global link -> local index (comp solves)
-
-  // --- solver configuration + worker pool ---
-  double dense_cutover_ = 0.5;
-  int solver_threads_ = 1;
-  std::size_t min_parallel_flows_ = 2048;
-  std::vector<SolveScratch> scratch_;  // [0] = calling thread
-  std::vector<std::thread> pool_;
-  std::mutex pool_mu_;
-  std::condition_variable work_cv_, done_cv_;
-  std::uint64_t generation_ = 0;   // guarded by pool_mu_
-  std::size_t workers_done_ = 0;   // guarded by pool_mu_
-  bool pool_stop_ = false;         // guarded by pool_mu_
-  std::atomic<std::size_t> next_comp_{0};
+  bool dirty_ = false;
+  std::vector<FlowSpec> specs_;  // live flows in slot order, per recompute
+  MaxMinWorkspace workspace_;
 
   // --- introspection ---
   std::size_t last_recomputed_flows_ = 0;
   std::uint64_t total_recomputed_flows_ = 0;
   std::uint64_t recompute_passes_ = 0;
-  SolvePath last_path_ = SolvePath::kClean;
-  std::size_t last_components_ = 0;
-  std::size_t last_parallel_jobs_ = 0;
-  std::uint64_t dense_solves_ = 0;
-  std::uint64_t incremental_solves_ = 0;
-  std::uint64_t parallel_passes_ = 0;
   std::int64_t last_gather_ns_ = 0;
   std::int64_t last_solve_ns_ = 0;
   std::int64_t total_gather_ns_ = 0;

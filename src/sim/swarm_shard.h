@@ -46,10 +46,6 @@ using SelectorFactory = std::function<std::unique_ptr<PeerSelector>(std::size_t)
 /// Runs every job and merges results deterministically. `background`, when
 /// set, is shared across all swarms and must be pure/thread-safe (a function
 /// of link and time). `num_threads` <= 1 runs inline on the caller's thread.
-/// With more than one worker, each job's `maxmin_solver_threads` is forced
-/// to 1 so nested allocator pools never oversubscribe the machine; the
-/// allocator's bit-identical-at-any-thread-count contract makes this
-/// invisible in the results.
 MultiSwarmResult RunSwarms(const net::Graph& graph, const net::RoutingTable& routing,
                            std::span<const SwarmJob> jobs,
                            const SelectorFactory& make_selector, int num_threads,

@@ -8,12 +8,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
+#include <limits>
+#include <optional>
 #include <random>
 #include <thread>
 
 #include "core/policy.h"
 #include "net/topology.h"
+#include "proto/messages.h"
 #include "proto/resilient_client.h"
+#include "proto/wire.h"
 #include "support/fault_injection.h"
 
 namespace p4p::proto {
@@ -212,6 +217,53 @@ TEST_F(FederationCodecTest, DecodersTotalOnRandomBytes) {
     EXPECT_FALSE(DecodeFramePull(noise).has_value());
     EXPECT_FALSE(DecodeBeacon(noise).has_value());
   }
+}
+
+/// Header, payload from `body`, and a valid trailing checksum: the frame
+/// gets past CheckedPayload, so only the decoder's own bounds stand between
+/// a forged count and an allocation.
+std::vector<std::uint8_t> SealForged(FederationTag tag,
+                                     const std::function<void(Writer&)>& body) {
+  Writer w;
+  w.u32(kFederationMagic);
+  w.u8(kProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(tag));
+  body(w);
+  w.u32(FrameChecksum(w.bytes()));
+  return w.take();
+}
+
+TEST_F(FederationCodecTest, PushRejectsRowCountBeyondPayload) {
+  constexpr std::int32_t kHuge = std::numeric_limits<std::int32_t>::max();
+  const auto bytes = SealForged(FederationTag::kFramePush, [](Writer& w) {
+    w.u64(1);      // term
+    w.u64(2);      // version
+    w.u64(2);      // view_version
+    w.i32(kHuge);  // num_pids
+    w.blob({});    // not_modified
+    w.blob({});    // external_view
+    w.u32(static_cast<std::uint32_t>(kHuge));  // num_rows
+  });
+  EXPECT_EQ(bytes.size(), 50u);
+  std::optional<SnapshotFrameSet> decoded;
+  EXPECT_NO_THROW(decoded = DecodeFramePush(bytes));
+  EXPECT_FALSE(decoded.has_value());
+}
+
+TEST_F(FederationCodecTest, DeltaRejectsRowCountBeyondPayload) {
+  constexpr std::int32_t kHuge = std::numeric_limits<std::int32_t>::max();
+  const auto bytes = SealForged(FederationTag::kDeltaPush, [](Writer& w) {
+    w.u64(1);      // term
+    w.u64(1);      // base_version
+    w.u64(2);      // version
+    w.u64(2);      // view_version
+    w.i32(kHuge);  // num_pids
+    w.blob({});    // not_modified
+    w.u32(static_cast<std::uint32_t>(kHuge));  // num_rows
+  });
+  std::optional<DeltaPush> decoded;
+  EXPECT_NO_THROW(decoded = DecodeDeltaPush(bytes));
+  EXPECT_FALSE(decoded.has_value());
 }
 
 // --- delta codec ------------------------------------------------------------

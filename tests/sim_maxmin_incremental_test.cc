@@ -1,6 +1,7 @@
-// IncrementalMaxMin parity tests: randomized flow/capacity churn checked
-// bit-identical against the from-scratch MaxMinFairRates oracle, plus
-// component-reuse accounting and validation behavior.
+// IncrementalMaxMin tests: randomized flow/capacity/rate-cap churn checked
+// bit-identical against the from-scratch MaxMinFairRates oracle, the
+// clean-call skip and full-recompute accounting, slot reuse, validation,
+// and the gather/solve time attribution.
 #include "sim/maxmin_incremental.h"
 
 #include <gtest/gtest.h>
@@ -17,9 +18,8 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Full-solve reference over the live slots in ascending slot order. The
-/// incremental allocator's tie-break gids are order-isomorphic to the
-/// oracle's numbering exactly under this enumeration.
+/// Full-solve reference over the live slots in ascending slot order, the
+/// same enumeration the store hands to its own solve.
 void ExpectMatchesOracle(IncrementalMaxMin& inc,
                          const std::vector<double>& capacities,
                          const std::map<int, Flow>& model) {
@@ -30,8 +30,8 @@ void ExpectMatchesOracle(IncrementalMaxMin& inc,
   const auto rates = inc.Rates();
   std::size_t i = 0;
   for (const auto& [slot, flow] : model) {
-    // Bitwise equality, not tolerance: the incremental path must replay the
-    // exact arithmetic sequence of the full solve.
+    // Bitwise equality, not tolerance: the store must replay the exact
+    // arithmetic sequence of the full solve.
     EXPECT_EQ(rates[static_cast<std::size_t>(slot)], expect[i])
         << "slot " << slot << " diverged from oracle";
     ++i;
@@ -122,8 +122,8 @@ TEST(MaxMinIncremental, RandomChurnBitIdenticalToOracleMultiSeed) {
         capacities[static_cast<std::size_t>(l)] = c;
       }
 
-      // Compare every few steps (and always near the end) so the
-      // incremental state is exercised across multi-op dirty batches.
+      // Compare every few steps (and always near the end) so the store is
+      // exercised across multi-op dirty batches.
       if (step % 3 == 0 || step > 390) {
         ExpectMatchesOracle(inc, capacities, model);
       }
@@ -146,8 +146,9 @@ TEST(MaxMinIncremental, CleanCallDoesNotRecompute) {
   EXPECT_DOUBLE_EQ(r0, 10.0);
 }
 
-TEST(MaxMinIncremental, OnlyDirtyComponentIsRecomputed) {
-  // Two disjoint components: links {0,1} and links {2,3}.
+TEST(MaxMinIncremental, DirtyPassRecomputesEveryLiveFlow) {
+  // Two disjoint link groups: {0,1} and {2,3}. A change in either one
+  // re-solves every live flow, not just the touched group.
   IncrementalMaxMin inc({10.0, 10.0, 8.0, 8.0});
   const std::vector<int> a = {0, 1}, b = {0}, c = {2, 3}, d = {2};
   inc.AddFlow(a);
@@ -157,17 +158,35 @@ TEST(MaxMinIncremental, OnlyDirtyComponentIsRecomputed) {
   (void)inc.Rates();
   EXPECT_EQ(inc.last_recomputed_flows(), 4u);
 
-  // Touch only the right component: just its two flows re-solve.
   inc.SetRateCap(right1, 1.5);
   const auto rates = inc.Rates();
-  EXPECT_EQ(inc.last_recomputed_flows(), 2u);
+  EXPECT_EQ(inc.last_recomputed_flows(), 4u);
   EXPECT_DOUBLE_EQ(rates[static_cast<std::size_t>(right1)], 1.5);
-  EXPECT_DOUBLE_EQ(rates[0], 5.0);  // left component untouched
+  EXPECT_DOUBLE_EQ(rates[0], 5.0);
 
-  // Capacity change on link 0: only the left pair re-solves.
   inc.SetCapacity(0, 6.0);
   (void)inc.Rates();
-  EXPECT_EQ(inc.last_recomputed_flows(), 2u);
+  EXPECT_EQ(inc.last_recomputed_flows(), 4u);
+  EXPECT_EQ(inc.total_recomputed_flows(), 12u);
+  EXPECT_EQ(inc.recompute_passes(), 3u);
+}
+
+TEST(MaxMinIncremental, RemovingLastFlowYieldsZeroRates) {
+  IncrementalMaxMin inc({10.0, 4.0});
+  const std::vector<int> a = {0}, b = {0, 1};
+  const int s0 = inc.AddFlow(a);
+  const int s1 = inc.AddFlow(b, 3.0);
+  const auto before = inc.Rates();
+  EXPECT_DOUBLE_EQ(before[static_cast<std::size_t>(s0)], 7.0);
+  EXPECT_DOUBLE_EQ(before[static_cast<std::size_t>(s1)], 3.0);
+  inc.RemoveFlow(s0);
+  inc.RemoveFlow(s1);
+  EXPECT_EQ(inc.num_flows(), 0u);
+  const auto after = inc.Rates();
+  ASSERT_EQ(after.size(), 2u);
+  EXPECT_EQ(after[0], 0.0);
+  EXPECT_EQ(after[1], 0.0);
+  EXPECT_EQ(inc.last_recomputed_flows(), 0u);
 }
 
 TEST(MaxMinIncremental, SlotReuseAfterRemove) {
@@ -205,6 +224,34 @@ TEST(MaxMinIncremental, ValidationMatchesOracle) {
   // A cap-only flow may never have its cap cleared to infinity.
   const int c = inc.AddFlow(std::span<const int>{}, 2.0);
   EXPECT_THROW(inc.SetRateCap(c, kInf), std::invalid_argument);
+}
+
+TEST(MaxMinIncrementalPaths, SetCapacityUnknownLinkThrowsInvalidArgument) {
+  IncrementalMaxMin inc({1.0, 2.0});
+  EXPECT_THROW(inc.SetCapacity(2, 1.0), std::invalid_argument);
+  EXPECT_THROW(inc.SetCapacity(-1, 1.0), std::invalid_argument);
+}
+
+TEST(MaxMinIncrementalPaths, AttributionCountersAdvanceOnRecompute) {
+  IncrementalMaxMin inc({10.0, 5.0});
+  const std::vector<int> a = {0}, b = {1};
+  inc.AddFlow(a);
+  inc.AddFlow(b);
+  (void)inc.Rates();
+  EXPECT_GE(inc.last_gather_ns(), 0);
+  EXPECT_GE(inc.last_solve_ns(), 0);
+  const auto g1 = inc.total_gather_ns();
+  const auto s1 = inc.total_solve_ns();
+  // Clean call: attribution untouched.
+  (void)inc.Rates();
+  EXPECT_EQ(inc.total_gather_ns(), g1);
+  EXPECT_EQ(inc.total_solve_ns(), s1);
+  // Dirty call: cumulative totals only grow.
+  inc.SetCapacity(0, 8.0);
+  (void)inc.Rates();
+  EXPECT_GE(inc.total_gather_ns(), g1);
+  EXPECT_GE(inc.total_solve_ns(), s1);
+  EXPECT_EQ(inc.recompute_passes(), 2u);
 }
 
 }  // namespace

@@ -275,14 +275,5 @@ TEST(MaxMinWorkspace, ValidatesLikeOneShotApi) {
   EXPECT_NEAR(ws.Compute(caps, fine)[0], 1.0, kTol);
 }
 
-TEST(MaxMinAllocator, WrapsCapacities) {
-  MaxMinAllocator alloc({4.0, 8.0});
-  EXPECT_EQ(alloc.num_links(), 2u);
-  EXPECT_DOUBLE_EQ(alloc.capacity(1), 8.0);
-  alloc.set_capacity(1, 16.0);
-  const std::vector<Flow> flows = {{{1}, std::numeric_limits<double>::infinity()}};
-  EXPECT_NEAR(alloc.allocate(flows)[0], 16.0, kTol);
-}
-
 }  // namespace
 }  // namespace p4p::sim

@@ -149,6 +149,13 @@ void FailoverCoordinator::PromoteLocked(double now) {
         (static_cast<std::uint64_t>(rank) + 1) % static_cast<std::uint64_t>(n);
     while (new_term % static_cast<std::uint64_t>(n) != residue) ++new_term;
   }
+  // A term past kMaxTerm would wrap the version floor below and break the
+  // disjoint-range argument: stay a follower, and wait a full lease before
+  // trying again.
+  if (new_term > kMaxTerm || new_term <= max_seen) {
+    last_beacon_time_.store(now, std::memory_order_release);
+    return;
+  }
 
   // Version fencing: every term mints tokens from a disjoint strided
   // range, above anything the pulled set holds. AdvanceVersionTo notifies
@@ -164,6 +171,7 @@ void FailoverCoordinator::PromoteLocked(double now) {
     PublisherOptions pub_options;
     pub_options.enable_delta = options_.enable_delta;
     pub_options.term = new_term;
+    pub_options.key = follower_->key();
     if (options_.update_directory_epochs) {
       pub_options.directory = directory_;
       pub_options.domain = options_.domain;

@@ -90,7 +90,8 @@ class FailoverCoordinator {
                       PDistanceControlLoop* control_loop = nullptr);
 
   /// One state-machine step at the current clock reading:
-  ///   follower + lease expired for our rank -> Promote;
+  ///   follower + lease expired for our rank -> Promote (unless the new
+  ///   term would exceed kMaxTerm: then the replica stays a follower);
   ///   publisher + fenced (kStaleTerm ack or higher-term beacon) -> Demote.
   /// Returns the role after the step.
   Role Tick();

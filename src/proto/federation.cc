@@ -13,113 +13,68 @@ namespace p4p::proto {
 
 namespace {
 
-/// Appends the frame header (magic + protocol version + tag).
-void FrameHeader(Writer& w, FederationTag tag) {
-  w.u32(kFederationMagic);
-  w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(tag));
-}
-
-/// Seals the frame with the trailing FNV-1a checksum.
-std::vector<std::uint8_t> Seal(Writer& w) {
-  w.u32(FrameChecksum(w.bytes()));
-  return w.take();
-}
-
 /// Smallest encoded rows: a frame row is a u64 stamp plus a u32 blob
 /// length; a delta row adds a u32 pid. Decoders reject a wire row count
 /// the remaining bytes cannot hold before it sizes a reserve().
 constexpr std::size_t kMinFrameRowBytes = 8 + 4;
 constexpr std::size_t kMinDeltaRowBytes = 4 + 8 + 4;
 
-/// Verifies the trailing checksum and the header; returns a Reader over
-/// the payload after the tag, or std::nullopt. `expected` pins the tag.
-std::optional<std::span<const std::uint8_t>> CheckedPayload(
-    std::span<const std::uint8_t> bytes, FederationTag expected) {
-  // Header (6) + checksum (4) is the minimum frame.
-  if (bytes.size() < 10) return std::nullopt;
-  const auto body = bytes.first(bytes.size() - 4);
-  Reader tail(bytes.subspan(body.size()));
-  if (tail.u32() != FrameChecksum(body)) return std::nullopt;
-  Reader header(body);
-  if (header.u32() != kFederationMagic) return std::nullopt;
-  if (header.u8() != kProtocolVersion) return std::nullopt;
-  if (header.u8() != static_cast<std::uint8_t>(expected)) return std::nullopt;
-  return body.subspan(6);
+Writer BeginFrame(FederationTag tag, std::size_t payload_bytes) {
+  return BeginSealed(kFederationMagic, static_cast<std::uint8_t>(tag), payload_bytes);
+}
+
+std::optional<Reader> OpenFrame(std::span<const std::uint8_t> bytes,
+                                FederationTag expected, const SealKey& key) {
+  const auto payload =
+      Open(bytes, kFederationMagic, static_cast<std::uint8_t>(expected), key);
+  if (!payload) return std::nullopt;
+  return Reader(*payload);
 }
 
 }  // namespace
 
 std::optional<FederationTag> PeekFederationTag(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
-  if (r.u32() != kFederationMagic) return std::nullopt;
-  if (r.u8() != kProtocolVersion) return std::nullopt;
-  const std::uint8_t tag = r.u8();
-  if (!r.ok() || tag < static_cast<std::uint8_t>(FederationTag::kFramePush) ||
-      tag > static_cast<std::uint8_t>(FederationTag::kDeltaPush)) {
+  const auto tag = PeekSealedTag(bytes, kFederationMagic);
+  if (!tag || *tag < static_cast<std::uint8_t>(FederationTag::kFramePush) ||
+      *tag > static_cast<std::uint8_t>(FederationTag::kDeltaPush)) {
     return std::nullopt;
   }
-  return static_cast<FederationTag>(tag);
+  return static_cast<FederationTag>(*tag);
 }
 
-namespace {
-
-/// Incremental FNV-1a (same constants as FrameChecksum) for digesting a
-/// frame set without materializing one contiguous buffer.
-class Fnv32 {
- public:
-  void bytes(std::span<const std::uint8_t> data) {
-    for (const std::uint8_t b : data) {
-      hash_ = (hash_ ^ b) * 16777619u;
-    }
-  }
-  void u32(std::uint32_t v) {
-    const std::uint8_t buf[4] = {
-        static_cast<std::uint8_t>(v >> 24), static_cast<std::uint8_t>(v >> 16),
-        static_cast<std::uint8_t>(v >> 8), static_cast<std::uint8_t>(v)};
-    bytes(buf);
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v >> 32));
-    u32(static_cast<std::uint32_t>(v));
-  }
-  /// Length-prefixed, so adjacent variable-size fields cannot alias.
-  void blob(std::span<const std::uint8_t> data) {
-    u32(static_cast<std::uint32_t>(data.size()));
-    bytes(data);
-  }
-  std::uint32_t digest() const { return hash_; }
-
- private:
-  std::uint32_t hash_ = 2166136261u;
-};
-
-}  // namespace
-
-std::uint32_t FrameSetChecksum(const SnapshotFrameSet& frames) {
-  Fnv32 fnv;
-  fnv.u64(frames.term);
-  fnv.u64(frames.version);
-  fnv.u64(frames.view_version);
-  fnv.u32(static_cast<std::uint32_t>(frames.num_pids));
-  fnv.u32(static_cast<std::uint32_t>(frames.rows.size()));
+std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames) {
+  SipHasher hasher(kPublicSealKey);
+  const auto u64 = [&hasher](std::uint64_t v) {
+    std::uint8_t word[8];
+    for (int i = 0; i < 8; ++i) word[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+    hasher.update(word);
+  };
+  // Length-prefixed, so adjacent variable-size fields cannot alias.
+  const auto blob = [&](std::span<const std::uint8_t> bytes) {
+    u64(bytes.size());
+    hasher.update(bytes);
+  };
+  u64(frames.term);
+  u64(frames.version);
+  u64(frames.view_version);
+  u64(static_cast<std::uint32_t>(frames.num_pids));
+  u64(frames.rows.size());
   for (std::size_t i = 0; i < frames.rows.size(); ++i) {
-    fnv.u64(i < frames.row_versions.size() ? frames.row_versions[i] : 0);
-    fnv.blob(frames.rows[i]);
+    u64(i < frames.row_versions.size() ? frames.row_versions[i] : 0);
+    blob(frames.rows[i]);
   }
-  fnv.blob(frames.not_modified);
-  fnv.blob(frames.external_view);
-  fnv.blob(frames.policy);
-  return fnv.digest();
+  blob(frames.not_modified);
+  blob(frames.external_view);
+  blob(frames.policy);
+  return hasher.finish();
 }
 
-std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames) {
-  Writer w;
+std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
+                                          const SealKey& key) {
   std::size_t payload = 8 + 8 + 8 + 4 + 4 + frames.external_view.size() + 4 +
                         frames.not_modified.size() + 4 + 1 + 4 + frames.policy.size();
   for (const auto& row : frames.rows) payload += 8 + 4 + row.size();
-  w.reserve(6 + payload + 4);
-  FrameHeader(w, FederationTag::kFramePush);
+  Writer w = BeginFrame(FederationTag::kFramePush, payload);
   w.u64(frames.term);
   w.u64(frames.version);
   w.u64(frames.view_version);
@@ -133,13 +88,14 @@ std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames) {
   }
   w.u8(frames.policy.empty() ? 0 : 1);
   if (!frames.policy.empty()) w.blob(frames.policy);
-  return Seal(w);
+  return Seal(w, key);
 }
 
-std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, FederationTag::kFramePush);
-  if (!payload) return std::nullopt;
-  Reader r(*payload);
+std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> bytes,
+                                                const SealKey& key) {
+  auto opened = OpenFrame(bytes, FederationTag::kFramePush, key);
+  if (!opened) return std::nullopt;
+  Reader& r = *opened;
   SnapshotFrameSet frames;
   frames.term = r.u64();
   frames.version = r.u64();
@@ -148,7 +104,7 @@ std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> by
   frames.not_modified = r.blob();
   frames.external_view = r.blob();
   const std::uint32_t num_rows = r.u32();
-  if (!r.ok() || frames.num_pids < 0 ||
+  if (!r.ok() || frames.term > kMaxTerm || frames.num_pids < 0 ||
       num_rows != static_cast<std::uint32_t>(frames.num_pids) ||
       num_rows > r.remaining() / kMinFrameRowBytes) {
     return std::nullopt;
@@ -166,13 +122,11 @@ std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> by
   return frames;
 }
 
-std::vector<std::uint8_t> EncodeDeltaPush(const DeltaPush& delta) {
-  Writer w;
+std::vector<std::uint8_t> EncodeDeltaPush(const DeltaPush& delta, const SealKey& key) {
   std::size_t payload = 8 + 8 + 8 + 8 + 4 + 4 + delta.not_modified.size() + 4 +
-                        1 + 4 + delta.policy.size() + 4;
+                        1 + 4 + delta.policy.size() + 8;
   for (const auto& row : delta.rows) payload += 4 + 8 + 4 + row.bytes.size();
-  w.reserve(6 + payload + 4);
-  FrameHeader(w, FederationTag::kDeltaPush);
+  Writer w = BeginFrame(FederationTag::kDeltaPush, payload);
   w.u64(delta.term);
   w.u64(delta.base_version);
   w.u64(delta.version);
@@ -187,14 +141,15 @@ std::vector<std::uint8_t> EncodeDeltaPush(const DeltaPush& delta) {
   }
   w.u8(delta.policy.empty() ? 0 : 1);
   if (!delta.policy.empty()) w.blob(delta.policy);
-  w.u32(delta.result_checksum);
-  return Seal(w);
+  w.u64(delta.result_checksum);
+  return Seal(w, key);
 }
 
-std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, FederationTag::kDeltaPush);
-  if (!payload) return std::nullopt;
-  Reader r(*payload);
+std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes,
+                                         const SealKey& key) {
+  auto opened = OpenFrame(bytes, FederationTag::kDeltaPush, key);
+  if (!opened) return std::nullopt;
+  Reader& r = *opened;
   DeltaPush delta;
   delta.term = r.u64();
   delta.base_version = r.u64();
@@ -203,10 +158,10 @@ std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes) {
   delta.num_pids = r.i32();
   delta.not_modified = r.blob();
   const std::uint32_t num_rows = r.u32();
-  // Protocol-meaningful relations are validated here (not just by
-  // checksum): a delta that violates them could never have been produced
-  // by a correct publisher, so it is rejected before touching any store.
-  if (!r.ok() || delta.num_pids < 0 ||
+  // Protocol-meaningful relations are validated here (not just by the
+  // MAC): a delta that violates them could never have been produced by a
+  // correct publisher, so it is rejected before touching any store.
+  if (!r.ok() || delta.term > kMaxTerm || delta.num_pids < 0 ||
       delta.base_version >= delta.version ||
       delta.view_version > delta.version ||
       num_rows > static_cast<std::uint32_t>(delta.num_pids) ||
@@ -233,30 +188,29 @@ std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes) {
   const std::uint8_t has_policy = r.u8();
   if (has_policy > 1) return std::nullopt;
   if (has_policy == 1) delta.policy = r.blob();
-  delta.result_checksum = r.u32();
+  delta.result_checksum = r.u64();
   if (!r.done()) return std::nullopt;
   return delta;
 }
 
-std::vector<std::uint8_t> EncodeFrameAck(const FrameAck& ack) {
-  Writer w;
-  w.reserve(6 + 1 + 8 + 8 + 4);
-  FrameHeader(w, FederationTag::kFrameAck);
+std::vector<std::uint8_t> EncodeFrameAck(const FrameAck& ack, const SealKey& key) {
+  Writer w = BeginFrame(FederationTag::kFrameAck, 1 + 8 + 8);
   w.u8(static_cast<std::uint8_t>(ack.status));
   w.u64(ack.version);
   w.u64(ack.term);
-  return Seal(w);
+  return Seal(w, key);
 }
 
-std::optional<FrameAck> DecodeFrameAck(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, FederationTag::kFrameAck);
-  if (!payload) return std::nullopt;
-  Reader r(*payload);
+std::optional<FrameAck> DecodeFrameAck(std::span<const std::uint8_t> bytes,
+                                       const SealKey& key) {
+  auto opened = OpenFrame(bytes, FederationTag::kFrameAck, key);
+  if (!opened) return std::nullopt;
+  Reader& r = *opened;
   const std::uint8_t status = r.u8();
   FrameAck ack;
   ack.version = r.u64();
   ack.term = r.u64();
-  if (!r.done()) return std::nullopt;
+  if (!r.done() || ack.term > kMaxTerm) return std::nullopt;
   if (status < static_cast<std::uint8_t>(AckStatus::kInstalled) ||
       status > static_cast<std::uint8_t>(AckStatus::kStaleTerm)) {
     return std::nullopt;
@@ -265,47 +219,45 @@ std::optional<FrameAck> DecodeFrameAck(std::span<const std::uint8_t> bytes) {
   return ack;
 }
 
-std::vector<std::uint8_t> EncodeFramePull(const FramePull& pull) {
-  Writer w;
-  w.reserve(6 + 8 + 8 + 1 + 4);
-  FrameHeader(w, FederationTag::kFramePull);
+std::vector<std::uint8_t> EncodeFramePull(const FramePull& pull, const SealKey& key) {
+  Writer w = BeginFrame(FederationTag::kFramePull, 8 + 8 + 1);
   w.u64(pull.have_version);
   w.u64(pull.have_term);
   w.u8(pull.want_full ? 1 : 0);
-  return Seal(w);
+  return Seal(w, key);
 }
 
-std::optional<FramePull> DecodeFramePull(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, FederationTag::kFramePull);
-  if (!payload) return std::nullopt;
-  Reader r(*payload);
+std::optional<FramePull> DecodeFramePull(std::span<const std::uint8_t> bytes,
+                                         const SealKey& key) {
+  auto opened = OpenFrame(bytes, FederationTag::kFramePull, key);
+  if (!opened) return std::nullopt;
+  Reader& r = *opened;
   FramePull pull;
   pull.have_version = r.u64();
   pull.have_term = r.u64();
   const std::uint8_t want_full = r.u8();
-  if (want_full > 1) return std::nullopt;
+  if (!r.done() || want_full > 1 || pull.have_term > kMaxTerm) return std::nullopt;
   pull.want_full = want_full == 1;
-  if (!r.done()) return std::nullopt;
   return pull;
 }
 
-std::vector<std::uint8_t> EncodeBeacon(std::uint64_t term, std::uint64_t version) {
-  Writer w;
-  w.reserve(6 + 8 + 8 + 4);
-  FrameHeader(w, FederationTag::kBeacon);
+std::vector<std::uint8_t> EncodeBeacon(std::uint64_t term, std::uint64_t version,
+                                       const SealKey& key) {
+  Writer w = BeginFrame(FederationTag::kBeacon, 8 + 8);
   w.u64(term);
   w.u64(version);
-  return Seal(w);
+  return Seal(w, key);
 }
 
-std::optional<BeaconInfo> DecodeBeacon(std::span<const std::uint8_t> datagram) {
-  const auto payload = CheckedPayload(datagram, FederationTag::kBeacon);
-  if (!payload) return std::nullopt;
-  Reader r(*payload);
+std::optional<BeaconInfo> DecodeBeacon(std::span<const std::uint8_t> datagram,
+                                       const SealKey& key) {
+  auto opened = OpenFrame(datagram, FederationTag::kBeacon, key);
+  if (!opened) return std::nullopt;
+  Reader& r = *opened;
   BeaconInfo info;
   info.term = r.u64();
   info.version = r.u64();
-  if (!r.done()) return std::nullopt;
+  if (!r.done() || info.term > kMaxTerm) return std::nullopt;
   return info;
 }
 
@@ -525,7 +477,8 @@ std::optional<std::vector<std::uint8_t>> FollowerPortalService::HandleValidation
 
 // --- SnapshotFollower -------------------------------------------------------
 
-SnapshotFollower::SnapshotFollower(ReplicatedSnapshotStore* store) : store_(store) {
+SnapshotFollower::SnapshotFollower(ReplicatedSnapshotStore* store, SealKey key)
+    : store_(store), key_(key) {
   if (store_ == nullptr) {
     throw std::invalid_argument("SnapshotFollower: null store");
   }
@@ -553,86 +506,86 @@ std::vector<std::uint8_t> SnapshotFollower::HandleReplication(
     std::span<const std::uint8_t> request) {
   const auto tag = PeekFederationTag(request);
   if (tag == FederationTag::kDeltaPush) {
-    const auto delta = DecodeDeltaPush(request);
+    const auto delta = DecodeDeltaPush(request, key_);
     if (!delta) {
       push_rejects_.fetch_add(1, std::memory_order_relaxed);
       return EncodeFrameAck(
-          FrameAck{AckStatus::kRejected, store_->version(), store_->term()});
+          FrameAck{AckStatus::kRejected, store_->version(), store_->term()}, key_);
     }
     const std::uint64_t fence = ObserveTerm(delta->term);
     if (delta->term < fence) {
       stale_term_rejects_.fetch_add(1, std::memory_order_relaxed);
       return EncodeFrameAck(
-          FrameAck{AckStatus::kStaleTerm, store_->version(), fence});
+          FrameAck{AckStatus::kStaleTerm, store_->version(), fence}, key_);
     }
     switch (store_->InstallDelta(*delta)) {
       case ReplicatedSnapshotStore::DeltaResult::kInstalled:
         delta_installs_.fetch_add(1, std::memory_order_relaxed);
         return EncodeFrameAck(
-            FrameAck{AckStatus::kInstalled, store_->version(), store_->term()});
+            FrameAck{AckStatus::kInstalled, store_->version(), store_->term()}, key_);
       case ReplicatedSnapshotStore::DeltaResult::kStale:
         delta_stales_.fetch_add(1, std::memory_order_relaxed);
         return EncodeFrameAck(FrameAck{AckStatus::kAlreadyCurrent,
-                                       store_->version(), store_->term()});
+                                       store_->version(), store_->term()}, key_);
       case ReplicatedSnapshotStore::DeltaResult::kStaleTerm:
         stale_term_rejects_.fetch_add(1, std::memory_order_relaxed);
         return EncodeFrameAck(
-            FrameAck{AckStatus::kStaleTerm, store_->version(), store_->term()});
+            FrameAck{AckStatus::kStaleTerm, store_->version(), store_->term()}, key_);
       case ReplicatedSnapshotStore::DeltaResult::kBaseMismatch:
       case ReplicatedSnapshotStore::DeltaResult::kChecksumMismatch:
         delta_fallbacks_.fetch_add(1, std::memory_order_relaxed);
         return EncodeFrameAck(
-            FrameAck{AckStatus::kNeedFullSet, store_->version(), store_->term()});
+            FrameAck{AckStatus::kNeedFullSet, store_->version(), store_->term()}, key_);
     }
     // Unreachable, but keeps -Wswitch honest without a default case.
     return EncodeFrameAck(
-        FrameAck{AckStatus::kRejected, store_->version(), store_->term()});
+        FrameAck{AckStatus::kRejected, store_->version(), store_->term()}, key_);
   }
   if (tag == FederationTag::kFramePull) {
     // Promotion-time anti-entropy: a candidate collects the freshest held
     // set from its peers before its first republish. Full set only — peers
     // never compute deltas for each other.
-    const auto pull = DecodeFramePull(request);
+    const auto pull = DecodeFramePull(request, key_);
     if (!pull) {
       push_rejects_.fetch_add(1, std::memory_order_relaxed);
       return EncodeFrameAck(
-          FrameAck{AckStatus::kRejected, store_->version(), store_->term()});
+          FrameAck{AckStatus::kRejected, store_->version(), store_->term()}, key_);
     }
     const auto held = store_->current();
     if (!held || std::pair(held->term, held->version) <=
                      std::pair(pull->have_term, pull->have_version)) {
       return EncodeFrameAck(FrameAck{AckStatus::kAlreadyCurrent,
                                      held ? held->version : 0,
-                                     held ? held->term : 0});
+                                     held ? held->term : 0}, key_);
     }
     pulls_served_.fetch_add(1, std::memory_order_relaxed);
-    return EncodeFramePush(*held);
+    return EncodeFramePush(*held, key_);
   }
-  auto frames = DecodeFramePush(request);
+  auto frames = DecodeFramePush(request, key_);
   if (!frames) {
     push_rejects_.fetch_add(1, std::memory_order_relaxed);
     return EncodeFrameAck(
-        FrameAck{AckStatus::kRejected, store_->version(), store_->term()});
+        FrameAck{AckStatus::kRejected, store_->version(), store_->term()}, key_);
   }
   const std::uint64_t fence = ObserveTerm(frames->term);
   if (frames->term < fence) {
     stale_term_rejects_.fetch_add(1, std::memory_order_relaxed);
     return EncodeFrameAck(
-        FrameAck{AckStatus::kStaleTerm, store_->version(), fence});
+        FrameAck{AckStatus::kStaleTerm, store_->version(), fence}, key_);
   }
   if (store_->Install(std::move(*frames))) {
     push_installs_.fetch_add(1, std::memory_order_relaxed);
     return EncodeFrameAck(
-        FrameAck{AckStatus::kInstalled, store_->version(), store_->term()});
+        FrameAck{AckStatus::kInstalled, store_->version(), store_->term()}, key_);
   }
   push_stales_.fetch_add(1, std::memory_order_relaxed);
   return EncodeFrameAck(
-      FrameAck{AckStatus::kAlreadyCurrent, store_->version(), store_->term()});
+      FrameAck{AckStatus::kAlreadyCurrent, store_->version(), store_->term()}, key_);
 }
 
 std::optional<std::vector<std::uint8_t>> SnapshotFollower::HandleBeacon(
     std::span<const std::uint8_t> datagram) {
-  const auto info = DecodeBeacon(datagram);
+  const auto info = DecodeBeacon(datagram, key_);
   if (info) {
     beacons_.fetch_add(1, std::memory_order_relaxed);
     ObserveTerm(info->term);
@@ -673,10 +626,10 @@ bool SnapshotFollower::PullOnce(Transport& publisher) {
   pulls_.fetch_add(1, std::memory_order_relaxed);
   const auto held = store_->current();
   const FramePull have{held ? held->version : 0, held ? held->term : 0, false};
-  const auto response = publisher.Call(EncodeFramePull(have));
+  const auto response = publisher.Call(EncodeFramePull(have, key_));
   const auto tag = PeekFederationTag(response);
   if (tag == FederationTag::kFramePush) {
-    auto frames = DecodeFramePush(response);
+    auto frames = DecodeFramePush(response, key_);
     if (!frames) return false;
     // Pull answers are fenced like pushes: a stale-term publisher's set is
     // never installed, however fresh its version claims to be.
@@ -688,7 +641,7 @@ bool SnapshotFollower::PullOnce(Transport& publisher) {
     return false;
   }
   if (tag == FederationTag::kDeltaPush) {
-    if (const auto delta = DecodeDeltaPush(response)) {
+    if (const auto delta = DecodeDeltaPush(response, key_)) {
       if (delta->term < ObserveTerm(delta->term)) return false;
       switch (store_->InstallDelta(*delta)) {
         case ReplicatedSnapshotStore::DeltaResult::kInstalled:
@@ -713,9 +666,9 @@ bool SnapshotFollower::PullOnce(Transport& publisher) {
     const auto now_held = store_->current();
     const FramePull full_pull{now_held ? now_held->version : 0,
                               now_held ? now_held->term : 0, true};
-    const auto full = publisher.Call(EncodeFramePull(full_pull));
+    const auto full = publisher.Call(EncodeFramePull(full_pull, key_));
     if (PeekFederationTag(full) == FederationTag::kFramePush) {
-      auto frames = DecodeFramePush(full);
+      auto frames = DecodeFramePush(full, key_);
       if (frames && frames->term >= ObserveTerm(frames->term) &&
           store_->Install(std::move(*frames))) {
         pull_installs_.fetch_add(1, std::memory_order_relaxed);
@@ -805,6 +758,9 @@ SnapshotPublisher::SnapshotPublisher(const ITrackerService* service,
   if (service_ == nullptr) {
     throw std::invalid_argument("SnapshotPublisher: null service");
   }
+  if (options_.term > kMaxTerm) {
+    throw std::invalid_argument("SnapshotPublisher: term above kMaxTerm");
+  }
   if (options_.directory != nullptr &&
       (options_.domain.empty() || options_.self_target.empty() ||
        options_.self_port == 0)) {
@@ -818,6 +774,9 @@ std::uint64_t SnapshotPublisher::term() const {
 }
 
 void SnapshotPublisher::SetTerm(std::uint64_t term) {
+  if (term > kMaxTerm) {
+    throw std::invalid_argument("SnapshotPublisher: term above kMaxTerm");
+  }
   std::lock_guard<std::mutex> lock(mu_);
   if (term <= term_.load(std::memory_order_relaxed)) return;
   term_.store(term, std::memory_order_release);
@@ -877,7 +836,7 @@ void SnapshotPublisher::RefreshLocked() {
   exported.term = term_.load(std::memory_order_relaxed);
   frames_ = std::make_shared<const SnapshotFrameSet>(std::move(exported));
   push_frame_ = std::make_shared<const std::vector<std::uint8_t>>(
-      EncodeFramePush(*frames_));
+      EncodeFramePush(*frames_, options_.key));
   delta_cache_.clear();
   encoded_version_ = version;
   if (options_.directory != nullptr) {
@@ -904,6 +863,12 @@ SnapshotPublisher::DeltaFrameLocked(std::uint64_t base) {
   // Changed rows relative to base are exactly the ones stamped newer: the
   // follower's held set at `base` is a faithful copy of what was published
   // at `base` (monotone installs guarantee it), so no history is needed.
+  const auto& stamps = frames_->row_versions;
+  const std::size_t n = frames_->rows.size();
+  if (stamps.size() != n) return nullptr;
+  const auto changed = static_cast<std::size_t>(std::count_if(
+      stamps.begin(), stamps.end(), [base](std::uint64_t v) { return v > base; }));
+  if (changed == n && n > 0) return nullptr;  // full set is no bigger
   DeltaPush delta;
   delta.term = frames_->term;
   delta.base_version = base;
@@ -913,16 +878,14 @@ SnapshotPublisher::DeltaFrameLocked(std::uint64_t base) {
   delta.not_modified = frames_->not_modified;
   delta.policy = frames_->policy;
   delta.result_checksum = FrameSetChecksum(*frames_);
-  const std::size_t n = frames_->rows.size();
-  if (frames_->row_versions.size() != n) return nullptr;
+  delta.rows.reserve(changed);
   for (std::size_t i = 0; i < n; ++i) {
-    if (frames_->row_versions[i] <= base) continue;
-    delta.rows.push_back(DeltaRow{static_cast<std::int32_t>(i),
-                                  frames_->row_versions[i], frames_->rows[i]});
+    if (stamps[i] <= base) continue;
+    delta.rows.push_back(
+        DeltaRow{static_cast<std::int32_t>(i), stamps[i], frames_->rows[i]});
   }
-  if (delta.rows.size() == n && n > 0) return nullptr;  // full set is no bigger
   auto encoded = std::make_shared<const std::vector<std::uint8_t>>(
-      EncodeDeltaPush(delta));
+      EncodeDeltaPush(delta, options_.key));
   delta_cache_.emplace(base, encoded);
   return encoded;
 }
@@ -958,7 +921,7 @@ std::size_t SnapshotPublisher::PublishOnce() {
     }
     try {
       auto response = follower.channel->Call(*wire);
-      auto ack = DecodeFrameAck(response);
+      auto ack = DecodeFrameAck(response, options_.key);
       if (ack && ack->status == AckStatus::kNeedFullSet && is_delta) {
         // The follower's base diverged from its acked version (restart,
         // reset) or the chain broke: fall back to the full set in the same
@@ -969,7 +932,7 @@ std::size_t SnapshotPublisher::PublishOnce() {
         ++full_frames_sent_;
         full_bytes_sent_ += frame->size();
         response = follower.channel->Call(*frame);
-        ack = DecodeFrameAck(response);
+        ack = DecodeFrameAck(response, options_.key);
       }
       if (ack && ack->status == AckStatus::kStaleTerm) {
         // Fenced: a higher-term publisher superseded us. Record the term we
@@ -1011,24 +974,24 @@ std::uint64_t SnapshotPublisher::published_version() const {
 }
 
 std::vector<std::uint8_t> SnapshotPublisher::BeaconFrame() const {
-  return EncodeBeacon(term_.load(std::memory_order_acquire),
-                      service_->price_version());
+  return EncodeBeacon(term_.load(std::memory_order_acquire), service_->price_version(),
+                      options_.key);
 }
 
 std::vector<std::uint8_t> SnapshotPublisher::HandleReplication(
     std::span<const std::uint8_t> request) {
-  const auto pull = DecodeFramePull(request);
+  const auto pull = DecodeFramePull(request, options_.key);
   const std::uint64_t own_term = term_.load(std::memory_order_acquire);
   if (!pull) {
     return EncodeFrameAck(
-        FrameAck{AckStatus::kRejected, service_->price_version(), own_term});
+        FrameAck{AckStatus::kRejected, service_->price_version(), own_term}, options_.key);
   }
   std::lock_guard<std::mutex> lock(mu_);
   const auto frame = CurrentPushFrameLocked();
   if (std::pair(pull->have_term, pull->have_version) >=
       std::pair(own_term, encoded_version_)) {
-    return EncodeFrameAck(
-        FrameAck{AckStatus::kAlreadyCurrent, encoded_version_, own_term});
+    return EncodeFrameAck(FrameAck{AckStatus::kAlreadyCurrent, encoded_version_, own_term},
+                          options_.key);
   }
   pulls_served_.fetch_add(1, std::memory_order_relaxed);
   // Deltas are only meaningful within one term: a puller holding an older

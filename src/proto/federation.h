@@ -21,16 +21,20 @@
 //     UnavailableResp before its first install. It never mixes versions
 //     and never serves a version it holds no frames for.
 //
-// Wire format (big-endian, same Writer/Reader codec as the protocol):
-//   u32 magic "P4PF" | u8 protocol version | u8 tag | payload | u32 FNV-1a
-// with the trailing checksum over everything before it (shared with the
-// UDP validation codec via FrameChecksum). Tags:
+// Wire format: every frame is a sealed envelope (wire.h),
+//   u32 magic "P4PF" | u8 protocol version | u8 tag | payload | u64 MAC
+// where the MAC is SipHash-2-4 over everything before it, keyed with the
+// deployment's SealKey (PublisherOptions::key, the SnapshotFollower key).
+// A frame sealed under any other key, or altered in flight, is refused, so
+// a host without the key cannot push frames or fence the federation with a
+// forged term. Tags:
 //   kFramePush (publisher -> follower, TCP): the full SnapshotFrameSet.
 //   kFrameAck  (follower -> publisher, TCP): install outcome + version.
 //   kFramePull (follower -> publisher, TCP): anti-entropy catch-up.
-//   kBeacon    (publisher -> followers, UDP): current version, ~20 bytes.
+//   kBeacon    (publisher -> followers, UDP): current version, 30 bytes.
 //   kDeltaPush (publisher -> follower, TCP): only the rows whose content
 //              changed since the follower's acked version.
+// Every decoder refuses a term above kMaxTerm.
 // Push and pull ride the existing length-prefixed request/response
 // transports (TcpServer/TcpClient or any Transport); the beacon is a
 // fire-and-forget datagram — loss only delays gap detection until the next
@@ -43,7 +47,7 @@
 //   base_version — the exact version the delta applies on top of;
 //   the changed rows (frame bytes + new content stamps);
 //   the new NotModified/policy frames (always small, always shipped);
-//   result_checksum — FNV-1a over the *target* frame set.
+//   result_checksum — FrameSetChecksum of the *target* frame set.
 // Base-version rules (enforced by ReplicatedSnapshotStore::InstallDelta,
 // all under the same install mutex as full installs, so monotonicity is a
 // single invariant):
@@ -81,6 +85,11 @@ inline constexpr std::uint32_t kFederationMagic = 0x50345046u;
 /// term outlasts any realistic publisher lifetime (a reprice per second for
 /// ~136 years).
 inline constexpr std::uint64_t kTermVersionStride = 1ULL << 32;
+
+/// Largest term a publisher may hold, so `term * kTermVersionStride` never
+/// wraps. Decoders refuse frames carrying a larger term, and a promotion
+/// that would need one does not happen.
+inline constexpr std::uint64_t kMaxTerm = ~0ULL / kTermVersionStride;
 
 enum class FederationTag : std::uint8_t {
   kFramePush = 1,
@@ -160,35 +169,48 @@ struct DeltaPush {
   std::vector<std::uint8_t> policy;
   /// FrameSetChecksum of the target frame set — the checksum chain that
   /// catches any splice divergence before the result is ever served.
-  std::uint32_t result_checksum = 0;
+  std::uint64_t result_checksum = 0;
 };
 
-/// Order-sensitive FNV-1a digest of an entire frame set (versions, stamps,
-/// and every frame's bytes). The publisher stamps it into each delta; the
-/// follower recomputes it over the spliced result before install.
-std::uint32_t FrameSetChecksum(const SnapshotFrameSet& frames);
+/// Order-sensitive digest of an entire frame set (versions, stamps, and
+/// every frame's bytes): streaming SipHash-2-4 under kPublicSealKey. The
+/// publisher stamps it into each delta; the follower recomputes it over the
+/// spliced result before install. It checks the splice, not the sender —
+/// the delta's own seal does that.
+std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames);
 
 // --- frame codec ------------------------------------------------------------
-// Total like the message codec: malformed bytes (bad magic/tag/checksum,
-// truncation, trailing garbage, row-count mismatch) decode to std::nullopt.
+// Total like the message codec: malformed bytes (bad magic/tag/MAC, a
+// different key, truncation, trailing garbage, row-count mismatch, a term
+// above kMaxTerm) decode to std::nullopt.
 
-std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames);
-std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> bytes);
+std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
+                                          const SealKey& key = kPublicSealKey);
+std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> bytes,
+                                                const SealKey& key = kPublicSealKey);
 
-std::vector<std::uint8_t> EncodeDeltaPush(const DeltaPush& delta);
-std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes);
+std::vector<std::uint8_t> EncodeDeltaPush(const DeltaPush& delta,
+                                          const SealKey& key = kPublicSealKey);
+std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes,
+                                         const SealKey& key = kPublicSealKey);
 
-std::vector<std::uint8_t> EncodeFrameAck(const FrameAck& ack);
-std::optional<FrameAck> DecodeFrameAck(std::span<const std::uint8_t> bytes);
+std::vector<std::uint8_t> EncodeFrameAck(const FrameAck& ack,
+                                         const SealKey& key = kPublicSealKey);
+std::optional<FrameAck> DecodeFrameAck(std::span<const std::uint8_t> bytes,
+                                       const SealKey& key = kPublicSealKey);
 
-std::vector<std::uint8_t> EncodeFramePull(const FramePull& pull);
-std::optional<FramePull> DecodeFramePull(std::span<const std::uint8_t> bytes);
+std::vector<std::uint8_t> EncodeFramePull(const FramePull& pull,
+                                          const SealKey& key = kPublicSealKey);
+std::optional<FramePull> DecodeFramePull(std::span<const std::uint8_t> bytes,
+                                         const SealKey& key = kPublicSealKey);
 
-std::vector<std::uint8_t> EncodeBeacon(std::uint64_t term, std::uint64_t version);
-std::optional<BeaconInfo> DecodeBeacon(std::span<const std::uint8_t> datagram);
+std::vector<std::uint8_t> EncodeBeacon(std::uint64_t term, std::uint64_t version,
+                                       const SealKey& key = kPublicSealKey);
+std::optional<BeaconInfo> DecodeBeacon(std::span<const std::uint8_t> datagram,
+                                       const SealKey& key = kPublicSealKey);
 
 /// Tag of a well-framed federation message (magic + protocol version
-/// checked, checksum NOT yet verified — dispatch only).
+/// checked, MAC NOT yet verified — dispatch only).
 std::optional<FederationTag> PeekFederationTag(std::span<const std::uint8_t> bytes);
 
 // --- replica-side state -----------------------------------------------------
@@ -314,8 +336,10 @@ struct PullRetryOptions {
 /// the fenced ex-publisher learns the superseding term from the ack.
 class SnapshotFollower {
  public:
-  /// `store` must outlive the follower.
-  explicit SnapshotFollower(ReplicatedSnapshotStore* store);
+  /// `store` must outlive the follower. `key` opens the publisher's frames
+  /// and seals this follower's answers.
+  explicit SnapshotFollower(ReplicatedSnapshotStore* store,
+                            SealKey key = kPublicSealKey);
 
   /// Handler for the replication endpoint (a TcpServer or any request/
   /// response transport): installs FramePush or DeltaPush, answers
@@ -333,7 +357,7 @@ class SnapshotFollower {
 
   /// Consumes one version beacon datagram; never answers (returns
   /// std::nullopt always — beacons are fire-and-forget). Malformed or
-  /// corrupt beacons are dropped by checksum. A valid beacon raises the
+  /// corrupt beacons are dropped by their MAC. A valid beacon raises the
   /// term fence, feeds gap detection, resets an exhausted pull schedule
   /// when it announces a newer term, and is reported to the observer (the
   /// failover coordinator's lease tracking).
@@ -357,6 +381,8 @@ class SnapshotFollower {
   /// The highest term observed from any source (beacons, pushes, installs);
   /// pushes below it are fenced off with kStaleTerm.
   std::uint64_t fence_term() const { return fence_term_.load(std::memory_order_acquire); }
+  /// The key this follower opens and seals frames with.
+  const SealKey& key() const { return key_; }
   /// Raises the fence (idempotent, monotone) — the coordinator calls this
   /// when it adopts a term on promotion.
   void RaiseFenceTerm(std::uint64_t term);
@@ -418,6 +444,7 @@ class SnapshotFollower {
   void ResetPullSchedule();
 
   ReplicatedSnapshotStore* store_;
+  const SealKey key_;
   std::atomic<std::uint64_t> fence_term_{0};
   std::function<void(std::uint64_t, std::uint64_t)> beacon_observer_;
   /// Guards the beacon horizon pair (term + version must move together).
@@ -462,8 +489,12 @@ struct PublisherOptions {
   bool enable_delta = true;
   /// The publisher's term, stamped into every push, delta, and beacon.
   /// 0 keeps the pre-failover single-publisher behaviour; the failover
-  /// coordinator sets a real term via SetTerm on promotion.
+  /// coordinator sets a real term via SetTerm on promotion. At most
+  /// kMaxTerm.
   std::uint64_t term = 0;
+  /// Deployment key sealing every frame this publisher sends and opening
+  /// every frame it receives; followers must hold the same key.
+  SealKey key = kPublicSealKey;
 };
 
 /// The publisher's replication half, layered on an ITrackerService: encodes
@@ -491,11 +522,14 @@ class SnapshotPublisher {
 
   /// The term this publisher stamps into pushes, deltas, and beacons.
   std::uint64_t term() const;
+  /// The key this publisher seals and opens frames with (PublisherOptions::key).
+  const SealKey& key() const { return options_.key; }
   /// Adopts a (new, higher) term: invalidates the per-version frame caches
   /// so the next publish re-stamps everything, clears every follower's
   /// acked base (their held sets belong to an older term — deltas across
   /// terms are never offered), and un-fences the publisher. The failover
-  /// coordinator calls this on promotion.
+  /// coordinator calls this on promotion. Throws std::invalid_argument
+  /// above kMaxTerm.
   void SetTerm(std::uint64_t term);
 
   /// True once any follower acked kStaleTerm: a higher-term publisher

@@ -252,75 +252,42 @@ namespace {
 
 constexpr std::uint8_t kValidationRequestTag = 1;
 constexpr std::uint8_t kValidationResponseTag = 2;
-/// Bytes before the embedded NotModifiedResp frame in a response datagram:
-/// magic + protocol version + tag + status + nonce.
-constexpr std::size_t kValidationResponseHeaderBytes = 4 + 1 + 1 + 1 + 8;
+/// Response payload bytes before the embedded NotModifiedResp frame:
+/// status + nonce.
+constexpr std::size_t kValidationResponseFixedBytes = 1 + 8;
 
-void AppendChecksum(Writer& w) {
-  const std::uint32_t sum = FrameChecksum(w.bytes());
-  w.u32(sum);
-}
-
-/// Verifies the trailing checksum and returns the body span before it.
-std::optional<std::span<const std::uint8_t>> ChecksummedBody(
-    std::span<const std::uint8_t> datagram) {
-  if (datagram.size() < 4 || datagram.size() > kMaxValidationDatagramBytes) {
-    return std::nullopt;
-  }
-  const auto body = datagram.first(datagram.size() - 4);
-  Reader tail(datagram.subspan(body.size()));
-  if (tail.u32() != FrameChecksum(body)) return std::nullopt;
-  return body;
+/// Opens a validation datagram after the size cap.
+std::optional<std::span<const std::uint8_t>> OpenValidation(
+    std::span<const std::uint8_t> datagram, std::uint8_t tag) {
+  if (datagram.size() > kMaxValidationDatagramBytes) return std::nullopt;
+  return Open(datagram, kValidationMagic, tag, kPublicSealKey);
 }
 
 }  // namespace
 
-/// A trailing u32 of this guards against corruption that UDP's 16-bit
-/// checksum (or a test's bit flip) lets through.
-std::uint32_t FrameChecksum(std::span<const std::uint8_t> bytes) {
-  std::uint32_t h = 2166136261u;
-  for (const std::uint8_t b : bytes) {
-    h ^= b;
-    h *= 16777619u;
-  }
-  return h;
-}
-
 std::vector<std::uint8_t> EncodeValidationRequest(const ValidationRequest& request) {
-  Writer w;
-  w.reserve(4 + 1 + 1 + 8 + 8 + 4);
-  w.u32(kValidationMagic);
-  w.u8(kProtocolVersion);
-  w.u8(kValidationRequestTag);
+  Writer w = BeginSealed(kValidationMagic, kValidationRequestTag, 8 + 8);
   w.u64(request.nonce);
   w.u64(request.if_version);
-  AppendChecksum(w);
-  return w.take();
+  return Seal(w, kPublicSealKey);
 }
 
 std::vector<std::uint8_t> EncodeValidationResponse(
     std::uint64_t nonce, ValidationStatus status,
     std::span<const std::uint8_t> not_modified_frame) {
-  Writer w;
-  w.reserve(kValidationResponseHeaderBytes + not_modified_frame.size() + 4);
-  w.u32(kValidationMagic);
-  w.u8(kProtocolVersion);
-  w.u8(kValidationResponseTag);
+  Writer w = BeginSealed(kValidationMagic, kValidationResponseTag,
+                         kValidationResponseFixedBytes + not_modified_frame.size());
   w.u8(static_cast<std::uint8_t>(status));
   w.u64(nonce);
   w.raw(not_modified_frame);
-  AppendChecksum(w);
-  return w.take();
+  return Seal(w, kPublicSealKey);
 }
 
 std::optional<ValidationRequest> DecodeValidationRequest(
     std::span<const std::uint8_t> datagram) {
-  const auto body = ChecksummedBody(datagram);
-  if (!body) return std::nullopt;
-  Reader r(*body);
-  if (r.u32() != kValidationMagic) return std::nullopt;
-  if (r.u8() != kProtocolVersion) return std::nullopt;
-  if (r.u8() != kValidationRequestTag) return std::nullopt;
+  const auto payload = OpenValidation(datagram, kValidationRequestTag);
+  if (!payload) return std::nullopt;
+  Reader r(*payload);
   ValidationRequest request;
   request.nonce = r.u64();
   request.if_version = r.u64();
@@ -330,12 +297,9 @@ std::optional<ValidationRequest> DecodeValidationRequest(
 
 std::optional<ValidationResponse> DecodeValidationResponse(
     std::span<const std::uint8_t> datagram) {
-  const auto body = ChecksummedBody(datagram);
-  if (!body) return std::nullopt;
-  Reader r(*body);
-  if (r.u32() != kValidationMagic) return std::nullopt;
-  if (r.u8() != kProtocolVersion) return std::nullopt;
-  if (r.u8() != kValidationResponseTag) return std::nullopt;
+  const auto payload = OpenValidation(datagram, kValidationResponseTag);
+  if (!payload) return std::nullopt;
+  Reader r(*payload);
   const std::uint8_t status = r.u8();
   ValidationResponse response;
   response.nonce = r.u64();
@@ -347,7 +311,7 @@ std::optional<ValidationResponse> DecodeValidationResponse(
   response.status = static_cast<ValidationStatus>(status);
   // The tail is the server's pre-encoded NotModifiedResp frame; any other
   // (or malformed) embedded message is rejected.
-  const auto inner = Decode(body->subspan(kValidationResponseHeaderBytes));
+  const auto inner = Decode(payload->subspan(kValidationResponseFixedBytes));
   if (!inner) return std::nullopt;
   const auto* not_modified = std::get_if<NotModifiedResp>(&*inner);
   if (not_modified == nullptr) return std::nullopt;

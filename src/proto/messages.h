@@ -16,8 +16,6 @@
 
 namespace p4p::proto {
 
-inline constexpr std::uint8_t kProtocolVersion = 1;
-
 enum class MsgType : std::uint8_t {
   kError = 0,
   kGetPDistancesReq = 1,
@@ -123,21 +121,16 @@ MsgType TypeOf(const Message& message);
 //
 // The conditional (`if_version` -> NotModified) exchange compressed into one
 // datagram each way, for short-lived clients that would otherwise pay a TCP
-// handshake just to learn "nothing changed". The datagram layout is
-//   magic (u32) | protocol version (u8) | tag (u8) | ... | checksum (u32)
-// where the trailing checksum is FNV-1a over everything before it: UDP
-// corruption (and the fault injector's bit flips) must never decode into a
-// wrong answer. A response embeds the server's pre-encoded NotModifiedResp
-// frame verbatim, so the serving path reuses its version-keyed buffer.
-// Decoding is total, mirroring Decode(): malformed bytes yield std::nullopt.
+// handshake just to learn "nothing changed". Datagrams are sealed envelopes
+// (wire.h) under the published kPublicSealKey, since clients hold no
+// deployment key: the MAC catches UDP corruption (and the fault injector's
+// bit flips) that would otherwise decode into a wrong answer, not forgery.
+// A response embeds the server's pre-encoded NotModifiedResp frame
+// verbatim, so the serving path reuses its version-keyed buffer. Decoding
+// is total, mirroring Decode(): malformed bytes yield std::nullopt.
 
 /// First four bytes of every validation datagram ("P4PV").
 inline constexpr std::uint32_t kValidationMagic = 0x50345056u;
-
-/// FNV-1a (32-bit) over `bytes` — the integrity check appended to every
-/// validation datagram and federation frame. Exported so the federation
-/// codec guards its frames with the same function the datagram codec uses.
-std::uint32_t FrameChecksum(std::span<const std::uint8_t> bytes);
 
 /// Hard cap on validation datagram size. Both directions are a few dozen
 /// bytes; anything larger is hostile and rejected before parsing.

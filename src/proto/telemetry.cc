@@ -8,51 +8,19 @@
 
 namespace p4p::proto {
 
-namespace {
-
-void TelemetryHeader(Writer& w, TelemetryTag tag) {
-  w.u32(kTelemetryMagic);
-  w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(tag));
-}
-
-std::vector<std::uint8_t> Seal(Writer& w) {
-  w.u32(FrameChecksum(w.bytes()));
-  return w.take();
-}
-
-/// Verifies checksum + header; returns the payload span or std::nullopt.
-std::optional<std::span<const std::uint8_t>> CheckedPayload(
-    std::span<const std::uint8_t> bytes, TelemetryTag expected) {
-  if (bytes.size() < 10) return std::nullopt;
-  const auto body = bytes.first(bytes.size() - 4);
-  Reader tail(bytes.subspan(body.size()));
-  if (tail.u32() != FrameChecksum(body)) return std::nullopt;
-  Reader header(body);
-  if (header.u32() != kTelemetryMagic) return std::nullopt;
-  if (header.u8() != kProtocolVersion) return std::nullopt;
-  if (header.u8() != static_cast<std::uint8_t>(expected)) return std::nullopt;
-  return body.subspan(6);
-}
-
-}  // namespace
-
 std::optional<TelemetryTag> PeekTelemetryTag(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
-  if (r.u32() != kTelemetryMagic) return std::nullopt;
-  if (r.u8() != kProtocolVersion) return std::nullopt;
-  const std::uint8_t tag = r.u8();
-  if (!r.ok() || tag < static_cast<std::uint8_t>(TelemetryTag::kReport) ||
-      tag > static_cast<std::uint8_t>(TelemetryTag::kAck)) {
+  const auto tag = PeekSealedTag(bytes, kTelemetryMagic);
+  if (!tag || *tag < static_cast<std::uint8_t>(TelemetryTag::kReport) ||
+      *tag > static_cast<std::uint8_t>(TelemetryTag::kAck)) {
     return std::nullopt;
   }
-  return static_cast<TelemetryTag>(tag);
+  return static_cast<TelemetryTag>(*tag);
 }
 
-std::vector<std::uint8_t> EncodeLinkLoadReport(const LinkLoadReport& report) {
-  Writer w;
-  w.reserve(6 + 4 + 8 + 4 + report.samples.size() * 12 + 4);
-  TelemetryHeader(w, TelemetryTag::kReport);
+std::vector<std::uint8_t> EncodeLinkLoadReport(const LinkLoadReport& report,
+                                               const SealKey& key) {
+  Writer w = BeginSealed(kTelemetryMagic, static_cast<std::uint8_t>(TelemetryTag::kReport),
+                         4 + 8 + 4 + report.samples.size() * 12);
   w.u32(report.reporter);
   w.u64(report.seq);
   w.u32(static_cast<std::uint32_t>(report.samples.size()));
@@ -60,12 +28,13 @@ std::vector<std::uint8_t> EncodeLinkLoadReport(const LinkLoadReport& report) {
     w.u32(static_cast<std::uint32_t>(sample.link));
     w.f64(sample.bps);
   }
-  return Seal(w);
+  return Seal(w, key);
 }
 
-std::optional<LinkLoadReport> DecodeLinkLoadReport(
-    std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, TelemetryTag::kReport);
+std::optional<LinkLoadReport> DecodeLinkLoadReport(std::span<const std::uint8_t> bytes,
+                                                   const SealKey& key) {
+  const auto payload =
+      Open(bytes, kTelemetryMagic, static_cast<std::uint8_t>(TelemetryTag::kReport), key);
   if (!payload) return std::nullopt;
   Reader r(*payload);
   LinkLoadReport report;
@@ -95,17 +64,18 @@ std::optional<LinkLoadReport> DecodeLinkLoadReport(
   return report;
 }
 
-std::vector<std::uint8_t> EncodeTelemetryAck(const TelemetryAck& ack) {
-  Writer w;
-  w.reserve(6 + 1 + 8 + 4);
-  TelemetryHeader(w, TelemetryTag::kAck);
+std::vector<std::uint8_t> EncodeTelemetryAck(const TelemetryAck& ack, const SealKey& key) {
+  Writer w =
+      BeginSealed(kTelemetryMagic, static_cast<std::uint8_t>(TelemetryTag::kAck), 1 + 8);
   w.u8(static_cast<std::uint8_t>(ack.status));
   w.u64(ack.seq);
-  return Seal(w);
+  return Seal(w, key);
 }
 
-std::optional<TelemetryAck> DecodeTelemetryAck(std::span<const std::uint8_t> bytes) {
-  const auto payload = CheckedPayload(bytes, TelemetryTag::kAck);
+std::optional<TelemetryAck> DecodeTelemetryAck(std::span<const std::uint8_t> bytes,
+                                               const SealKey& key) {
+  const auto payload =
+      Open(bytes, kTelemetryMagic, static_cast<std::uint8_t>(TelemetryTag::kAck), key);
   if (!payload) return std::nullopt;
   Reader r(*payload);
   const std::uint8_t status = r.u8();
@@ -122,8 +92,8 @@ std::optional<TelemetryAck> DecodeTelemetryAck(std::span<const std::uint8_t> byt
 
 // --- LinkLoadCollector ------------------------------------------------------
 
-LinkLoadCollector::LinkLoadCollector(std::size_t num_links)
-    : num_links_(num_links), windows_(num_links) {}
+LinkLoadCollector::LinkLoadCollector(std::size_t num_links, SealKey key)
+    : num_links_(num_links), key_(key), windows_(num_links) {}
 
 TelemetryStatus LinkLoadCollector::Ingest(const LinkLoadReport& report,
                                           std::uint64_t* seen_seq_out) {
@@ -162,16 +132,16 @@ TelemetryStatus LinkLoadCollector::Ingest(const LinkLoadReport& report,
 
 std::vector<std::uint8_t> LinkLoadCollector::HandleReport(
     std::span<const std::uint8_t> request) {
-  const auto report = DecodeLinkLoadReport(request);
+  const auto report = DecodeLinkLoadReport(request, key_);
   if (!report) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
-    return EncodeTelemetryAck(TelemetryAck{TelemetryStatus::kRejected, 0});
+    return EncodeTelemetryAck(TelemetryAck{TelemetryStatus::kRejected, 0}, key_);
   }
   std::uint64_t seen_seq = report->seq;
   const auto status = Ingest(*report, &seen_seq);
   // On kStaleSeq the ack echoes the collector's high-water seq for this
   // reporter, so a probe that lost an ack can resynchronize.
-  return EncodeTelemetryAck(TelemetryAck{status, seen_seq});
+  return EncodeTelemetryAck(TelemetryAck{status, seen_seq}, key_);
 }
 
 std::size_t LinkLoadCollector::Drain(std::vector<double>& loads_bps) {
@@ -192,8 +162,9 @@ std::size_t LinkLoadCollector::Drain(std::vector<double>& loads_bps) {
 
 // --- LinkLoadReporter -------------------------------------------------------
 
-LinkLoadReporter::LinkLoadReporter(std::uint32_t reporter_id, Transport* collector)
-    : reporter_id_(reporter_id), collector_(collector) {
+LinkLoadReporter::LinkLoadReporter(std::uint32_t reporter_id, Transport* collector,
+                                   SealKey key)
+    : reporter_id_(reporter_id), key_(key), collector_(collector) {
   if (collector_ == nullptr) {
     throw std::invalid_argument("LinkLoadReporter: null collector transport");
   }
@@ -201,8 +172,8 @@ LinkLoadReporter::LinkLoadReporter(std::uint32_t reporter_id, Transport* collect
 
 LinkLoadReporter::LinkLoadReporter(std::uint32_t reporter_id,
                                    CollectorResolver resolver,
-                                   int rebind_after_failures)
-    : reporter_id_(reporter_id), resolver_(std::move(resolver)),
+                                   int rebind_after_failures, SealKey key)
+    : reporter_id_(reporter_id), key_(key), resolver_(std::move(resolver)),
       rebind_after_failures_(rebind_after_failures), collector_(nullptr) {
   if (!resolver_) {
     throw std::invalid_argument("LinkLoadReporter: null collector resolver");
@@ -244,7 +215,7 @@ bool LinkLoadReporter::Flush() {
   report.samples = pending_;
   std::vector<std::uint8_t> response;
   try {
-    response = collector_->Call(EncodeLinkLoadReport(report));
+    response = collector_->Call(EncodeLinkLoadReport(report, key_));
   } catch (const std::exception&) {
     // Keep the batch (and the seq): the next flush retries, and if the
     // lost attempt actually got through, the collector's seq gate makes
@@ -260,7 +231,7 @@ bool LinkLoadReporter::Flush() {
     return false;
   }
   consecutive_transport_failures_ = 0;
-  const auto ack = DecodeTelemetryAck(response);
+  const auto ack = DecodeTelemetryAck(response, key_);
   if (!ack) {
     flush_failures_.fetch_add(1, std::memory_order_relaxed);
     return false;

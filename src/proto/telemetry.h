@@ -14,8 +14,9 @@
 //         -> Drain() per-link averages -> ITracker::Update (reprice)
 //         -> SnapshotPublisher::PublishOnce (delta push) -> followers
 //
-// Wire format mirrors the federation frames (big-endian, trailing FNV-1a):
-//   u32 magic "P4PL" | u8 protocol version | u8 tag | payload | u32 checksum
+// Wire format: sealed envelopes (wire.h) under the deployment's SealKey,
+// shared by each reporter/collector pair:
+//   u32 magic "P4PL" | u8 protocol version | u8 tag | payload | u64 MAC
 // Tags:
 //   kReport (probe -> collector): u32 reporter | u64 seq | u32 count |
 //           count x (u32 link | f64 bps)
@@ -74,12 +75,15 @@ struct TelemetryAck {
 
 // --- codec (total: malformed bytes decode to std::nullopt) ------------------
 
-std::vector<std::uint8_t> EncodeLinkLoadReport(const LinkLoadReport& report);
-std::optional<LinkLoadReport> DecodeLinkLoadReport(
-    std::span<const std::uint8_t> bytes);
+std::vector<std::uint8_t> EncodeLinkLoadReport(const LinkLoadReport& report,
+                                               const SealKey& key = kPublicSealKey);
+std::optional<LinkLoadReport> DecodeLinkLoadReport(std::span<const std::uint8_t> bytes,
+                                                   const SealKey& key = kPublicSealKey);
 
-std::vector<std::uint8_t> EncodeTelemetryAck(const TelemetryAck& ack);
-std::optional<TelemetryAck> DecodeTelemetryAck(std::span<const std::uint8_t> bytes);
+std::vector<std::uint8_t> EncodeTelemetryAck(const TelemetryAck& ack,
+                                             const SealKey& key = kPublicSealKey);
+std::optional<TelemetryAck> DecodeTelemetryAck(std::span<const std::uint8_t> bytes,
+                                               const SealKey& key = kPublicSealKey);
 
 std::optional<TelemetryTag> PeekTelemetryTag(std::span<const std::uint8_t> bytes);
 
@@ -89,8 +93,10 @@ std::optional<TelemetryTag> PeekTelemetryTag(std::span<const std::uint8_t> bytes
 /// tick thread drains.
 class LinkLoadCollector {
  public:
-  /// `num_links` fixes the valid link-id range [0, num_links).
-  explicit LinkLoadCollector(std::size_t num_links);
+  /// `num_links` fixes the valid link-id range [0, num_links). `key` opens
+  /// reports and seals acks; a report sealed under any other key is
+  /// rejected.
+  explicit LinkLoadCollector(std::size_t num_links, SealKey key = kPublicSealKey);
 
   /// Handles one encoded report, returns the encoded ack.
   std::vector<std::uint8_t> HandleReport(std::span<const std::uint8_t> request);
@@ -114,6 +120,7 @@ class LinkLoadCollector {
   std::size_t Drain(std::vector<double>& loads_bps);
 
   std::size_t num_links() const { return num_links_; }
+  const SealKey& key() const { return key_; }
   std::uint64_t accepted_count() const { return accepted_.load(); }
   std::uint64_t stale_count() const { return stale_.load(); }
   std::uint64_t rejected_count() const { return rejected_.load(); }
@@ -126,6 +133,7 @@ class LinkLoadCollector {
   };
 
   const std::size_t num_links_;
+  const SealKey key_;
   std::mutex mu_;
   std::vector<Window> windows_;
   std::unordered_map<std::uint32_t, std::uint64_t> last_seq_;
@@ -151,13 +159,15 @@ class LinkLoadReporter {
   /// resolution on the next flush.
   using CollectorResolver = std::function<Transport*()>;
 
-  /// Fixed-endpoint reporter; `collector` must outlive it.
-  LinkLoadReporter(std::uint32_t reporter_id, Transport* collector);
+  /// Fixed-endpoint reporter; `collector` must outlive it. `key` must be
+  /// the collector's.
+  LinkLoadReporter(std::uint32_t reporter_id, Transport* collector,
+                   SealKey key = kPublicSealKey);
   /// Failover-aware reporter: `resolver` is consulted at construction and
   /// again after `rebind_after_failures` consecutive transport failures.
   /// Resolved transports must outlive their use.
   LinkLoadReporter(std::uint32_t reporter_id, CollectorResolver resolver,
-                   int rebind_after_failures = 3);
+                   int rebind_after_failures = 3, SealKey key = kPublicSealKey);
 
   /// Buffers one sample (no I/O).
   void Record(std::int32_t link, double bps);
@@ -173,9 +183,11 @@ class LinkLoadReporter {
   std::uint64_t flush_failure_count() const { return flush_failures_.load(); }
   /// Times the resolver was re-consulted after consecutive failures.
   std::uint64_t rebind_count() const { return rebinds_.load(); }
+  const SealKey& key() const { return key_; }
 
  private:
   const std::uint32_t reporter_id_;
+  const SealKey key_;
   CollectorResolver resolver_;
   const int rebind_after_failures_ = 0;
   mutable std::mutex mu_;

@@ -1,9 +1,20 @@
 #include "proto/wire.h"
 
+#include <algorithm>
 #include <bit>
 #include <stdexcept>
 
 namespace p4p::proto {
+
+namespace {
+
+/// Swaps a host-order word to big-endian wire order (and back).
+std::uint64_t WireOrder(std::uint64_t v) {
+  if constexpr (std::endian::native == std::endian::little) return __builtin_bswap64(v);
+  return v;
+}
+
+}  // namespace
 
 void Writer::u16(std::uint16_t v) {
   buf_.push_back(static_cast<std::uint8_t>(v >> 8));
@@ -37,12 +48,18 @@ void Writer::f64_vec(std::span<const double> values) {
   if (values.size() > 0xFFFFFFFFULL) {
     throw std::length_error("Writer::f64_vec: vector too long");
   }
-  // One allocation for the whole vector; the per-element f64 appends below
-  // then never reallocate. This is the hot encoder: a portal external view
-  // is one n^2-element f64_vec.
+  // The hot encoder (a portal external view is one n^2-element f64_vec):
+  // one allocation, then a byte-swapping copy of whole words.
   reserve(4 + values.size() * 8);
   u32(static_cast<std::uint32_t>(values.size()));
-  for (double v : values) f64(v);
+  const std::size_t at = buf_.size();
+  buf_.resize(at + values.size() * 8);
+  std::uint8_t* out = buf_.data() + at;
+  for (const double v : values) {
+    const std::uint64_t word = WireOrder(std::bit_cast<std::uint64_t>(v));
+    std::memcpy(out, &word, 8);
+    out += 8;
+  }
 }
 
 void Writer::raw(std::span<const std::uint8_t> bytes) {
@@ -114,16 +131,118 @@ std::vector<std::uint8_t> Reader::blob() {
 
 std::vector<double> Reader::f64_vec() {
   const std::uint32_t len = u32();
-  // Reject absurd lengths before allocating (8 bytes per element must fit
-  // in the remaining buffer).
-  if (!ok_ || remaining() < static_cast<std::size_t>(len) * 8) {
-    ok_ = false;
-    return {};
+  const std::uint8_t* p = nullptr;
+  // take() bounds the length by the remaining bytes before any allocation.
+  if (!take(static_cast<std::size_t>(len) * 8, &p)) return {};
+  std::vector<double> out(len);
+  for (double& v : out) {
+    std::uint64_t word;
+    std::memcpy(&word, p, 8);
+    v = std::bit_cast<double>(WireOrder(word));
+    p += 8;
   }
-  std::vector<double> out;
-  out.reserve(len);
-  for (std::uint32_t i = 0; i < len; ++i) out.push_back(f64());
   return out;
+}
+
+// --- SipHash-2-4 and the sealed envelope -------------------------------------
+
+namespace {
+
+void SipRound(std::uint64_t& v0, std::uint64_t& v1, std::uint64_t& v2, std::uint64_t& v3) {
+  v0 += v1; v1 = std::rotl(v1, 13); v1 ^= v0; v0 = std::rotl(v0, 32);
+  v2 += v3; v3 = std::rotl(v3, 16); v3 ^= v2;
+  v0 += v3; v3 = std::rotl(v3, 21); v3 ^= v0;
+  v2 += v1; v1 = std::rotl(v1, 17); v1 ^= v2; v2 = std::rotl(v2, 32);
+}
+
+/// Two SipRounds on one message word (the "2" of SipHash-2-4).
+void Compress(std::uint64_t* v, std::uint64_t m) {
+  v[3] ^= m;
+  SipRound(v[0], v[1], v[2], v[3]);
+  SipRound(v[0], v[1], v[2], v[3]);
+  v[0] ^= m;
+}
+
+}  // namespace
+
+SipHasher::SipHasher(const SealKey& key)
+    : v_{key.k0 ^ 0x736f6d6570736575ULL, key.k1 ^ 0x646f72616e646f6dULL,
+         key.k0 ^ 0x6c7967656e657261ULL, key.k1 ^ 0x7465646279746573ULL} {}
+
+void SipHasher::update(std::span<const std::uint8_t> bytes) {
+  const std::uint8_t* p = bytes.data();
+  std::size_t n = bytes.size();
+  std::size_t fill = len_ & 7;
+  len_ += n;
+  if (fill != 0) {
+    for (; n > 0 && fill < 8; --n, ++fill) tail_ |= std::uint64_t{*p++} << (8 * fill);
+    if (fill < 8) return;
+    Compress(v_, tail_);
+    tail_ = 0;
+  }
+  // Locals, not members: the compiler cannot prove the input bytes do not
+  // alias the state, and would otherwise store it back every word.
+  std::uint64_t v[4] = {v_[0], v_[1], v_[2], v_[3]};
+  for (; n >= 8; n -= 8, p += 8) {
+    std::uint64_t m;
+    std::memcpy(&m, p, 8);
+    // SipHash reads message words little-endian.
+    if constexpr (std::endian::native == std::endian::big) m = __builtin_bswap64(m);
+    Compress(v, m);
+  }
+  std::copy(v, v + 4, v_);
+  for (int shift = 0; n > 0; --n, shift += 8) tail_ |= std::uint64_t{*p++} << shift;
+}
+
+std::uint64_t SipHasher::finish() const {
+  std::uint64_t v[4] = {v_[0], v_[1], v_[2], v_[3]};
+  Compress(v, tail_ | (len_ << 56));
+  v[2] ^= 0xff;
+  for (int i = 0; i < 4; ++i) SipRound(v[0], v[1], v[2], v[3]);
+  return v[0] ^ v[1] ^ v[2] ^ v[3];
+}
+
+std::uint64_t SipHash24(const SealKey& key, std::span<const std::uint8_t> bytes) {
+  SipHasher hasher(key);
+  hasher.update(bytes);
+  return hasher.finish();
+}
+
+Writer BeginSealed(std::uint32_t magic, std::uint8_t tag, std::size_t payload_bytes) {
+  Writer w;
+  w.reserve(kSealHeaderBytes + payload_bytes + kSealMacBytes);
+  w.u32(magic);
+  w.u8(kProtocolVersion);
+  w.u8(tag);
+  return w;
+}
+
+std::vector<std::uint8_t> Seal(Writer& w, const SealKey& key) {
+  w.u64(SipHash24(key, w.bytes()));
+  return w.take();
+}
+
+std::optional<std::span<const std::uint8_t>> Open(std::span<const std::uint8_t> frame,
+                                                  std::uint32_t magic, std::uint8_t tag,
+                                                  const SealKey& key) {
+  if (PeekSealedTag(frame, magic) != tag ||
+      frame.size() < kSealHeaderBytes + kSealMacBytes) {
+    return std::nullopt;
+  }
+  const auto body = frame.first(frame.size() - kSealMacBytes);
+  if (Reader(frame.subspan(body.size())).u64() != SipHash24(key, body)) {
+    return std::nullopt;
+  }
+  return body.subspan(kSealHeaderBytes);
+}
+
+std::optional<std::uint8_t> PeekSealedTag(std::span<const std::uint8_t> frame,
+                                          std::uint32_t magic) {
+  Reader r(frame);
+  const bool framed = r.u32() == magic && r.u8() == kProtocolVersion;
+  const std::uint8_t tag = r.u8();
+  if (!framed || !r.ok()) return std::nullopt;
+  return tag;
 }
 
 }  // namespace p4p::proto

@@ -5,16 +5,26 @@
 // are what matters, not the wire syntax). Writer appends; Reader consumes
 // with explicit error state — decoding never reads past the buffer and
 // never throws on malformed input.
+//
+// Federation ("P4PF"), telemetry ("P4PL") and validation ("P4PV") frames
+// share one sealed envelope, built by BeginSealed/Seal and checked by Open:
+//   u32 magic | u8 protocol version | u8 tag | payload | u64 MAC
+// where the MAC is keyed SipHash-2-4 over every byte before it. Portal
+// requests and responses (messages.h) are not sealed: clients hold no key.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace p4p::proto {
+
+/// Revision byte leading every portal message and sealed envelope.
+inline constexpr std::uint8_t kProtocolVersion = 2;
 
 class Writer {
  public:
@@ -33,7 +43,8 @@ class Writer {
   /// Length-prefixed (u16) UTF-8 string; throws std::length_error if longer
   /// than 65535 bytes.
   void str(std::string_view s);
-  /// Length-prefixed (u32) vector of doubles.
+  /// Length-prefixed (u32) vector of doubles, each as its big-endian
+  /// IEEE-754 bit pattern (NaN payloads and signed zeros survive).
   void f64_vec(std::span<const double> values);
   /// Appends raw bytes verbatim (used to embed pre-encoded frames).
   void raw(std::span<const std::uint8_t> bytes);
@@ -77,5 +88,56 @@ class Reader {
   std::size_t pos_ = 0;
   bool ok_ = true;
 };
+
+/// 128-bit SipHash key sealing an envelope. Federation and telemetry
+/// components take a per-deployment key; whoever holds it can mint frames.
+/// Every keyed component exposes key(); `key() == kPublicSealKey` flags one
+/// built without a deployment key.
+struct SealKey {
+  std::uint64_t k0 = 0;
+  std::uint64_t k1 = 0;
+  friend bool operator==(const SealKey&, const SealKey&) = default;
+};
+
+/// Published key for frames no secret can guard: client validation
+/// datagrams, and any component not given a deployment key. It detects
+/// corruption, not forgery.
+inline constexpr SealKey kPublicSealKey{0x7034702d7075626cULL, 0x69632d7365616c31ULL};
+
+/// Streaming SipHash-2-4 (Aumasson & Bernstein), consuming 8 bytes per
+/// compression round. update() may split the input anywhere.
+class SipHasher {
+ public:
+  explicit SipHasher(const SealKey& key);
+  void update(std::span<const std::uint8_t> bytes);
+  /// The MAC of everything fed so far (the hasher stays usable).
+  std::uint64_t finish() const;
+
+ private:
+  std::uint64_t v_[4];
+  std::uint64_t tail_ = 0;  ///< pending bytes of a partial word, little-endian
+  std::uint64_t len_ = 0;
+};
+
+std::uint64_t SipHash24(const SealKey& key, std::span<const std::uint8_t> bytes);
+
+/// Envelope framing: magic + protocol version + tag, and the trailing MAC.
+inline constexpr std::size_t kSealHeaderBytes = 6;
+inline constexpr std::size_t kSealMacBytes = 8;
+
+/// A Writer holding an envelope header, with room for `payload_bytes` and
+/// the MAC reserved.
+Writer BeginSealed(std::uint32_t magic, std::uint8_t tag, std::size_t payload_bytes);
+/// Appends the MAC over everything written to `w` and returns the frame.
+std::vector<std::uint8_t> Seal(Writer& w, const SealKey& key);
+/// The payload of a frame whose magic, protocol version, tag and MAC all
+/// check out under `key`; std::nullopt otherwise.
+std::optional<std::span<const std::uint8_t>> Open(std::span<const std::uint8_t> frame,
+                                                  std::uint32_t magic, std::uint8_t tag,
+                                                  const SealKey& key);
+/// Tag of a frame with the right magic and protocol version. The MAC is not
+/// checked: dispatch only.
+std::optional<std::uint8_t> PeekSealedTag(std::span<const std::uint8_t> frame,
+                                          std::uint32_t magic);
 
 }  // namespace p4p::proto

@@ -40,6 +40,9 @@ using testsupport::FailoverScenarioResult;
 using testsupport::RunFailoverScenario;
 
 constexpr const char* kDomain = "isp.example";
+/// Deployment key of every federation in this file: the coordinator must
+/// forward it to the publisher it builds, or no push would open.
+constexpr SealKey kTestKey{0xFA11, 0x0FE2};
 
 // --- a three-replica cluster over direct in-process channels ----------------
 
@@ -58,7 +61,7 @@ struct Node {
   Node(std::string target_in, std::uint16_t port_in)
       : target(std::move(target_in)), port(port_in), graph(net::MakeAbilene()),
         routing(graph), tracker(graph, routing), service(&tracker),
-        serve(&store), follower(&store) {}
+        serve(&store), follower(&store, kTestKey) {}
 
   /// One tracker mutation (version bump) — the version listener republishes.
   void Reprice(double scale) {
@@ -182,6 +185,8 @@ TEST_F(FailoverCoordinatorTest, RankZeroPromotesAfterLeaseAndRepublishes) {
   EXPECT_EQ(nodes_[0]->coordinator->term(), 1u);
   EXPECT_EQ(nodes_[0]->coordinator->promote_count(), 1u);
   ASSERT_NE(nodes_[0]->coordinator->publisher(), nullptr);
+  // The promoted publisher seals with the replica's follower key.
+  EXPECT_EQ(nodes_[0]->coordinator->publisher()->key(), kTestKey);
   // Version fencing: term 1 mints tokens at or above 1 * stride.
   EXPECT_GE(nodes_[0]->tracker.version(), kTermVersionStride);
   // The promotion's initial republish reached both followers.
@@ -225,6 +230,39 @@ TEST_F(FailoverCoordinatorTest, NextCandidatePromotesWithHigherTermAndNoRegressi
   // Promotion re-stamped the service caches above the new floor.
   EXPECT_GE(nodes_[1]->service.ExportFrames().view_version,
             2 * kTermVersionStride);
+}
+
+TEST_F(FailoverCoordinatorTest, PromotionStopsAtMaxTerm) {
+  // Rank 0 of three mints terms = 1 (mod 3). Above a fence of kMaxTerm - 3
+  // its next term is kMaxTerm - 2: still legal, and the version floor
+  // (term * stride) does not wrap.
+  nodes_[0]->follower.RaiseFenceTerm(kMaxTerm - 3);
+  PromoteFirst();
+  EXPECT_EQ(nodes_[0]->coordinator->term(), kMaxTerm - 2);
+  EXPECT_GE(nodes_[0]->tracker.version(), (kMaxTerm - 2) * kTermVersionStride);
+  EXPECT_EQ(nodes_[1]->store.term(), kMaxTerm - 2);
+  EXPECT_EQ(nodes_[1]->store.version(), nodes_[0]->tracker.version());
+}
+
+TEST_F(FailoverCoordinatorTest, PromotionPastMaxTermIsRefused) {
+  // With kMaxTerm already observed, the next term would be 2^32: its
+  // version floor wraps, so the candidate stays a follower.
+  nodes_[1]->follower.RaiseFenceTerm(kMaxTerm);
+  const std::uint64_t version_before = nodes_[1]->tracker.version();
+  alive_[0] = false;
+  now_ = 4.5;  // past rank 1's lease + stagger
+  nodes_[1]->coordinator->Tick();
+  EXPECT_EQ(nodes_[1]->coordinator->role(), FailoverCoordinator::Role::kFollower);
+  EXPECT_EQ(nodes_[1]->coordinator->promote_count(), 0u);
+  EXPECT_EQ(nodes_[1]->coordinator->term(), 0u);
+  EXPECT_EQ(nodes_[1]->tracker.version(), version_before);
+  EXPECT_FALSE(nodes_[1]->coordinator->BeaconFrame().has_value());
+  // A publisher cannot be handed such a term directly either.
+  PublisherOptions options;
+  options.term = kMaxTerm + 1;
+  EXPECT_THROW(SnapshotPublisher(&nodes_[1]->service, options), std::invalid_argument);
+  SnapshotPublisher publisher(&nodes_[1]->service);
+  EXPECT_THROW(publisher.SetTerm(kMaxTerm + 1), std::invalid_argument);
 }
 
 TEST_F(FailoverCoordinatorTest, FencedExPublisherCannotOverwriteAndDemotes) {
@@ -422,25 +460,26 @@ std::vector<std::vector<std::uint8_t>> TermCarryingFrames() {
   delta.result_checksum = FrameSetChecksum(frames);
 
   return {
-      EncodeBeacon(/*term=*/3, /*version=*/9),
-      EncodeFrameAck(FrameAck{AckStatus::kStaleTerm, 9, 3}),
-      EncodeFramePull(FramePull{8, /*have_term=*/3, false}),
-      EncodeFramePush(frames),
-      EncodeDeltaPush(delta),
+      EncodeBeacon(/*term=*/3, /*version=*/9, kTestKey),
+      EncodeFrameAck(FrameAck{AckStatus::kStaleTerm, 9, 3}, kTestKey),
+      EncodeFramePull(FramePull{8, /*have_term=*/3, false}, kTestKey),
+      EncodeFramePush(frames, kTestKey),
+      EncodeDeltaPush(delta, kTestKey),
   };
 }
 
 bool DecodesToAnything(std::span<const std::uint8_t> bytes) {
-  return DecodeBeacon(bytes).has_value() || DecodeFrameAck(bytes).has_value() ||
-         DecodeFramePull(bytes).has_value() ||
-         DecodeFramePush(bytes).has_value() ||
-         DecodeDeltaPush(bytes).has_value();
+  return DecodeBeacon(bytes, kTestKey).has_value() ||
+         DecodeFrameAck(bytes, kTestKey).has_value() ||
+         DecodeFramePull(bytes, kTestKey).has_value() ||
+         DecodeFramePush(bytes, kTestKey).has_value() ||
+         DecodeDeltaPush(bytes, kTestKey).has_value();
 }
 
 TEST(FailoverCodecTest, EveryBitFlipAndTruncationIsRejectedNotMisread) {
   for (const auto& frame : TermCarryingFrames()) {
     ASSERT_TRUE(DecodesToAnything(frame));  // the pristine frame is valid
-    // Any single-bit flip — term bytes included — breaks the checksum: the
+    // Any single-bit flip — term bytes included — breaks the MAC: the
     // frame must decode to nothing, never to a different term or version.
     for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
       auto flipped = frame;
@@ -458,20 +497,16 @@ TEST(FailoverCodecTest, EveryBitFlipAndTruncationIsRejectedNotMisread) {
   }
 }
 
-/// Rewrites the trailing FNV-1a so a deliberately patched frame is
-/// well-formed at the checksum layer — payload validation must reject it.
+/// Replaces the trailing MAC with one under kTestKey, so a deliberately
+/// patched frame opens — payload validation must reject it.
 void Reseal(std::vector<std::uint8_t>& bytes) {
-  const std::uint32_t sum =
-      FrameChecksum(std::span(bytes.data(), bytes.size() - 4));
-  const std::size_t at = bytes.size() - 4;
-  bytes[at] = static_cast<std::uint8_t>(sum >> 24);
-  bytes[at + 1] = static_cast<std::uint8_t>(sum >> 16);
-  bytes[at + 2] = static_cast<std::uint8_t>(sum >> 8);
-  bytes[at + 3] = static_cast<std::uint8_t>(sum);
+  Writer w;
+  w.raw(std::span(bytes.data(), bytes.size() - kSealMacBytes));
+  bytes = Seal(w, kTestKey);
 }
 
 TEST(FailoverCodecTest, UnknownAckStatusIsRejectedEvenWithValidChecksum) {
-  const auto pristine = EncodeFrameAck(FrameAck{AckStatus::kStaleTerm, 9, 3});
+  const auto pristine = EncodeFrameAck(FrameAck{AckStatus::kStaleTerm, 9, 3}, kTestKey);
   // Header is magic(4) + proto version(1) + tag(1); status is the first
   // payload byte.
   constexpr std::size_t kStatusOffset = 6;
@@ -481,7 +516,7 @@ TEST(FailoverCodecTest, UnknownAckStatusIsRejectedEvenWithValidChecksum) {
     auto patched = pristine;
     patched[kStatusOffset] = status;
     Reseal(patched);
-    EXPECT_FALSE(DecodeFrameAck(patched).has_value())
+    EXPECT_FALSE(DecodeFrameAck(patched, kTestKey).has_value())
         << "status " << static_cast<int>(status);
   }
   // Sanity: the same patch path yields every defined status, so the
@@ -490,7 +525,7 @@ TEST(FailoverCodecTest, UnknownAckStatusIsRejectedEvenWithValidChecksum) {
     auto patched = pristine;
     patched[kStatusOffset] = status;
     Reseal(patched);
-    const auto decoded = DecodeFrameAck(patched);
+    const auto decoded = DecodeFrameAck(patched, kTestKey);
     ASSERT_TRUE(decoded.has_value());
     EXPECT_EQ(decoded->status, static_cast<AckStatus>(status));
     EXPECT_EQ(decoded->term, 3u);

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <functional>
 #include <limits>
 #include <optional>
@@ -142,7 +143,7 @@ TEST_F(FederationCodecTest, PushRoundTripWithoutPolicy) {
 
 TEST_F(FederationCodecTest, PushRejectsCorruptionAndTruncation) {
   const auto bytes = EncodeFramePush(MakeFrames(5, 3));
-  // Any single-bit flip must be caught by the trailing FNV checksum (or the
+  // Any single-bit flip must be caught by the trailing MAC (or the
   // header checks); sample positions across the frame.
   for (std::size_t pos = 0; pos < bytes.size(); pos += 7) {
     auto corrupt = bytes;
@@ -219,18 +220,18 @@ TEST_F(FederationCodecTest, DecodersTotalOnRandomBytes) {
   }
 }
 
-/// Header, payload from `body`, and a valid trailing checksum: the frame
-/// gets past CheckedPayload, so only the decoder's own bounds stand between
-/// a forged count and an allocation.
+/// Deployment key of the forgery tests: a sender holding it can mint any
+/// frame it likes.
+constexpr SealKey kTestKey{0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL};
+
+/// Header, payload from `body`, and a valid MAC under kTestKey: the frame
+/// gets past Open, so only the decoder's own bounds stand between a forged
+/// count and an allocation.
 std::vector<std::uint8_t> SealForged(FederationTag tag,
                                      const std::function<void(Writer&)>& body) {
-  Writer w;
-  w.u32(kFederationMagic);
-  w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(tag));
+  Writer w = BeginSealed(kFederationMagic, static_cast<std::uint8_t>(tag), 0);
   body(w);
-  w.u32(FrameChecksum(w.bytes()));
-  return w.take();
+  return Seal(w, kTestKey);
 }
 
 TEST_F(FederationCodecTest, PushRejectsRowCountBeyondPayload) {
@@ -244,9 +245,9 @@ TEST_F(FederationCodecTest, PushRejectsRowCountBeyondPayload) {
     w.blob({});    // external_view
     w.u32(static_cast<std::uint32_t>(kHuge));  // num_rows
   });
-  EXPECT_EQ(bytes.size(), 50u);
+  EXPECT_EQ(bytes.size(), kSealHeaderBytes + 40 + kSealMacBytes);
   std::optional<SnapshotFrameSet> decoded;
-  EXPECT_NO_THROW(decoded = DecodeFramePush(bytes));
+  EXPECT_NO_THROW(decoded = DecodeFramePush(bytes, kTestKey));
   EXPECT_FALSE(decoded.has_value());
 }
 
@@ -262,8 +263,50 @@ TEST_F(FederationCodecTest, DeltaRejectsRowCountBeyondPayload) {
     w.u32(static_cast<std::uint32_t>(kHuge));  // num_rows
   });
   std::optional<DeltaPush> decoded;
-  EXPECT_NO_THROW(decoded = DecodeDeltaPush(bytes));
+  EXPECT_NO_THROW(decoded = DecodeDeltaPush(bytes, kTestKey));
   EXPECT_FALSE(decoded.has_value());
+}
+
+TEST_F(FederationCodecTest, FramesOpenOnlyUnderTheirOwnKey) {
+  constexpr SealKey kOtherKey{kTestKey.k0, kTestKey.k1 ^ 1};
+  const auto frames = MakeFrames(4, 3);
+  const auto push = EncodeFramePush(frames, kTestKey);
+  EXPECT_TRUE(DecodeFramePush(push, kTestKey).has_value());
+  EXPECT_FALSE(DecodeFramePush(push, kOtherKey).has_value());
+  EXPECT_FALSE(DecodeFramePush(push).has_value());  // public key
+  // A forger without the key can only guess the MAC: re-sealing under the
+  // public key is refused, and so is a term-maxing beacon.
+  EXPECT_FALSE(DecodeFramePush(EncodeFramePush(frames), kTestKey).has_value());
+  EXPECT_FALSE(DecodeBeacon(EncodeBeacon(kMaxTerm, 1), kTestKey).has_value());
+  EXPECT_TRUE(DecodeBeacon(EncodeBeacon(kMaxTerm, 1, kTestKey), kTestKey).has_value());
+}
+
+TEST_F(FederationCodecTest, EveryDecoderRefusesTermsBeyondMaxTerm) {
+  constexpr std::uint64_t kWrapping = kMaxTerm + 1;  // 2^32
+  ASSERT_EQ(kWrapping, std::uint64_t{1} << 32);
+  auto frames = MakeFrames(4, 3);
+  frames.term = kWrapping;
+  EXPECT_FALSE(DecodeFramePush(EncodeFramePush(frames, kTestKey), kTestKey).has_value());
+  frames.term = kMaxTerm;
+  EXPECT_TRUE(DecodeFramePush(EncodeFramePush(frames, kTestKey), kTestKey).has_value());
+
+  auto target = Advance(MakeFrames(4, 3), 6, {1}, 2.5);
+  auto delta = MakeDelta(MakeFrames(4, 3), target);
+  delta.term = kWrapping;
+  EXPECT_FALSE(DecodeDeltaPush(EncodeDeltaPush(delta, kTestKey), kTestKey).has_value());
+  delta.term = kMaxTerm;
+  EXPECT_TRUE(DecodeDeltaPush(EncodeDeltaPush(delta, kTestKey), kTestKey).has_value());
+
+  for (const std::uint64_t term : {kWrapping, ~std::uint64_t{0}}) {
+    EXPECT_FALSE(DecodeFramePull(EncodeFramePull(FramePull{1, term, false}, kTestKey),
+                                 kTestKey)
+                     .has_value());
+    EXPECT_FALSE(
+        DecodeFrameAck(EncodeFrameAck(FrameAck{AckStatus::kStaleTerm, 1, term}, kTestKey),
+                       kTestKey)
+            .has_value());
+    EXPECT_FALSE(DecodeBeacon(EncodeBeacon(term, 1, kTestKey), kTestKey).has_value());
+  }
 }
 
 // --- delta codec ------------------------------------------------------------
@@ -648,6 +691,40 @@ TEST_F(FederationTest, PublishOncePushesAndCachesPerVersion) {
   EXPECT_EQ(publisher.push_count(), 2u);
   EXPECT_EQ(follower_.push_install_count(), 2u);
   EXPECT_EQ(publisher.push_failure_count(), 0u);
+}
+
+TEST_F(FederationTest, FollowerRefusesPushSealedUnderAnotherKey) {
+  constexpr SealKey kFollowerKey{0x1111, 0x2222};
+  constexpr SealKey kForgerKey{0x1111, 0x2223};
+  ReplicatedSnapshotStore keyed_store;
+  SnapshotFollower keyed(&keyed_store, kFollowerKey);
+  BumpVersion(0);
+  auto frames = service_.ExportFrames();
+  frames.term = kMaxTerm;  // what a forger would push to fence the federation
+
+  // Well-formed in every field, sealed under the wrong key: refused, and
+  // neither the store nor the term fence moves.
+  const auto ack = DecodeFrameAck(
+      keyed.HandleReplication(EncodeFramePush(frames, kForgerKey)), kFollowerKey);
+  ASSERT_TRUE(ack.has_value());
+  EXPECT_EQ(ack->status, AckStatus::kRejected);
+  EXPECT_EQ(keyed.push_rejected_count(), 1u);
+  EXPECT_EQ(keyed_store.current(), nullptr);
+  EXPECT_EQ(keyed.fence_term(), 0u);
+  keyed.HandleBeacon(EncodeBeacon(kMaxTerm, frames.version, kForgerKey));
+  EXPECT_EQ(keyed.beacon_count(), 0u);
+  EXPECT_EQ(keyed.fence_term(), 0u);
+
+  // A publisher holding the deployment key gets through.
+  PublisherOptions options;
+  options.key = kFollowerKey;
+  SnapshotPublisher publisher(&service_, options);
+  publisher.AddFollower("b.example", 1,
+                        std::make_unique<InProcessTransport>(keyed.replication_handler()));
+  EXPECT_EQ(publisher.PublishOnce(), 1u);
+  EXPECT_EQ(keyed_store.version(), tracker_.version());
+  keyed.HandleBeacon(publisher.BeaconFrame());
+  EXPECT_EQ(keyed.beacon_count(), 1u);
 }
 
 // --- content-version stamps (service side) ----------------------------------
@@ -1251,14 +1328,28 @@ TEST(FederationConcurrencyTest, RepublishVsServeHammer) {
   });
 
   constexpr int kMutations = 300;
+  constexpr int kServers = 5;
+  constexpr std::uint64_t kMinServed = 50;
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> served{0};
+  // Serve threads still running; a failed ASSERT returns from one early.
+  std::atomic<int> servers_running{kServers};
 
   // 1 mutator/publisher thread + 1 beacon thread + 1 pull thread + 5
   // serve threads = 8 threads hammering the shared store.
   std::thread mutator([&] {
     std::vector<double> prices(graph.link_count());
-    for (int round = 0; round < kMutations; ++round) {
+    // At least kMutations, and on until the servers have answered from a
+    // few dozen installed views: a fast publish path must not let the
+    // mutator finish before the serve threads get going. The extra rounds
+    // stop at a deadline or once every serve thread has exited, so a
+    // starved or failing run ends in the assertions below, not a hang.
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    for (int round = 0;
+         round < kMutations ||
+         (served.load() < kMinServed && servers_running.load() > 0 &&
+          std::chrono::steady_clock::now() < deadline);
+         ++round) {
       for (std::size_t e = 0; e < prices.size(); ++e) {
         prices[e] = 1e-9 * static_cast<double>((round + 1) + e);
       }
@@ -1279,8 +1370,12 @@ TEST(FederationConcurrencyTest, RepublishVsServeHammer) {
   });
 
   std::vector<std::thread> servers;
-  for (int t = 0; t < 5; ++t) {
+  for (int t = 0; t < kServers; ++t) {
     servers.emplace_back([&, t] {
+      struct Exit {
+        std::atomic<int>& running;
+        ~Exit() { running.fetch_sub(1); }
+      } on_exit{servers_running};
       std::uint64_t last_version = 0;
       const auto view_req = Encode(GetExternalViewReq{});
       while (!done.load()) {
@@ -1328,7 +1423,7 @@ TEST(FederationConcurrencyTest, RepublishVsServeHammer) {
   InProcessTransport to_publisher(publisher.replication_handler());
   follower.PullOnce(to_publisher);
   EXPECT_EQ(store.version(), tracker.version());
-  EXPECT_GT(served.load(), 0u);
+  EXPECT_GE(served.load(), kMinServed);
   EXPECT_EQ(follower_service.Handle(Encode(GetExternalViewReq{})),
             service.Handle(Encode(GetExternalViewReq{})));
 }

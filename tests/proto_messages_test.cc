@@ -322,24 +322,23 @@ TEST(ValidationDatagrams, EverySingleBitFlipRejected) {
 }
 
 TEST(ValidationDatagrams, BadStatusAndBadInnerFrameRejected) {
-  // Unknown status byte (checksum recomputed so only the status is wrong).
+  // Unknown status byte (MAC recomputed so only the status is wrong).
   // Encode via the public encoder with a corrupted status is impossible, so
-  // splice: body with patched status + fresh checksum must still fail on
-  // the status check.
+  // splice: body with patched status + fresh MAC must still fail on the
+  // status check.
   const auto frame = Encode(NotModifiedResp{5u});
   auto bytes = EncodeValidationResponse(1u, ValidationStatus::kNotModified, frame);
   bytes[6] = 0x7F;  // status byte
-  // Recompute FNV-1a over the body so the checksum passes.
-  std::uint32_t h = 2166136261u;
-  for (std::size_t i = 0; i + 4 < bytes.size(); ++i) {
-    h ^= bytes[i];
-    h *= 16777619u;
-  }
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    bytes[bytes.size() - 4 + static_cast<std::size_t>(3 - shift / 8)] =
-        static_cast<std::uint8_t>(h >> shift);
-  }
+  // Re-seal under the datagrams' published key so the MAC passes.
+  Writer resealed;
+  resealed.raw(std::span(bytes.data(), bytes.size() - kSealMacBytes));
+  bytes = Seal(resealed, kPublicSealKey);
   EXPECT_FALSE(DecodeValidationResponse(bytes).has_value());
+  // The same splice with a valid status opens, so the rejection above is
+  // the status check, not a sealing artifact.
+  bytes[6] = static_cast<std::uint8_t>(ValidationStatus::kRevalidateOverTcp);
+  resealed.raw(std::span(bytes.data(), bytes.size() - kSealMacBytes));
+  EXPECT_TRUE(DecodeValidationResponse(Seal(resealed, kPublicSealKey)).has_value());
 
   // An embedded frame that is not NotModifiedResp is rejected even though
   // the datagram is otherwise well-formed.

@@ -106,18 +106,15 @@ TEST(TelemetryCodecTest, RejectsPoisonedSamplesAndZeroSeq) {
 
 TEST(TelemetryCodecTest, RejectsCountPayloadMismatch) {
   // A frame whose sample count disagrees with its payload size, sealed
-  // with a *valid* checksum — only the structural check can catch it.
-  Writer w;
-  w.u32(kTelemetryMagic);
-  w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(TelemetryTag::kReport));
+  // with a *valid* MAC — only the structural check can catch it.
+  constexpr SealKey kTestKey{0x5EA1, 0x7E1E};
+  Writer w = BeginSealed(kTelemetryMagic, static_cast<std::uint8_t>(TelemetryTag::kReport), 0);
   w.u32(1);   // reporter
   w.u64(1);   // seq
   w.u32(5);   // claims 5 samples...
   w.u32(0);
   w.f64(1.0);  // ...carries 1
-  w.u32(FrameChecksum(w.bytes()));
-  EXPECT_FALSE(DecodeLinkLoadReport(w.take()).has_value());
+  EXPECT_FALSE(DecodeLinkLoadReport(Seal(w, kTestKey), kTestKey).has_value());
 }
 
 TEST(TelemetryCodecTest, DecodersTotalOnRandomBytes) {
@@ -207,6 +204,36 @@ TEST(TelemetryCollectorTest, HandlerAcksOverTheWire) {
       std::vector<std::uint8_t>{1, 2, 3}));
   ASSERT_TRUE(bad.has_value());
   EXPECT_EQ(bad->status, TelemetryStatus::kRejected);
+}
+
+TEST(TelemetryCollectorTest, KeyedCollectorRefusesPublicKeyReports) {
+  constexpr SealKey kDeploymentKey{0xC011EC7, 0x0B5E};
+  LinkLoadCollector collector(8, kDeploymentKey);
+  // A well-formed report sealed under the published key: anyone could have
+  // minted it, so the keyed collector refuses it and ingests nothing.
+  const auto refused = DecodeTelemetryAck(
+      collector.HandleReport(EncodeLinkLoadReport(MakeReport(2, 1))), kDeploymentKey);
+  ASSERT_TRUE(refused.has_value());
+  EXPECT_EQ(refused->status, TelemetryStatus::kRejected);
+  EXPECT_EQ(collector.rejected_count(), 1u);
+  EXPECT_EQ(collector.sample_count(), 0u);
+
+  // A reporter holding the deployment key is accepted end to end.
+  InProcessTransport channel(collector.handler());
+  LinkLoadReporter reporter(2, &channel, kDeploymentKey);
+  reporter.Record(3, 100.0);
+  EXPECT_TRUE(reporter.Flush());
+  EXPECT_EQ(collector.accepted_count(), 1u);
+  // A public-key reporter cannot even read the keyed collector's ack.
+  LinkLoadReporter stranger(3, &channel);
+  // The fallback is visible: a component built without a key reports the
+  // published one.
+  EXPECT_EQ(stranger.key(), kPublicSealKey);
+  EXPECT_EQ(reporter.key(), kDeploymentKey);
+  EXPECT_EQ(collector.key(), kDeploymentKey);
+  stranger.Record(3, 100.0);
+  EXPECT_FALSE(stranger.Flush());
+  EXPECT_EQ(collector.accepted_count(), 1u);
 }
 
 // --- reporter ---------------------------------------------------------------

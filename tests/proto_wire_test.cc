@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <random>
 
+#include "proto/federation.h"
 #include "proto/messages.h"
 
 namespace p4p::proto {
@@ -184,6 +186,215 @@ TEST(Wire, RandomMatrixMessagesRoundTripWithTightCapacity) {
     ASSERT_TRUE(row_decoded.has_value());
     EXPECT_EQ(std::get<GetPDistancesResp>(*row_decoded).distances, row.distances);
   }
+}
+
+// --- golden bytes: the bulk f64 codec against the per-byte encoder ----------
+
+/// Bit patterns a byte-swapping codec could plausibly mangle: NaN payloads
+/// (quiet, negative, signaling), signed zeros, infinities, the denormal
+/// range, and the extreme normals.
+const std::vector<std::uint64_t> kSpecialBits = {
+    0x7FF8000000000001ULL, 0xFFF8000000000000ULL, 0x7FF0000000000001ULL,
+    0x0000000000000000ULL, 0x8000000000000000ULL, 0x7FF0000000000000ULL,
+    0xFFF0000000000000ULL, 0x0000000000000001ULL, 0x000FFFFFFFFFFFFFULL,
+    0x7FEFFFFFFFFFFFFFULL, 0xFFEFFFFFFFFFFFFFULL, 0x0010000000000000ULL};
+
+std::vector<double> SpecialDoubles() {
+  std::vector<double> values;
+  for (const auto bits : kSpecialBits) values.push_back(std::bit_cast<double>(bits));
+  return values;
+}
+
+/// Bytes the per-byte big-endian encoder (protocol version 1) produced.
+const std::vector<std::uint8_t> kGoldenF64Vec = {
+    0x00, 0x00, 0x00, 0x0C, 0x7F, 0xF8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0xFF, 0xF8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x7F, 0xF0, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x7F, 0xF0, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0xFF, 0xF0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x00, 0x0F, 0xFF, 0xFF,
+    0xFF, 0xFF, 0xFF, 0xFF, 0x7F, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF,
+    0xFF, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x10, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00};
+
+const std::vector<std::uint8_t> kGoldenView = {  // GetExternalViewResp, v1
+    0x01, 0x04, 0x00, 0x00, 0x00, 0x02, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
+    0x07, 0x08, 0x00, 0x00, 0x00, 0x04, 0x7F, 0xF8, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x7F, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF,
+    0xFF, 0xFF};
+
+/// kFramePush of GoldenFrames() as version 1 sealed it: FNV-1a trailer.
+const std::vector<std::uint8_t> kGoldenPush = {
+    0x50, 0x34, 0x50, 0x46, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x0A, 0x01, 0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,
+    0x00, 0x00, 0x00, 0x32, 0x01, 0x04, 0x00, 0x00, 0x00, 0x02, 0x01, 0x02,
+    0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x00, 0x00, 0x00, 0x04, 0x7F, 0xF8,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x7F, 0xEF,
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x22, 0x01, 0x02,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
+    0x00, 0x00, 0x00, 0x02, 0x7F, 0xF8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
+    0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x22, 0x01, 0x02, 0x00, 0x00,
+    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
+    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x7F, 0xEF,
+    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x00, 0x00, 0x00, 0x16, 0x01,
+    0x06, 0x3F, 0xE0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3F, 0xE8, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x9F, 0x9E, 0x7E,
+    0x8C};
+
+GetExternalViewResp GoldenView() {
+  const auto v = SpecialDoubles();
+  GetExternalViewResp view;
+  view.num_pids = 2;
+  view.version = 0x0102030405060708ULL;
+  view.distances = {v[0], v[4], v[7], v[9]};
+  return view;
+}
+
+SnapshotFrameSet GoldenFrames() {
+  const auto v = SpecialDoubles();
+  SnapshotFrameSet f;
+  f.term = 3;
+  f.version = 7;
+  f.view_version = 6;
+  f.num_pids = 2;
+  f.not_modified = Encode(NotModifiedResp{7});
+  f.external_view = Encode(GoldenView());
+  f.rows = {Encode(GetPDistancesResp{0, 5, {v[0], v[4]}}),
+            Encode(GetPDistancesResp{1, 7, {v[7], v[9]}})};
+  f.row_versions = {5, 7};
+  f.policy = Encode(GetPolicyResp{{0.5, 0.75}, {}});
+  return f;
+}
+
+/// Expects `now` to equal `old` except at `version_bytes`, where `old` holds
+/// protocol version 1 and `now` the current one.
+void ExpectSameButVersion(const std::vector<std::uint8_t>& now,
+                          const std::vector<std::uint8_t>& old,
+                          const std::vector<std::size_t>& version_bytes) {
+  ASSERT_EQ(now.size(), old.size());
+  auto patched = old;
+  for (const std::size_t at : version_bytes) {
+    ASSERT_EQ(old[at], 1u) << "byte " << at;
+    patched[at] = kProtocolVersion;
+  }
+  EXPECT_EQ(now, patched);
+}
+
+TEST(WireGolden, F64VecBytesMatchThePerByteEncoder) {
+  Writer w;
+  w.f64_vec(SpecialDoubles());
+  EXPECT_EQ(w.bytes(), kGoldenF64Vec);
+  // Each element is exactly its bit pattern, most significant byte first.
+  for (std::size_t i = 0; i < kSpecialBits.size(); ++i) {
+    for (std::size_t b = 0; b < 8; ++b) {
+      EXPECT_EQ(w.bytes()[4 + 8 * i + b],
+                static_cast<std::uint8_t>(kSpecialBits[i] >> (56 - 8 * b)));
+    }
+  }
+  // Decoding restores every bit pattern, NaN payloads and signs included.
+  Reader r(w.bytes());
+  const auto decoded = r.f64_vec();
+  ASSERT_TRUE(r.done());
+  ASSERT_EQ(decoded.size(), kSpecialBits.size());
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(decoded[i]), kSpecialBits[i]) << i;
+  }
+}
+
+TEST(WireGolden, ExternalViewDiffersOnlyInTheVersionByte) {
+  ExpectSameButVersion(Encode(GoldenView()), kGoldenView, {0});
+}
+
+TEST(WireGolden, FramePushDiffersOnlyInVersionBytesAndSeal) {
+  const auto push = EncodeFramePush(GoldenFrames());
+  ASSERT_EQ(push.size(), kGoldenPush.size() - 4 + kSealMacBytes);
+  const std::vector<std::uint8_t> body(push.begin(), push.end() - kSealMacBytes);
+  const std::vector<std::uint8_t> old_body(kGoldenPush.begin(), kGoldenPush.end() - 4);
+  // The envelope header, then the first byte of each embedded frame:
+  // not_modified, external_view, row 0, row 1, policy.
+  ExpectSameButVersion(body, old_body, {4, 38, 52, 118, 164, 203});
+}
+
+TEST(Wire, TruncatedF64VecRejected) {
+  Writer w;
+  w.f64_vec(SpecialDoubles());
+  const auto& bytes = w.bytes();
+  for (std::size_t cut = 1; cut < bytes.size(); cut += 3) {
+    Reader r(std::span(bytes.data(), bytes.size() - cut));
+    EXPECT_TRUE(r.f64_vec().empty()) << "cut " << cut;
+    EXPECT_FALSE(r.ok()) << "cut " << cut;
+  }
+}
+
+// --- SipHash-2-4 and the sealed envelope -------------------------------------
+
+TEST(SipHash, MatchesReferenceVectors) {
+  // Key 00 01 .. 0f and message 00 01 .. (len-1), from the SipHash paper's
+  // reference implementation.
+  const SealKey key{0x0706050403020100ULL, 0x0F0E0D0C0B0A0908ULL};
+  std::vector<std::uint8_t> message(64);
+  for (std::size_t i = 0; i < message.size(); ++i) message[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(SipHash24(key, std::span(message.data(), 0)), 0x726FDB47DD0E0E31ULL);
+  EXPECT_EQ(SipHash24(key, std::span(message.data(), 1)), 0x74F839C593DC67FDULL);
+  EXPECT_EQ(SipHash24(key, std::span(message.data(), 15)), 0xA129CA6149BE45E5ULL);
+}
+
+TEST(SipHash, StreamingMatchesOneShotAtEverySplit) {
+  std::mt19937_64 rng(0x51F);
+  std::vector<std::uint8_t> message(77);
+  for (auto& b : message) b = static_cast<std::uint8_t>(rng());
+  const SealKey key{rng(), rng()};
+  const std::uint64_t expected = SipHash24(key, message);
+  for (std::size_t a = 0; a <= message.size(); ++a) {
+    for (std::size_t b = a; b <= message.size(); b += 5) {
+      SipHasher hasher(key);
+      hasher.update(std::span(message.data(), a));
+      hasher.update(std::span(message.data() + a, b - a));
+      hasher.update(std::span(message.data() + b, message.size() - b));
+      ASSERT_EQ(hasher.finish(), expected) << a << "," << b;
+    }
+  }
+}
+
+TEST(SealedEnvelope, OpensOnlyTheExactFrameUnderItsKey) {
+  constexpr SealKey kKey{1, 2};
+  constexpr std::uint32_t kMagic = 0x54455354u;  // "TEST"
+  Writer w = BeginSealed(kMagic, 7, 3);
+  w.u8(0xAA);
+  w.u16(0xBBCC);
+  const auto frame = Seal(w, kKey);
+  ASSERT_EQ(frame.size(), kSealHeaderBytes + 3 + kSealMacBytes);
+  EXPECT_EQ(frame.capacity(), frame.size());  // header, payload and MAC reserved
+  const auto payload = Open(frame, kMagic, 7, kKey);
+  ASSERT_TRUE(payload.has_value());
+  EXPECT_EQ(std::vector<std::uint8_t>(payload->begin(), payload->end()),
+            (std::vector<std::uint8_t>{0xAA, 0xBB, 0xCC}));
+  EXPECT_EQ(PeekSealedTag(frame, kMagic), 7);
+
+  EXPECT_FALSE(Open(frame, kMagic, 8, kKey).has_value());           // wrong tag
+  EXPECT_FALSE(Open(frame, kMagic + 1, 7, kKey).has_value());       // wrong magic
+  EXPECT_FALSE(Open(frame, kMagic, 7, SealKey{1, 3}).has_value());  // wrong key
+  EXPECT_FALSE(Open(frame, kMagic, 7, kPublicSealKey).has_value());
+  EXPECT_FALSE(PeekSealedTag(frame, kMagic + 1).has_value());
+  for (std::size_t len = 0; len < frame.size(); ++len) {
+    EXPECT_FALSE(Open(std::span(frame.data(), len), kMagic, 7, kKey).has_value());
+  }
+  for (std::size_t bit = 0; bit < frame.size() * 8; ++bit) {
+    auto flipped = frame;
+    flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    EXPECT_FALSE(Open(flipped, kMagic, 7, kKey).has_value()) << "bit " << bit;
+  }
+  auto other_version = frame;
+  other_version[4] = kProtocolVersion - 1;
+  Writer resealed;
+  resealed.raw(std::span(other_version.data(), other_version.size() - kSealMacBytes));
+  EXPECT_FALSE(Open(Seal(resealed, kKey), kMagic, 7, kKey).has_value());
 }
 
 }  // namespace

@@ -181,7 +181,7 @@ ReplicationScenarioResult RunReplicationScenario(
   // Truth map: version -> checksum of the frames published at it. Whatever
   // the follower serves must checksum-match an entry, which is exactly the
   // "complete set of one published version, never mixed" invariant.
-  std::map<std::uint64_t, std::uint32_t> truth;
+  std::map<std::uint64_t, std::uint64_t> truth;
   Digest digest;
   std::uint64_t last_version_d = 0;
   int stale_streak = 0;
@@ -514,7 +514,7 @@ FailoverScenarioResult RunFailoverScenario(const FailoverScenarioConfig& config)
   // Truth map: (term, version) -> checksum of the frames published at it.
   // Both split-brain publishers record truth; the fence decides whose
   // frames survive, but neither ever counts as "never published".
-  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint32_t> truth;
+  std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> truth;
   Digest digest;
   std::mt19937_64 beacon_rng(config.seed ^ 0xB34C02ULL);
   std::uniform_real_distribution<double> uniform(0.0, 1.0);

@@ -293,7 +293,7 @@ PDistanceMatrix ITracker::BuildViewLocked() const {
   const int n = num_pids();
   // Per-link revealed cost: congestion dual, plus the BDP distance term and
   // the interdomain dual where applicable. Folding these into one vector
-  // turns every pair into a plain sum over its path_view span.
+  // turns every pair into a plain sum over its route.
   std::vector<double> link_cost(prices_);
   if (config_.objective == IspObjective::kBandwidthDistanceProduct) {
     for (std::size_t e = 0; e < link_cost.size(); ++e) {
@@ -304,21 +304,27 @@ PDistanceMatrix ITracker::BuildViewLocked() const {
     link_cost[static_cast<std::size_t>(link)] += state.price;
   }
 
-  PDistanceMatrix m(n);
+  // Every route is its parent's route plus one link, so walking the source's
+  // routing tree in hop order costs one add per pair and adds the links up
+  // in path order: the same sum, bit for bit, as adding along each path.
+  PDistanceMatrix m(n, std::numeric_limits<double>::infinity());
   for (Pid i = 0; i < n; ++i) {
-    for (Pid j = 0; j < n; ++j) {
-      if (i == j) {
-        m.set(i, j, config_.intra_pid_distance);
-      } else if (!routing_.reachable(i, j)) {
-        m.set(i, j, std::numeric_limits<double>::infinity());
-      } else {
-        double total = 0.0;
-        for (net::LinkId e : routing_.path_view(i, j)) {
-          total += link_cost[static_cast<std::size_t>(e)];
-        }
-        m.set(i, j, perturb(i, j, total));
+    const auto row = m.mutable_row(i);
+    const auto tree = routing_.tree(i);
+    row[static_cast<std::size_t>(i)] = 0.0;
+    for (const net::TreeStep& step : tree) {
+      row[static_cast<std::size_t>(step.dst)] =
+          row[static_cast<std::size_t>(step.parent)] +
+          link_cost[static_cast<std::size_t>(step.link)];
+    }
+    // Perturb only once every route sum exists: children read raw parents.
+    if (config_.privacy_noise > 0.0) {
+      for (const net::TreeStep& step : tree) {
+        auto& d = row[static_cast<std::size_t>(step.dst)];
+        d = perturb(i, step.dst, d);
       }
     }
+    row[static_cast<std::size_t>(i)] = config_.intra_pid_distance;
   }
   return m;
 }

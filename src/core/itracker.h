@@ -164,8 +164,9 @@ class ITracker {
   // --- external view ---
   // The full p-distance mesh is published as an immutable PriceSnapshot via
   // an atomic shared_ptr: the first query after a price/background mutation
-  // materializes the matrix from the routing table's flattened path arena
-  // (serialized on an internal mutex with the mutators) and swaps it in.
+  // materializes the matrix along the routing table's per-source trees, one
+  // add per pair (serialized on an internal mutex with the mutators), and
+  // swaps it in.
   // Later reads take no mutex, but they are not free: a libstdc++
   // atomic<shared_ptr> load sets a lock bit and increments the refcount,
   // and dropping the copy decrements it — read-modify-writes on cache lines

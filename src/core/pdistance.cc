@@ -33,6 +33,12 @@ std::span<const double> PDistanceMatrix::row(Pid i) const {
   return std::span<const double>(values_).subspan(static_cast<std::size_t>(i) * n, n);
 }
 
+std::span<double> PDistanceMatrix::mutable_row(Pid i) {
+  check(i, i);
+  const auto n = static_cast<std::size_t>(n_);
+  return std::span<double>(values_).subspan(static_cast<std::size_t>(i) * n, n);
+}
+
 void PDistanceMatrix::set(Pid i, Pid j, double value) {
   check(i, j);
   values_[static_cast<std::size_t>(i) * static_cast<std::size_t>(n_) +

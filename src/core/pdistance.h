@@ -28,6 +28,8 @@ class PDistanceMatrix {
   /// Row i: the n distances from PID i, entry j at index j. Throws
   /// std::out_of_range for a bad PID.
   std::span<const double> row(Pid i) const;
+  /// Writable row i, for builders that fill the matrix a row at a time.
+  std::span<double> mutable_row(Pid i);
 
   /// The coarsest usage in the paper's ISP use cases: given PID i, rank all
   /// PIDs by ascending distance (most preferred first, i itself first).

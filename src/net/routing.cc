@@ -49,6 +49,8 @@ RoutingTable::RoutingTable(const Graph& graph, bool include_access)
   std::vector<LinkId> pred(n_ * n_, kInvalidLink);
   // Path lengths per (src, dst) pair; reused as the offset array afterwards.
   offsets_.assign(n_ * n_ + 1, 0);
+  // Reachable destinations per source; likewise turned into tree offsets.
+  tree_offsets_.assign(n_ + 1, 0);
 
   // Phase 1: independent per-source Dijkstra runs + path-length counts.
   ForEachSource(n_, [this, &pred](NodeId src) {
@@ -65,19 +67,30 @@ RoutingTable::RoutingTable(const Graph& graph, bool include_access)
         ++len;
       }
       offsets_[row + d + 1] = len;
+      ++tree_offsets_[static_cast<std::size_t>(src) + 1];
     }
   });
 
-  // Offsets: exclusive prefix sum over the per-pair lengths.
+  // Offsets: exclusive prefix sums over the per-pair lengths and the
+  // per-source tree sizes.
   for (std::size_t i = 1; i < offsets_.size(); ++i) offsets_[i] += offsets_[i - 1];
   links_.resize(offsets_.back());
+  for (std::size_t i = 1; i < tree_offsets_.size(); ++i) {
+    tree_offsets_[i] += tree_offsets_[i - 1];
+  }
+  tree_.resize(tree_offsets_.back());
 
-  // Phase 2: fill each path back-to-front by walking the predecessor chain.
+  // Phase 2: fill each path back-to-front by walking the predecessor chain,
+  // and lay out each source's tree in hop order.
   ForEachSource(n_, [this, &pred](NodeId src) {
     const std::size_t row = static_cast<std::size_t>(src) * n_;
+    const auto s = static_cast<std::size_t>(src);
+    auto* step = tree_.data() + tree_offsets_[s];
     for (std::size_t d = 0; d < n_; ++d) {
       std::size_t idx = offsets_[row + d + 1];
       if (idx == offsets_[row + d]) continue;  // self or unreachable
+      const LinkId last = pred[row + d];
+      *step++ = TreeStep{static_cast<NodeId>(d), graph_.link(last).src, last};
       NodeId cur = static_cast<NodeId>(d);
       while (cur != src) {
         const LinkId e = pred[row + static_cast<std::size_t>(cur)];
@@ -85,6 +98,18 @@ RoutingTable::RoutingTable(const Graph& graph, bool include_access)
         cur = graph_.link(e).src;
       }
     }
+    // A parent's route is one hop shorter than its child's, so ordering by
+    // hop count puts every parent first; the stable sort keeps node order
+    // within a hop count.
+    const auto hops = [this, row](const TreeStep& t) {
+      const auto d = static_cast<std::size_t>(t.dst);
+      return offsets_[row + d + 1] - offsets_[row + d];
+    };
+    std::stable_sort(tree_.begin() + static_cast<std::ptrdiff_t>(tree_offsets_[s]),
+                     tree_.begin() + static_cast<std::ptrdiff_t>(tree_offsets_[s + 1]),
+                     [&hops](const TreeStep& a, const TreeStep& b) {
+                       return hops(a) < hops(b);
+                     });
   });
 }
 

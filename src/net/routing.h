@@ -5,7 +5,9 @@
 // paper's formulation. RoutingTable precomputes single-source shortest-path
 // trees (Dijkstra on OSPF weights) from every node, then flattens every
 // (src, dst) path into one contiguous CSR-style arena so path queries are
-// zero-allocation span lookups. Construction shards the independent
+// zero-allocation span lookups. It also keeps each source's tree, in hop
+// order, so a sum over every route (the p-distance matrix) costs one add per
+// pair instead of one per hop. Construction shards the independent
 // per-source Dijkstra runs across a thread pool; each source writes a
 // disjoint row, so the result is deterministic regardless of thread count.
 #pragma once
@@ -17,6 +19,15 @@
 #include "net/graph.h"
 
 namespace p4p::net {
+
+/// One destination of a source's shortest-path tree: the route to `dst` is
+/// the route to `parent` followed by `link` (parent == the source for a
+/// one-hop route).
+struct TreeStep {
+  NodeId dst = kInvalidNode;
+  NodeId parent = kInvalidNode;
+  LinkId link = kInvalidLink;
+};
 
 /// All-pairs shortest-path routing with deterministic tie-breaking
 /// (lower link id wins), so routes are stable across runs.
@@ -35,6 +46,19 @@ class RoutingTable {
     const std::size_t row = static_cast<std::size_t>(src) * n_ + static_cast<std::size_t>(dst);
     return std::span<const LinkId>(links_.data() + offsets_[row],
                                    offsets_[row + 1] - offsets_[row]);
+  }
+
+  /// The shortest-path tree of `src`: one step per destination reachable
+  /// from it (src itself excluded), ordered by hop count and then by node
+  /// id, so every step's parent is src or an earlier step's dst. Folding
+  /// `value[dst] = value[parent] + f(link)` over the steps from
+  /// value[src] = 0 adds up every route left to right, exactly like a sum
+  /// over path_view(). Throws std::out_of_range for an invalid id.
+  std::span<const TreeStep> tree(NodeId src) const {
+    check_pair(src, src);
+    const auto s = static_cast<std::size_t>(src);
+    return std::span<const TreeStep>(tree_.data() + tree_offsets_[s],
+                                     tree_offsets_[s + 1] - tree_offsets_[s]);
   }
 
   /// Copying wrapper around path_view() for callers that need ownership.
@@ -78,6 +102,10 @@ class RoutingTable {
   // the links of the (src, dst) path inside links_, in path order.
   std::vector<std::size_t> offsets_;
   std::vector<LinkId> links_;
+  // Per-source tree steps in hop order: tree_offsets_[src] ..
+  // tree_offsets_[src + 1] spans src's steps inside tree_.
+  std::vector<std::size_t> tree_offsets_;
+  std::vector<TreeStep> tree_;
 };
 
 }  // namespace p4p::net

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 #include <utility>
 
@@ -13,10 +14,10 @@ namespace p4p::proto {
 
 namespace {
 
-/// Smallest encoded rows: a frame row is a u64 stamp plus a u32 blob
-/// length; a delta row adds a u32 pid. Decoders reject a wire row count
-/// the remaining bytes cannot hold before it sizes a reserve().
-constexpr std::size_t kMinFrameRowBytes = 8 + 4;
+/// Smallest encoded rows: a push row is its u64 content stamp; a delta row
+/// is a u32 pid, a u64 stamp and a u32 blob length. Decoders reject a wire
+/// row count the remaining bytes cannot hold before it sizes a reserve().
+constexpr std::size_t kPushRowBytes = 8;
 constexpr std::size_t kMinDeltaRowBytes = 4 + 8 + 4;
 
 Writer BeginFrame(FederationTag tag, std::size_t payload_bytes) {
@@ -71,9 +72,28 @@ std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames) {
 
 std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
                                           const SealKey& key) {
-  std::size_t payload = 8 + 8 + 8 + 4 + 4 + frames.external_view.size() + 4 +
-                        frames.not_modified.size() + 4 + 1 + 4 + frames.policy.size();
-  for (const auto& row : frames.rows) payload += 8 + 4 + row.size();
+  // The push ships the view once; the follower rebuilds every row frame from
+  // it and the row's stamp. A set whose rows are anything else would install
+  // differently from what the publisher serves, so it is refused here.
+  const std::size_t n = frames.rows.size();
+  if (frames.row_versions.size() != n) {
+    throw std::invalid_argument("EncodeFramePush: one content stamp per row required");
+  }
+  if (ViewFramePids(frames.external_view) != frames.num_pids ||
+      static_cast<std::size_t>(frames.num_pids) != n) {
+    throw std::invalid_argument("EncodeFramePush: view frame does not match num_pids");
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (frames.rows[i] != RowFrameFromView(frames.external_view,
+                                           static_cast<std::int32_t>(i),
+                                           frames.row_versions[i])) {
+      throw std::invalid_argument("EncodeFramePush: row " + std::to_string(i) +
+                                  " is not the view's slice");
+    }
+  }
+  const std::size_t payload = 8 + 8 + 8 + 4 + 4 + frames.not_modified.size() + 4 +
+                              frames.external_view.size() + 4 + n * kPushRowBytes +
+                              1 + 4 + frames.policy.size();
   Writer w = BeginFrame(FederationTag::kFramePush, payload);
   w.u64(frames.term);
   w.u64(frames.version);
@@ -81,11 +101,8 @@ std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
   w.i32(frames.num_pids);
   w.blob(frames.not_modified);
   w.blob(frames.external_view);
-  w.u32(static_cast<std::uint32_t>(frames.rows.size()));
-  for (std::size_t i = 0; i < frames.rows.size(); ++i) {
-    w.u64(i < frames.row_versions.size() ? frames.row_versions[i] : frames.version);
-    w.blob(frames.rows[i]);
-  }
+  w.u32(static_cast<std::uint32_t>(n));
+  for (const std::uint64_t stamp : frames.row_versions) w.u64(stamp);
   w.u8(frames.policy.empty() ? 0 : 1);
   if (!frames.policy.empty()) w.blob(frames.policy);
   return Seal(w, key);
@@ -106,19 +123,22 @@ std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> by
   const std::uint32_t num_rows = r.u32();
   if (!r.ok() || frames.term > kMaxTerm || frames.num_pids < 0 ||
       num_rows != static_cast<std::uint32_t>(frames.num_pids) ||
-      num_rows > r.remaining() / kMinFrameRowBytes) {
+      num_rows > r.remaining() / kPushRowBytes ||
+      ViewFramePids(frames.external_view) != frames.num_pids) {
     return std::nullopt;
   }
-  frames.rows.reserve(num_rows);
   frames.row_versions.reserve(num_rows);
-  for (std::uint32_t i = 0; i < num_rows && r.ok(); ++i) {
-    frames.row_versions.push_back(r.u64());
-    frames.rows.push_back(r.blob());
-  }
+  for (std::uint32_t i = 0; i < num_rows; ++i) frames.row_versions.push_back(r.u64());
   const std::uint8_t has_policy = r.u8();
   if (has_policy > 1) return std::nullopt;
   if (has_policy == 1) frames.policy = r.blob();
   if (!r.done()) return std::nullopt;
+  frames.rows.reserve(num_rows);
+  for (std::uint32_t i = 0; i < num_rows; ++i) {
+    frames.rows.push_back(RowFrameFromView(frames.external_view,
+                                           static_cast<std::int32_t>(i),
+                                           frames.row_versions[i]));
+  }
   return frames;
 }
 
@@ -277,25 +297,6 @@ bool ReplicatedSnapshotStore::Install(SnapshotFrameSet frames) {
   return true;
 }
 
-namespace {
-
-// Byte layout facts about EncodeBody the delta splice depends on: both
-// GetExternalViewResp and GetPDistancesResp are
-//   [0..1] header | [2..5] i32 (num_pids / from) | [6..13] u64 version |
-//   [14..17] u32 count | [18..] doubles as big-endian u64
-// so row i of the external view occupies bytes [18 + i*n*8, 18 + (i+1)*n*8).
-constexpr std::size_t kDistanceFrameDoublesOffset = 18;
-constexpr std::size_t kDistanceFrameVersionOffset = 6;
-
-void PatchVersionField(std::vector<std::uint8_t>& frame, std::uint64_t version) {
-  for (int i = 0; i < 8; ++i) {
-    frame[kDistanceFrameVersionOffset + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(version >> (56 - 8 * i));
-  }
-}
-
-}  // namespace
-
 ReplicatedSnapshotStore::DeltaResult ReplicatedSnapshotStore::InstallDelta(
     const DeltaPush& delta) {
   std::lock_guard<std::mutex> lock(install_mu_);
@@ -321,11 +322,10 @@ ReplicatedSnapshotStore::DeltaResult ReplicatedSnapshotStore::InstallDelta(
       held->row_versions.size() != held->rows.size()) {
     return DeltaResult::kBaseMismatch;
   }
-  const std::size_t n = held->rows.size();
-  if (held->external_view.size() !=
-      kDistanceFrameDoublesOffset + n * n * sizeof(double)) {
+  if (ViewFramePids(held->external_view) != delta.num_pids) {
     return DeltaResult::kBaseMismatch;
   }
+  const std::size_t n = held->rows.size();
 
   // Splice into a private copy; readers only ever see the held set or the
   // fully-verified result.
@@ -340,12 +340,15 @@ ReplicatedSnapshotStore::DeltaResult ReplicatedSnapshotStore::InstallDelta(
         kDistanceFrameDoublesOffset + n * sizeof(double)) {
       return DeltaResult::kBaseMismatch;
     }
-    next->rows[i] = row.bytes;
-    next->row_versions[i] = row.row_version;
     std::memcpy(next->external_view.data() + kDistanceFrameDoublesOffset +
                     i * n * sizeof(double),
                 row.bytes.data() + kDistanceFrameDoublesOffset,
                 n * sizeof(double));
+    // The held row is cut from the spliced view, like a pushed one, so the
+    // set stays one matrix whatever the delta row's header said; the
+    // checksum below then proves it equals the publisher's.
+    next->rows[i] = RowFrameFromView(next->external_view, row.pid, row.row_version);
+    next->row_versions[i] = row.row_version;
   }
   // The view frame's embedded version is its content stamp; unchanged rows
   // keep their doubles, so only this field differs from a re-encode.

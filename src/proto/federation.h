@@ -28,13 +28,26 @@
 // A frame sealed under any other key, or altered in flight, is refused, so
 // a host without the key cannot push frames or fence the federation with a
 // forged term. Tags:
-//   kFramePush (publisher -> follower, TCP): the full SnapshotFrameSet.
+//   kFramePush (publisher -> follower, TCP): the full SnapshotFrameSet,
+//              with the matrix on the wire once (layout below).
 //   kFrameAck  (follower -> publisher, TCP): install outcome + version.
 //   kFramePull (follower -> publisher, TCP): anti-entropy catch-up.
 //   kBeacon    (publisher -> followers, UDP): current version, 30 bytes.
 //   kDeltaPush (publisher -> follower, TCP): only the rows whose content
 //              changed since the follower's acked version.
 // Every decoder refuses a term above kMaxTerm.
+//
+// kFramePush payload:
+//   u64 term | u64 version | u64 view_version | i32 num_pids |
+//   blob not_modified | blob external_view | u32 num_rows (== num_pids) |
+//   num_rows x u64 row content stamp | u8 has_policy | [blob policy]
+// Row frame i is not shipped: it is the view's row-i slice behind a
+// GetPDistancesResp header carrying (i, row stamp i), so the follower cuts
+// it out of the view (RowFrameFromView, messages.h) byte-equal to the
+// publisher's own. EncodeFramePush throws std::invalid_argument on a set
+// whose rows are anything else; DecodeFramePush refuses a view frame that
+// is not a well-formed num_pids x num_pids GetExternalViewResp, and a row
+// count the payload cannot hold, before sizing anything by it.
 // Push and pull ride the existing length-prefixed request/response
 // transports (TcpServer/TcpClient or any Transport); the beacon is a
 // fire-and-forget datagram — loss only delays gap detection until the next
@@ -181,9 +194,12 @@ std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames);
 
 // --- frame codec ------------------------------------------------------------
 // Total like the message codec: malformed bytes (bad magic/tag/MAC, a
-// different key, truncation, trailing garbage, row-count mismatch, a term
-// above kMaxTerm) decode to std::nullopt.
+// different key, truncation, trailing garbage, row-count mismatch, a
+// malformed view frame, a term above kMaxTerm) decode to std::nullopt.
 
+/// Throws std::invalid_argument unless row_versions has one stamp per row
+/// and every row is the view's slice under its stamp (as ExportFrames
+/// produces): the push carries only the view and the stamps.
 std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
                                           const SealKey& key = kPublicSealKey);
 std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> bytes,

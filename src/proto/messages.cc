@@ -248,6 +248,48 @@ std::vector<std::uint8_t> Encode(const Message& message) {
   return w.take();
 }
 
+void PatchVersionField(std::vector<std::uint8_t>& frame, std::uint64_t version) {
+  for (int i = 0; i < 8; ++i) {
+    frame[kDistanceFrameVersionOffset + static_cast<std::size_t>(i)] =
+        static_cast<std::uint8_t>(version >> (56 - 8 * i));
+  }
+}
+
+std::optional<std::int32_t> ViewFramePids(std::span<const std::uint8_t> view) {
+  Reader r(view);
+  const std::uint8_t version = r.u8();
+  const std::uint8_t type = r.u8();
+  const std::int32_t n = r.i32();
+  (void)r.u64();
+  const std::uint64_t count = r.u32();
+  // n < 2^31, so n*n fits in 64 bits; count < 2^32, so count*8 does too.
+  if (!r.ok() || version != kProtocolVersion ||
+      type != static_cast<std::uint8_t>(MsgType::kGetExternalViewResp) || n < 0 ||
+      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n) != count ||
+      r.remaining() != count * sizeof(double)) {
+    return std::nullopt;
+  }
+  return n;
+}
+
+std::vector<std::uint8_t> RowFrameFromView(std::span<const std::uint8_t> view,
+                                           std::int32_t from, std::uint64_t version) {
+  Reader r(view.subspan(2));
+  const auto n = static_cast<std::size_t>(r.i32());
+  const std::size_t row_bytes = n * sizeof(double);
+  Writer w;
+  w.reserve(kDistanceFrameDoublesOffset + row_bytes);
+  w.u8(kProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(MsgType::kGetPDistancesResp));
+  w.i32(from);
+  w.u64(version);
+  w.u32(static_cast<std::uint32_t>(n));
+  const std::size_t offset =
+      kDistanceFrameDoublesOffset + static_cast<std::size_t>(from) * row_bytes;
+  w.raw(view.subspan(offset, row_bytes));
+  return w.take();
+}
+
 namespace {
 
 constexpr std::uint8_t kValidationRequestTag = 1;

@@ -117,6 +117,36 @@ std::optional<Message> Decode(std::span<const std::uint8_t> bytes);
 
 MsgType TypeOf(const Message& message);
 
+// --- distance-frame layout ----------------------------------------------
+//
+// GetExternalViewResp and GetPDistancesResp frames share one byte layout:
+//   [0..1] header | [2..5] i32 (num_pids / from) | [6..13] u64 version |
+//   [14..17] u32 count | [18..] doubles as big-endian u64
+// so row i of an n-PID view frame occupies bytes [18 + i*n*8, 18 + (i+1)*n*8),
+// and the row frame for PID i is those bytes behind a row header. The
+// service cuts its row frames out of its view frame, the federation push
+// ships only the view and rebuilds the rows from it, and the delta splice
+// writes changed rows into a held view.
+
+inline constexpr std::size_t kDistanceFrameVersionOffset = 6;
+inline constexpr std::size_t kDistanceFrameDoublesOffset = 18;
+
+/// Overwrites the u64 version field of an encoded distance frame, which
+/// must be at least kDistanceFrameDoublesOffset bytes long.
+void PatchVersionField(std::vector<std::uint8_t>& frame, std::uint64_t version);
+
+/// The PID count n of an encoded GetExternalViewResp frame, or std::nullopt
+/// unless it is one: current protocol version, view type byte, n >= 0, a
+/// count of exactly n*n (checked without overflow) and exactly that many
+/// doubles. Reads the header only; never allocates.
+std::optional<std::int32_t> ViewFramePids(std::span<const std::uint8_t> view);
+
+/// The GetPDistancesResp frame {from, version, row `from` of the view},
+/// byte-equal to Encode() of that message. `view` must be a frame that
+/// ViewFramePids accepts, and `from` one of its PIDs.
+std::vector<std::uint8_t> RowFrameFromView(std::span<const std::uint8_t> view,
+                                           std::int32_t from, std::uint64_t version);
+
 // --- UDP validation datagram codec -----------------------------------------
 //
 // The conditional (`if_version` -> NotModified) exchange compressed into one

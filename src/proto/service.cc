@@ -56,34 +56,24 @@ ITrackerService::encoded_state() const {
   // Content stamping: diff each row's raw doubles against the previous
   // state's snapshot (byte compare — tolerant of NaN, and exact, since the
   // encoder is a bit-faithful function of these bytes). Unchanged rows keep
-  // their previous frame bytes and content version, so the federation layer
-  // can ship deltas and conditional clients holding a row's content token
-  // still earn NotModified across no-op version bumps.
+  // their previous content version, and so their frame bytes: the federation
+  // layer can ship deltas and conditional clients holding a row's content
+  // token still earn NotModified across no-op version bumps.
   const auto prev = state;
   const bool diffable = prev && prev->snap && prev->snap->view.size() == n &&
-                        prev->rows.size() == static_cast<std::size_t>(n) &&
                         prev->row_versions.size() == static_cast<std::size_t>(n);
   next->row_versions.assign(static_cast<std::size_t>(n), snap->version);
-  next->rows.reserve(static_cast<std::size_t>(n));
   bool any_row_changed = !diffable;
-  GetPDistancesResp row;
-  row.version = snap->version;
-  for (core::Pid i = 0; i < n; ++i) {
+  for (core::Pid i = 0; diffable && i < n; ++i) {
     const auto values = snap->view.row(i);
-    if (diffable) {
-      const auto prev_values = prev->snap->view.row(i);
-      if (std::memcmp(values.data(), prev_values.data(),
-                      static_cast<std::size_t>(n) * sizeof(double)) == 0) {
-        next->row_versions[static_cast<std::size_t>(i)] =
-            prev->row_versions[static_cast<std::size_t>(i)];
-        next->rows.push_back(prev->rows[static_cast<std::size_t>(i)]);
-        continue;
-      }
+    const auto prev_values = prev->snap->view.row(i);
+    if (std::memcmp(values.data(), prev_values.data(),
+                    static_cast<std::size_t>(n) * sizeof(double)) == 0) {
+      next->row_versions[static_cast<std::size_t>(i)] =
+          prev->row_versions[static_cast<std::size_t>(i)];
+    } else {
+      any_row_changed = true;
     }
-    any_row_changed = true;
-    row.from = i;
-    row.distances.assign(values.begin(), values.end());
-    next->rows.push_back(Encode(row));
   }
 
   if (!any_row_changed && n > 0) {
@@ -98,6 +88,13 @@ ITrackerService::encoded_state() const {
     view.version = snap->version;
     view.distances.assign(snap->view.values().begin(), snap->view.values().end());
     next->external_view = Encode(view);
+  }
+  // Each row frame is its slice of the view frame behind the row's header:
+  // an unchanged row comes out byte-equal to the previous state's frame.
+  next->rows.reserve(static_cast<std::size_t>(n));
+  for (core::Pid i = 0; i < n; ++i) {
+    next->rows.push_back(RowFrameFromView(
+        next->external_view, i, next->row_versions[static_cast<std::size_t>(i)]));
   }
 
   state_.store(next, std::memory_order_release);

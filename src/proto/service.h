@@ -62,7 +62,9 @@ struct SnapshotFrameSet {
   std::int32_t num_pids = 0;
   std::vector<std::uint8_t> not_modified;       // NotModifiedResp{version}
   std::vector<std::uint8_t> external_view;      // GetExternalViewResp
-  std::vector<std::vector<std::uint8_t>> rows;  // GetPDistancesResp per PID
+  /// GetPDistancesResp per PID: row i is external_view's row-i slice behind
+  /// a header carrying (i, row_versions[i]) — RowFrameFromView, messages.h.
+  std::vector<std::vector<std::uint8_t>> rows;
   /// Per-row content version: the price version at which rows[i] last
   /// changed. Always rows.size() entries.
   std::vector<std::uint64_t> row_versions;
@@ -144,8 +146,9 @@ class ITrackerService {
   /// All p4p-distance responses for one price version, encoded once. Each
   /// rebuild diffs the new PriceSnapshot against the previous state's
   /// snapshot row by row (raw-byte compare, so NaN-safe): unchanged rows
-  /// keep their previous bytes and content stamp, changed rows are
-  /// re-encoded stamped with the current version.
+  /// keep their previous content stamp, changed rows are stamped with the
+  /// current version. Row frames are cut from the view frame
+  /// (RowFrameFromView), so an unchanged row keeps its bytes too.
   struct EncodedState {
     std::uint64_t version = 0;
     /// Content version of external_view: the price version at which any

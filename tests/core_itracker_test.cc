@@ -3,7 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <functional>
+#include <limits>
+#include <string>
+#include <vector>
 
+#include "net/synth.h"
 #include "net/topology.h"
 
 namespace p4p::core {
@@ -418,6 +425,167 @@ TEST_F(ITrackerTest, SuperGradientConvergesTowardBalancedPrices) {
     if (e != hot) others += tracker.link_price(static_cast<net::LinkId>(e));
   }
   EXPECT_GT(hot_price, others);  // dominant dual on the bottleneck
+}
+
+// --- the tree build against the per-pair path sum ---------------------------
+
+/// The tracker's privacy perturbation, restated: SplitMix64 of the seed and
+/// the (i, j) pair mapped to a factor in [1 - noise, 1 + noise).
+double Perturbed(const ITrackerConfig& cfg, Pid i, Pid j, double value) {
+  if (cfg.privacy_noise <= 0.0) return value;
+  const auto hi = static_cast<std::uint64_t>(static_cast<std::uint32_t>(i)) << 32;
+  std::uint64_t x = cfg.noise_seed ^ (hi | static_cast<std::uint32_t>(j));
+  x += 0x9E3779B97F4A7C15ULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  const double u = static_cast<double>(x >> 11) * (1.0 / 9007199254740992.0) * 2.0 - 1.0;
+  return value * (1.0 + cfg.privacy_noise * u);
+}
+
+/// p_ij as the paper writes it, summed pair by pair: the revealed cost of
+/// every link on the routed path (price, plus the BDP distance term and
+/// the interdomain dual of each declared link), added left to right.
+PDistanceMatrix PathSumReference(const ITracker& tracker,
+                                 const net::RoutingTable& routing,
+                                 const std::vector<net::LinkId>& interdomain) {
+  const net::Graph& g = tracker.graph();
+  const ITrackerConfig& cfg = tracker.config();
+  std::vector<double> cost(g.link_count());
+  for (std::size_t e = 0; e < cost.size(); ++e) {
+    cost[e] = tracker.link_price(static_cast<net::LinkId>(e));
+    if (cfg.objective == IspObjective::kBandwidthDistanceProduct) {
+      cost[e] += g.link(static_cast<net::LinkId>(e)).distance;
+    }
+  }
+  for (const net::LinkId e : interdomain) {
+    cost[static_cast<std::size_t>(e)] += tracker.interdomain_price(e);
+  }
+  const int n = tracker.num_pids();
+  PDistanceMatrix m(n);
+  for (Pid i = 0; i < n; ++i) {
+    for (Pid j = 0; j < n; ++j) {
+      if (i == j) {
+        m.set(i, j, cfg.intra_pid_distance);
+      } else if (!routing.reachable(i, j)) {
+        m.set(i, j, std::numeric_limits<double>::infinity());
+      } else {
+        double total = 0.0;
+        for (const net::LinkId e : routing.path_view(i, j)) {
+          total += cost[static_cast<std::size_t>(e)];
+        }
+        m.set(i, j, Perturbed(cfg, i, j, total));
+      }
+    }
+  }
+  return m;
+}
+
+/// Bit-for-bit equality of the tracker's view and the reference.
+void ExpectMatchesPathSum(const ITracker& tracker, const net::RoutingTable& routing,
+                          const std::vector<net::LinkId>& interdomain,
+                          const std::string& what) {
+  const auto built = tracker.external_view();
+  const auto want = PathSumReference(tracker, routing, interdomain);
+  ASSERT_EQ(built.size(), want.size()) << what;
+  EXPECT_EQ(std::memcmp(built.values().data(), want.values().data(),
+                        want.values().size() * sizeof(double)),
+            0)
+      << what;
+}
+
+/// Skewed P4P traffic: every link carries some, link 0 and every seventh
+/// link run hot, so the super-gradient moves many prices per step.
+std::vector<double> SkewedTraffic(const net::Graph& g) {
+  std::vector<double> traffic(g.link_count());
+  for (std::size_t e = 0; e < traffic.size(); ++e) {
+    const double utilization = e % 7 == 0 ? 0.9 : 0.2;
+    traffic[e] = g.link(static_cast<net::LinkId>(e)).capacity_bps * utilization;
+  }
+  return traffic;
+}
+
+TEST(ITrackerTreeBuild, MatchesPathSumBitForBit) {
+  net::SynthConfig loop_topology;
+  loop_topology.name = "synth-144";
+  loop_topology.num_pops = 144;
+  loop_topology.num_metros = 12;
+  const std::vector<std::pair<std::string, std::function<net::Graph()>>> topologies = {
+      {"Abilene", net::MakeAbilene},
+      {"ISP-A", net::MakeIspA},
+      {"ISP-B", net::MakeIspB},
+      {"synth-144", [&] { return net::MakeSynthTopology(loop_topology); }},
+  };
+  for (const auto& [name, make] : topologies) {
+    const net::Graph g = make();
+    const net::RoutingTable routing(g);
+    const auto traffic = SkewedTraffic(g);
+
+    ITrackerConfig static_cfg;
+    static_cfg.mode = PriceMode::kStatic;
+    ITracker ospf(g, routing, static_cfg);
+    ospf.SetPricesFromOspf();
+    ExpectMatchesPathSum(ospf, routing, {}, name + " OSPF prices");
+
+    ITracker mlu(g, routing);
+    mlu.SetPricesFromOspf();
+    for (int step = 1; step <= 4; ++step) {
+      mlu.Update(traffic);
+      ExpectMatchesPathSum(mlu, routing, {},
+                           name + " MLU update " + std::to_string(step));
+    }
+
+    ITrackerConfig bdp_cfg;
+    bdp_cfg.objective = IspObjective::kBandwidthDistanceProduct;
+    ITracker bdp(g, routing, bdp_cfg);
+    for (int step = 0; step < 3; ++step) bdp.Update(traffic);
+    ExpectMatchesPathSum(bdp, routing, {}, name + " BDP");
+
+    // An interdomain link whose P4P load exceeds its virtual capacity
+    // earns a positive dual on top of its price.
+    const std::vector<net::LinkId> declared = {
+        0, static_cast<net::LinkId>(g.link_count() / 2)};
+    ITracker multihomed(g, routing);
+    for (const net::LinkId e : declared) multihomed.DeclareInterdomainLink(e, 1e6);
+    for (int step = 0; step < 3; ++step) multihomed.Update(traffic);
+    ASSERT_GT(multihomed.interdomain_price(declared[0]), 0.0) << name;
+    ExpectMatchesPathSum(multihomed, routing, declared, name + " interdomain");
+
+    ITrackerConfig private_cfg;
+    private_cfg.privacy_noise = 0.05;
+    private_cfg.intra_pid_distance = 0.25;
+    ITracker noisy(g, routing, private_cfg);
+    for (int step = 0; step < 2; ++step) noisy.Update(traffic);
+    ExpectMatchesPathSum(noisy, routing, {}, name + " privacy noise");
+  }
+}
+
+TEST(ITrackerTreeBuild, UnreachablePairsAreInfinite) {
+  // a -> b -> c one way only, and d cut off: every route back, and every
+  // route to or from d, is missing.
+  net::Graph g;
+  const auto a = g.add_node("a");
+  const auto b = g.add_node("b");
+  const auto c = g.add_node("c");
+  const auto d = g.add_node("d");
+  g.add_link(a, b, 1e9, /*ospf_weight=*/2.0);
+  g.add_link(b, c, 1e9, /*ospf_weight=*/3.0);
+  const net::RoutingTable routing(g);
+  ITrackerConfig cfg;
+  cfg.mode = PriceMode::kStatic;
+  cfg.privacy_noise = 0.1;
+  cfg.intra_pid_distance = 0.5;
+  ITracker tracker(g, routing, cfg);
+  tracker.SetStaticPrices(std::vector<double>{0.25, 0.75});
+  ExpectMatchesPathSum(tracker, routing, {}, "one-way chain");
+  const auto view = tracker.external_view();
+  EXPECT_TRUE(std::isfinite(view.at(a, c)));
+  EXPECT_EQ(view.at(c, c), 0.5);
+  for (const auto& [i, j] : {std::pair{b, a}, std::pair{c, a}, std::pair{c, b},
+                            std::pair{a, d}, std::pair{d, a}}) {
+    EXPECT_TRUE(std::isinf(view.at(i, j))) << i << "->" << j;
+    EXPECT_THROW(tracker.pdistance(i, j), std::runtime_error);
+  }
 }
 
 }  // namespace

@@ -183,6 +183,64 @@ TEST(Routing, PathViewMatchesPathOnSynthTopology) {
   ExpectPathViewMatchesPath(MakeSynthTopology(cfg));
 }
 
+/// Every source's tree names each reachable destination once, parents
+/// first, and unrolls to exactly the routed paths.
+void ExpectTreeMatchesPaths(const Graph& g, bool include_access = false) {
+  const RoutingTable rt(g, include_access);
+  const auto n = static_cast<NodeId>(g.node_count());
+  for (NodeId s = 0; s < n; ++s) {
+    std::vector<std::vector<LinkId>> unrolled(g.node_count());
+    std::vector<bool> seen(g.node_count(), false);
+    seen[static_cast<std::size_t>(s)] = true;
+    std::size_t prev_hops = 0;
+    for (const TreeStep& step : rt.tree(s)) {
+      ASSERT_TRUE(seen[static_cast<std::size_t>(step.parent)]) << s << "->" << step.dst;
+      ASSERT_FALSE(seen[static_cast<std::size_t>(step.dst)]) << s << "->" << step.dst;
+      seen[static_cast<std::size_t>(step.dst)] = true;
+      EXPECT_EQ(g.link(step.link).src, step.parent);
+      EXPECT_EQ(g.link(step.link).dst, step.dst);
+      auto& path = unrolled[static_cast<std::size_t>(step.dst)];
+      path = unrolled[static_cast<std::size_t>(step.parent)];
+      path.push_back(step.link);
+      EXPECT_GE(path.size(), prev_hops);  // hop order
+      prev_hops = path.size();
+    }
+    for (NodeId t = 0; t < n; ++t) {
+      EXPECT_EQ(seen[static_cast<std::size_t>(t)], s == t || rt.reachable(s, t));
+      const auto view = rt.path_view(s, t);
+      EXPECT_EQ(unrolled[static_cast<std::size_t>(t)],
+                std::vector<LinkId>(view.begin(), view.end()))
+          << s << "->" << t;
+    }
+  }
+}
+
+TEST(Routing, TreeUnrollsToPathsOnAbilene) { ExpectTreeMatchesPaths(MakeAbilene()); }
+
+TEST(Routing, TreeUnrollsToPathsOnSynthTopology) {
+  SynthConfig cfg;
+  cfg.num_pops = 80;
+  cfg.num_metros = 16;
+  cfg.seed = 7;
+  ExpectTreeMatchesPaths(MakeSynthTopology(cfg));
+}
+
+TEST(Routing, TreeSkipsUnreachableDestinations) {
+  Graph g;
+  const NodeId a = g.add_node("a");
+  const NodeId b = g.add_node("b");
+  g.add_node("isolated");
+  g.add_link(a, b, 1e9);
+  const RoutingTable rt(g);
+  ASSERT_EQ(rt.tree(a).size(), 1u);
+  EXPECT_EQ(rt.tree(a)[0].dst, b);
+  EXPECT_EQ(rt.tree(a)[0].parent, a);
+  EXPECT_TRUE(rt.tree(b).empty());
+  EXPECT_TRUE(rt.tree(2).empty());
+  EXPECT_THROW(rt.tree(3), std::out_of_range);
+  ExpectTreeMatchesPaths(g);
+}
+
 TEST(Routing, PathViewRejectsBadIds) {
   const Graph g = Diamond();
   const RoutingTable rt(g);

@@ -439,15 +439,20 @@ TEST(PullBackoffTest, SuccessfulInstallResetsTheSchedule) {
 // --- codec: the term field rides every frame totally ------------------------
 
 std::vector<std::vector<std::uint8_t>> TermCarryingFrames() {
+  // A coherent set (each row is the view's slice under its own stamp): the
+  // push encoder refuses any other.
   SnapshotFrameSet frames;
   frames.term = 3;
   frames.version = 9;
   frames.view_version = 9;
   frames.num_pids = 2;
-  frames.not_modified = {1, 2, 3};
-  frames.external_view = {4, 5, 6, 7};
-  frames.rows = {{8, 9}, {10, 11, 12}};
-  frames.row_versions = {9, 7};
+  frames.not_modified = Encode(NotModifiedResp{9});
+  frames.external_view = Encode(GetExternalViewResp{2, 9, {0.0, 1.5, 2.5, 0.0}});
+  frames.row_versions = {7, 9};
+  for (int i = 0; i < 2; ++i) {
+    frames.rows.push_back(
+        RowFrameFromView(frames.external_view, i, frames.row_versions[i]));
+  }
 
   DeltaPush delta;
   delta.term = 3;
@@ -455,8 +460,8 @@ std::vector<std::vector<std::uint8_t>> TermCarryingFrames() {
   delta.version = 9;
   delta.view_version = 9;
   delta.num_pids = 2;
-  delta.not_modified = {1, 2, 3};
-  delta.rows.push_back(DeltaRow{1, 9, {10, 11, 12}});
+  delta.not_modified = frames.not_modified;
+  delta.rows.push_back(DeltaRow{1, 9, frames.rows[1]});
   delta.result_checksum = FrameSetChecksum(frames);
 
   return {

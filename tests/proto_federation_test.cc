@@ -13,7 +13,10 @@
 #include <limits>
 #include <optional>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/policy.h"
 #include "net/topology.h"
@@ -116,22 +119,70 @@ class FederationCodecTest : public ::testing::Test {
 };
 
 TEST_F(FederationCodecTest, PushRoundTrip) {
-  auto frames = MakeFrames(7, 4);
-  frames.view_version = 5;
-  frames.row_versions = {5, 7, 3, 7};
+  // Rows re-priced at different versions carry different stamps. Built by
+  // advancing a coherent set, so every row is still the view's slice under
+  // its own stamp, which is all a push can carry.
+  auto frames = Advance(Advance(MakeFrames(3, 4), 5, {0}, 2.5), 7, {1, 3}, 4.0);
   frames.policy = Encode(GetPolicyResp{});
+  ASSERT_EQ(frames.row_versions, (std::vector<std::uint64_t>{5, 7, 3, 7}));
   const auto bytes = EncodeFramePush(frames);
   EXPECT_EQ(PeekFederationTag(bytes), FederationTag::kFramePush);
+  // The matrix travels once: the view, then one stamp per row.
+  EXPECT_EQ(bytes.size(), kSealHeaderBytes + 8 + 8 + 8 + 4 + 4 +
+                              frames.not_modified.size() + 4 +
+                              frames.external_view.size() + 4 + 4 * 8 + 1 + 4 +
+                              frames.policy.size() + kSealMacBytes);
   const auto decoded = DecodeFramePush(bytes);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_EQ(decoded->version, 7u);
-  EXPECT_EQ(decoded->view_version, 5u);
+  EXPECT_EQ(decoded->view_version, 7u);
   EXPECT_EQ(decoded->num_pids, 4);
   EXPECT_EQ(decoded->row_versions, frames.row_versions);
   EXPECT_EQ(decoded->not_modified, frames.not_modified);
   EXPECT_EQ(decoded->external_view, frames.external_view);
   EXPECT_EQ(decoded->rows, frames.rows);
   EXPECT_EQ(decoded->policy, frames.policy);
+}
+
+TEST_F(FederationCodecTest, PushRefusesInconsistentFrameSets) {
+  const auto good = Advance(MakeFrames(3, 3), 5, {1}, 2.5);
+  ASSERT_NO_THROW(EncodeFramePush(good));
+
+  auto missing_stamp = good;
+  missing_stamp.row_versions.pop_back();
+  EXPECT_THROW(EncodeFramePush(missing_stamp), std::invalid_argument);
+
+  auto extra_stamp = good;
+  extra_stamp.row_versions.push_back(5);
+  EXPECT_THROW(EncodeFramePush(extra_stamp), std::invalid_argument);
+
+  // A row whose doubles are not the view's row.
+  auto other_doubles = good;
+  other_doubles.rows[2] = Encode(GetPDistancesResp{2, 3, {9.0, 9.0, 9.0}});
+  EXPECT_THROW(EncodeFramePush(other_doubles), std::invalid_argument);
+
+  // The view's slice, but under a stamp other than the row's.
+  auto other_stamp = good;
+  other_stamp.row_versions[0] = 4;
+  EXPECT_THROW(EncodeFramePush(other_stamp), std::invalid_argument);
+
+  // A row frame for another PID.
+  auto other_pid = good;
+  other_pid.rows[0] = RowFrameFromView(good.external_view, 1, good.row_versions[0]);
+  EXPECT_THROW(EncodeFramePush(other_pid), std::invalid_argument);
+
+  auto missing_row = good;
+  missing_row.rows.pop_back();
+  missing_row.row_versions.pop_back();
+  EXPECT_THROW(EncodeFramePush(missing_row), std::invalid_argument);
+
+  auto other_count = good;
+  other_count.num_pids = 2;
+  EXPECT_THROW(EncodeFramePush(other_count), std::invalid_argument);
+
+  auto no_view = good;
+  no_view.external_view.clear();
+  EXPECT_THROW(EncodeFramePush(no_view), std::invalid_argument);
 }
 
 TEST_F(FederationCodecTest, PushRoundTripWithoutPolicy) {
@@ -246,6 +297,112 @@ TEST_F(FederationCodecTest, PushRejectsRowCountBeyondPayload) {
     w.u32(static_cast<std::uint32_t>(kHuge));  // num_rows
   });
   EXPECT_EQ(bytes.size(), kSealHeaderBytes + 40 + kSealMacBytes);
+  std::optional<SnapshotFrameSet> decoded;
+  EXPECT_NO_THROW(decoded = DecodeFramePush(bytes, kTestKey));
+  EXPECT_FALSE(decoded.has_value());
+}
+
+/// A push in the current layout around `view`, sealed under kTestKey:
+/// `num_pids` and `num_rows` as given, then `stamps` row stamps.
+std::vector<std::uint8_t> ForgedPush(std::int32_t num_pids,
+                                     std::span<const std::uint8_t> view,
+                                     std::uint32_t num_rows, std::size_t stamps) {
+  return SealForged(FederationTag::kFramePush, [&](Writer& w) {
+    w.u64(1);  // term
+    w.u64(2);  // version
+    w.u64(2);  // view_version
+    w.i32(num_pids);
+    w.blob(Encode(NotModifiedResp{2}));
+    w.blob(view);
+    w.u32(num_rows);
+    for (std::size_t i = 0; i < stamps; ++i) w.u64(2);
+    w.u8(0);  // no policy
+  });
+}
+
+/// A view-shaped frame with a free header: protocol version, type byte,
+/// num_pids and element count, then `doubles` doubles.
+std::vector<std::uint8_t> ViewLike(std::uint8_t version, MsgType type,
+                                   std::int32_t num_pids, std::uint32_t count,
+                                   std::size_t doubles) {
+  Writer w;
+  w.u8(version);
+  w.u8(static_cast<std::uint8_t>(type));
+  w.i32(num_pids);
+  w.u64(2);
+  w.u32(count);
+  for (std::size_t i = 0; i < doubles; ++i) w.f64(1.0);
+  return w.take();
+}
+
+TEST_F(FederationCodecTest, PushRejectsForgedViews) {
+  constexpr auto kView = MsgType::kGetExternalViewResp;
+  constexpr auto kVer = kProtocolVersion;
+  // The forger's frames are well-formed when the view is: a 2-PID view and
+  // two stamps decode, with both rows cut from the view.
+  const auto good_view = ViewLike(kVer, kView, 2, 4, 4);
+  const auto good = DecodeFramePush(ForgedPush(2, good_view, 2, 2), kTestKey);
+  ASSERT_TRUE(good.has_value());
+  ASSERT_EQ(good->rows.size(), 2u);
+  EXPECT_EQ(good->rows[1], Encode(GetPDistancesResp{1, 2, {1.0, 1.0}}));
+
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> forged = {
+      // A row frame has the view's layout, but not its type.
+      {"row type byte",
+       ForgedPush(2, ViewLike(kVer, MsgType::kGetPDistancesResp, 2, 4, 4), 2, 2)},
+      {"old protocol version", ForgedPush(2, ViewLike(1, kView, 2, 4, 4), 2, 2)},
+      {"view for 3 PIDs", ForgedPush(2, ViewLike(kVer, kView, 3, 9, 9), 2, 2)},
+      {"count is not num_pids^2", ForgedPush(2, ViewLike(kVer, kView, 2, 3, 3), 2, 2)},
+      {"fewer doubles than count", ForgedPush(2, ViewLike(kVer, kView, 2, 4, 3), 2, 2)},
+      {"more doubles than count", ForgedPush(2, ViewLike(kVer, kView, 2, 4, 5), 2, 2)},
+      {"negative num_pids", ForgedPush(-1, ViewLike(kVer, kView, -1, 1, 1), ~0u, 0)},
+      {"empty view", ForgedPush(0, {}, 0, 0)},
+      // 2^16 squared is 2^32, which a u32 count (or a 32-bit size_t) wraps
+      // to 0: a decoder multiplying in either would accept an empty matrix.
+      {"count wraps to 0",
+       ForgedPush(1 << 16, ViewLike(kVer, kView, 1 << 16, 0, 0), 1u << 16,
+                  std::size_t{1} << 16)},
+      // (2^31-1)^2 = 2^62 - 2^32 + 1: 1 modulo 2^32, and times 8 it wraps
+      // a 64-bit size_t.
+      {"count wraps to 1",
+       ForgedPush(std::numeric_limits<std::int32_t>::max(),
+                  ViewLike(kVer, kView, std::numeric_limits<std::int32_t>::max(), 1, 1),
+                  std::numeric_limits<std::int32_t>::max(), 2)},
+      {"num_rows 2^32-1", ForgedPush(2, good_view, ~0u, 2)},
+      {"num_rows above num_pids", ForgedPush(2, good_view, 3, 3)},
+  };
+  // Truncated views: cut inside the doubles, inside the header, and to one
+  // byte.
+  for (const std::size_t keep : {good_view.size() - 1, std::size_t{17}, std::size_t{1}}) {
+    forged.emplace_back("view truncated to " + std::to_string(keep),
+                        ForgedPush(2, std::span(good_view).first(keep), 2, 2));
+  }
+  for (const auto& [what, bytes] : forged) {
+    std::optional<SnapshotFrameSet> decoded;
+    EXPECT_NO_THROW(decoded = DecodeFramePush(bytes, kTestKey)) << what;
+    EXPECT_FALSE(decoded.has_value()) << what;
+  }
+}
+
+TEST_F(FederationCodecTest, PushRejectsTheRowCarryingLayout) {
+  // The layout that shipped each row frame after its stamp. Its view and
+  // rows are coherent and its MAC is valid; it must still be refused, not
+  // read as stamps.
+  const auto frames = MakeFrames(2, 2);
+  const auto bytes = SealForged(FederationTag::kFramePush, [&](Writer& w) {
+    w.u64(1);  // term
+    w.u64(frames.version);
+    w.u64(frames.view_version);
+    w.i32(frames.num_pids);
+    w.blob(frames.not_modified);
+    w.blob(frames.external_view);
+    w.u32(static_cast<std::uint32_t>(frames.rows.size()));
+    for (std::size_t i = 0; i < frames.rows.size(); ++i) {
+      w.u64(frames.row_versions[i]);
+      w.blob(frames.rows[i]);
+    }
+    w.u8(0);  // no policy
+  });
   std::optional<SnapshotFrameSet> decoded;
   EXPECT_NO_THROW(decoded = DecodeFramePush(bytes, kTestKey));
   EXPECT_FALSE(decoded.has_value());

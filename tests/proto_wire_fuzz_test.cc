@@ -81,18 +81,21 @@ std::vector<Codec> AllCodecs() {
   };
 }
 
+/// A coherent frame set: row i is the view's row i behind a header that
+/// carries its own content stamp, as the push encoder requires.
 SnapshotFrameSet CorpusFrames() {
   SnapshotFrameSet f;
   f.term = 2;
   f.version = 9;
-  f.view_version = 8;
+  f.view_version = 9;
   f.num_pids = 3;
   f.not_modified = Encode(NotModifiedResp{9});
-  f.external_view = Encode(GetExternalViewResp{3, 8, std::vector<double>(9, 0.25)});
-  for (int i = 0; i < 3; ++i) {
-    f.rows.push_back(Encode(GetPDistancesResp{i, 8, std::vector<double>(3, 1.0 + i)}));
-  }
+  f.external_view = Encode(
+      GetExternalViewResp{3, 9, {0.0, 1.0, 2.5, 1.0, 0.0, 4.0, 2.5, 4.0, 0.0}});
   f.row_versions = {8, 9, 8};
+  for (int i = 0; i < 3; ++i) {
+    f.rows.push_back(RowFrameFromView(f.external_view, i, f.row_versions[i]));
+  }
   f.policy = Encode(GetPolicyResp{{0.7, 0.9}, {{1, 8, 18, 0.5}}});
   return f;
 }
@@ -103,7 +106,7 @@ std::vector<Bytes> FederationCorpus() {
   delta.term = 2;
   delta.base_version = 8;
   delta.version = 9;
-  delta.view_version = 8;
+  delta.view_version = 9;
   delta.num_pids = 3;
   delta.not_modified = frames.not_modified;
   delta.rows.push_back(DeltaRow{1, 9, frames.rows[1]});
@@ -111,8 +114,15 @@ std::vector<Bytes> FederationCorpus() {
   delta.result_checksum = FrameSetChecksum(frames);
   auto no_policy = frames;
   no_policy.policy.clear();
+  SnapshotFrameSet empty;
+  empty.term = 2;
+  empty.version = 9;
+  empty.view_version = 9;
+  empty.not_modified = frames.not_modified;
+  empty.external_view = Encode(GetExternalViewResp{0, 9, {}});
   return {EncodeFramePush(frames, kTestKey),
           EncodeFramePush(no_policy, kTestKey),
+          EncodeFramePush(empty, kTestKey),
           EncodeDeltaPush(delta, kTestKey),
           EncodeFrameAck(FrameAck{AckStatus::kInstalled, 9, 2}, kTestKey),
           EncodeFrameAck(FrameAck{AckStatus::kStaleTerm, 4, kMaxTerm}, kTestKey),

@@ -224,28 +224,30 @@ const std::vector<std::uint8_t> kGoldenView = {  // GetExternalViewResp, v1
     0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x7F, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF,
     0xFF, 0xFF};
 
-/// kFramePush of GoldenFrames() as version 1 sealed it: FNV-1a trailer.
+/// kFramePush of GoldenFrames(), sealed under kPublicSealKey: the matrix
+/// travels once, as the view frame, followed by one content stamp per row.
 const std::vector<std::uint8_t> kGoldenPush = {
-    0x50, 0x34, 0x50, 0x46, 0x01, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x03, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x06, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
-    0x00, 0x0A, 0x01, 0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,
-    0x00, 0x00, 0x00, 0x32, 0x01, 0x04, 0x00, 0x00, 0x00, 0x02, 0x01, 0x02,
-    0x03, 0x04, 0x05, 0x06, 0x07, 0x08, 0x00, 0x00, 0x00, 0x04, 0x7F, 0xF8,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x7F, 0xEF,
-    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x00, 0x00, 0x00, 0x02, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x05, 0x00, 0x00, 0x00, 0x22, 0x01, 0x02,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,
-    0x00, 0x00, 0x00, 0x02, 0x7F, 0xF8, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01,
-    0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x00, 0x00, 0x00, 0x07, 0x00, 0x00, 0x00, 0x22, 0x01, 0x02, 0x00, 0x00,
-    0x00, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07, 0x00, 0x00,
-    0x00, 0x02, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x7F, 0xEF,
-    0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01, 0x00, 0x00, 0x00, 0x16, 0x01,
-    0x06, 0x3F, 0xE0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3F, 0xE8, 0x00,
-    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x9F, 0x9E, 0x7E,
-    0x8C};
+    0x50, 0x34, 0x50, 0x46, 0x02, 0x01,              // "P4PF" | v2 | kFramePush
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,  // term
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,  // version
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x06,  // view_version
+    0x00, 0x00, 0x00, 0x02,                          // num_pids
+    0x00, 0x00, 0x00, 0x0A,                          // not_modified: 10 bytes
+    0x02, 0x0B, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,
+    0x00, 0x00, 0x00, 0x32,                          // external_view: 50 bytes
+    0x02, 0x04, 0x00, 0x00, 0x00, 0x02, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06,
+    0x07, 0x08, 0x00, 0x00, 0x00, 0x04, 0x7F, 0xF8, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x01, 0x80, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x01, 0x7F, 0xEF, 0xFF, 0xFF, 0xFF, 0xFF,
+    0xFF, 0xFF,
+    0x00, 0x00, 0x00, 0x02,                          // num_rows
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x05,  // row 0 stamp
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x07,  // row 1 stamp
+    0x01,                                            // has policy
+    0x00, 0x00, 0x00, 0x16,                          // policy: 22 bytes
+    0x02, 0x06, 0x3F, 0xE0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3F, 0xE8,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
+    0x42, 0xBE, 0xC1, 0xE3, 0x8A, 0x47, 0x7E, 0x77};  // SipHash-2-4 MAC
 
 GetExternalViewResp GoldenView() {
   const auto v = SpecialDoubles();
@@ -311,14 +313,16 @@ TEST(WireGolden, ExternalViewDiffersOnlyInTheVersionByte) {
   ExpectSameButVersion(Encode(GoldenView()), kGoldenView, {0});
 }
 
-TEST(WireGolden, FramePushDiffersOnlyInVersionBytesAndSeal) {
-  const auto push = EncodeFramePush(GoldenFrames());
-  ASSERT_EQ(push.size(), kGoldenPush.size() - 4 + kSealMacBytes);
-  const std::vector<std::uint8_t> body(push.begin(), push.end() - kSealMacBytes);
-  const std::vector<std::uint8_t> old_body(kGoldenPush.begin(), kGoldenPush.end() - 4);
-  // The envelope header, then the first byte of each embedded frame:
-  // not_modified, external_view, row 0, row 1, policy.
-  ExpectSameButVersion(body, old_body, {4, 38, 52, 118, 164, 203});
+TEST(WireGolden, FramePushShipsTheViewOnce) {
+  const auto frames = GoldenFrames();
+  EXPECT_EQ(EncodeFramePush(frames), kGoldenPush);
+  // The follower cuts each row frame out of the view: byte-equal to the
+  // publisher's own Encode() of that row.
+  const auto decoded = DecodeFramePush(kGoldenPush);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->rows, frames.rows);
+  EXPECT_EQ(decoded->row_versions, frames.row_versions);
+  EXPECT_EQ(decoded->external_view, frames.external_view);
 }
 
 TEST(Wire, TruncatedF64VecRejected) {

@@ -59,10 +59,16 @@ std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames) {
   u64(frames.version);
   u64(frames.view_version);
   u64(static_cast<std::uint32_t>(frames.num_pids));
-  u64(frames.rows.size());
-  for (std::size_t i = 0; i < frames.rows.size(); ++i) {
-    u64(i < frames.row_versions.size() ? frames.row_versions[i] : 0);
-    blob(frames.rows[i]);
+  // Row i is hashed as the frame a replica serves for it, streamed from its
+  // two parts rather than materialized.
+  u64(frames.row_versions.size());
+  for (std::size_t i = 0; i < frames.row_versions.size(); ++i) {
+    const auto row = SliceViewRow(frames.external_view, static_cast<std::int32_t>(i),
+                                  frames.row_versions[i]);
+    u64(frames.row_versions[i]);
+    u64(row.header.size() + row.doubles.size());
+    hasher.update(row.header);
+    hasher.update(row.doubles);
   }
   blob(frames.not_modified);
   blob(frames.external_view);
@@ -72,24 +78,13 @@ std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames) {
 
 std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
                                           const SealKey& key) {
-  // The push ships the view once; the follower rebuilds every row frame from
-  // it and the row's stamp. A set whose rows are anything else would install
-  // differently from what the publisher serves, so it is refused here.
-  const std::size_t n = frames.rows.size();
-  if (frames.row_versions.size() != n) {
-    throw std::invalid_argument("EncodeFramePush: one content stamp per row required");
-  }
+  // The push ships the view once plus one stamp per row: every replica
+  // cuts its row frames from that view, so they match by construction.
+  const std::size_t n = frames.row_versions.size();
   if (ViewFramePids(frames.external_view) != frames.num_pids ||
       static_cast<std::size_t>(frames.num_pids) != n) {
-    throw std::invalid_argument("EncodeFramePush: view frame does not match num_pids");
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    if (frames.rows[i] != RowFrameFromView(frames.external_view,
-                                           static_cast<std::int32_t>(i),
-                                           frames.row_versions[i])) {
-      throw std::invalid_argument("EncodeFramePush: row " + std::to_string(i) +
-                                  " is not the view's slice");
-    }
+    throw std::invalid_argument(
+        "EncodeFramePush: need a num_pids view frame and one content stamp per row");
   }
   const std::size_t payload = 8 + 8 + 8 + 4 + 4 + frames.not_modified.size() + 4 +
                               frames.external_view.size() + 4 + n * kPushRowBytes +
@@ -133,12 +128,6 @@ std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> by
   if (has_policy > 1) return std::nullopt;
   if (has_policy == 1) frames.policy = r.blob();
   if (!r.done()) return std::nullopt;
-  frames.rows.reserve(num_rows);
-  for (std::uint32_t i = 0; i < num_rows; ++i) {
-    frames.rows.push_back(RowFrameFromView(frames.external_view,
-                                           static_cast<std::int32_t>(i),
-                                           frames.row_versions[i]));
-  }
   return frames;
 }
 
@@ -318,14 +307,11 @@ ReplicatedSnapshotStore::DeltaResult ReplicatedSnapshotStore::InstallDelta(
   // row, so a cross-term delta could not exist anyway).
   if (!held || held->term != delta.term || held->version != delta.base_version ||
       held->num_pids != delta.num_pids ||
-      held->rows.size() != static_cast<std::size_t>(delta.num_pids) ||
-      held->row_versions.size() != held->rows.size()) {
+      held->row_versions.size() != static_cast<std::size_t>(delta.num_pids) ||
+      ViewFramePids(held->external_view) != delta.num_pids) {
     return DeltaResult::kBaseMismatch;
   }
-  if (ViewFramePids(held->external_view) != delta.num_pids) {
-    return DeltaResult::kBaseMismatch;
-  }
-  const std::size_t n = held->rows.size();
+  const std::size_t n = held->row_versions.size();
 
   // Splice into a private copy; readers only ever see the held set or the
   // fully-verified result.
@@ -344,10 +330,9 @@ ReplicatedSnapshotStore::DeltaResult ReplicatedSnapshotStore::InstallDelta(
                     i * n * sizeof(double),
                 row.bytes.data() + kDistanceFrameDoublesOffset,
                 n * sizeof(double));
-    // The held row is cut from the spliced view, like a pushed one, so the
-    // set stays one matrix whatever the delta row's header said; the
-    // checksum below then proves it equals the publisher's.
-    next->rows[i] = RowFrameFromView(next->external_view, row.pid, row.row_version);
+    // Only the doubles and the stamp are taken, so the set stays one matrix
+    // whatever the delta row's header said; the checksum below then proves
+    // it equals the publisher's.
     next->row_versions[i] = row.row_version;
   }
   // The view frame's embedded version is its content stamp; unchanged rows
@@ -388,73 +373,29 @@ FollowerPortalService::FollowerPortalService(const ReplicatedSnapshotStore* stor
       Encode(UnavailableResp{/*retry_after_ms=*/100}));
 }
 
-namespace {
-
-/// Aliases a frame inside `frames` as a SharedResponse (no copy; the
-/// aliased shared_ptr keeps the whole frame set alive).
-SharedResponse AliasFrame(const std::shared_ptr<const SnapshotFrameSet>& frames,
-                          const std::vector<std::uint8_t>& bytes) {
-  return SharedResponse(frames, &bytes);
-}
-
-std::optional<MsgType> PeekMsgType(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 2 || bytes[0] != kProtocolVersion) return std::nullopt;
-  return static_cast<MsgType>(bytes[1]);
-}
-
-}  // namespace
-
 SharedResponse FollowerPortalService::HandleShared(
     std::span<const std::uint8_t> request) const {
   const auto frames = store_->current();
   if (!frames) return not_synced_;
-  const auto type = PeekMsgType(request);
   const auto decoded = Decode(request);
-  if (!type || !decoded) {
+  if (!decoded) {
     return std::make_shared<const std::vector<std::uint8_t>>(
         Encode(ErrorMsg{"malformed request"}));
   }
-  switch (*type) {
-    case MsgType::kGetExternalViewReq: {
-      const auto& req = std::get<GetExternalViewReq>(*decoded);
-      // Content-version tokens earn NotModified exactly as on the
-      // publisher (service.cc) — byte-identical serving includes the
-      // conditional protocol.
-      if (req.if_version != 0 && (req.if_version == frames->version ||
-                                  req.if_version == frames->view_version)) {
-        return AliasFrame(frames, frames->not_modified);
-      }
-      return AliasFrame(frames, frames->external_view);
-    }
-    case MsgType::kGetPDistancesReq: {
-      const auto& req = std::get<GetPDistancesReq>(*decoded);
-      if (req.from < 0 ||
-          static_cast<std::size_t>(req.from) >= frames->rows.size()) {
-        return std::make_shared<const std::vector<std::uint8_t>>(
-            Encode(ErrorMsg{"unknown PID"}));
-      }
-      const auto idx = static_cast<std::size_t>(req.from);
-      if (req.if_version != 0 &&
-          (req.if_version == frames->version ||
-           (idx < frames->row_versions.size() &&
-            req.if_version == frames->row_versions[idx]))) {
-        return AliasFrame(frames, frames->not_modified);
-      }
-      return AliasFrame(frames, frames->rows[idx]);
-    }
-    case MsgType::kGetPolicyReq: {
-      if (frames->policy.empty()) {
-        return std::make_shared<const std::vector<std::uint8_t>>(
-            Encode(ErrorMsg{"policy interface not offered"}));
-      }
-      return AliasFrame(frames, frames->policy);
-    }
-    default:
-      // Followers replicate the p4p-distance/policy frames only; the
-      // capability and pid-map interfaces stay on the publisher.
+  // Content-version tokens earn NotModified exactly as on the publisher —
+  // byte-identical serving includes the conditional protocol.
+  if (auto served = ServeDistances(frames, *decoded)) return served;
+  if (std::holds_alternative<GetPolicyReq>(*decoded)) {
+    if (frames->policy.empty()) {
       return std::make_shared<const std::vector<std::uint8_t>>(
-          Encode(ErrorMsg{"interface not offered by follower replica"}));
+          Encode(ErrorMsg{"policy interface not offered"}));
+    }
+    return SharedResponse(frames, &frames->policy);
   }
+  // Followers replicate the p-distance/policy frames only; the capability
+  // and pid-map interfaces stay on the publisher.
+  return std::make_shared<const std::vector<std::uint8_t>>(
+      Encode(ErrorMsg{"interface not offered by follower replica"}));
 }
 
 std::vector<std::uint8_t> FollowerPortalService::Handle(
@@ -867,8 +808,7 @@ SnapshotPublisher::DeltaFrameLocked(std::uint64_t base) {
   // follower's held set at `base` is a faithful copy of what was published
   // at `base` (monotone installs guarantee it), so no history is needed.
   const auto& stamps = frames_->row_versions;
-  const std::size_t n = frames_->rows.size();
-  if (stamps.size() != n) return nullptr;
+  const std::size_t n = stamps.size();
   const auto changed = static_cast<std::size_t>(std::count_if(
       stamps.begin(), stamps.end(), [base](std::uint64_t v) { return v > base; }));
   if (changed == n && n > 0) return nullptr;  // full set is no bigger
@@ -884,8 +824,9 @@ SnapshotPublisher::DeltaFrameLocked(std::uint64_t base) {
   delta.rows.reserve(changed);
   for (std::size_t i = 0; i < n; ++i) {
     if (stamps[i] <= base) continue;
+    const auto pid = static_cast<std::int32_t>(i);
     delta.rows.push_back(
-        DeltaRow{static_cast<std::int32_t>(i), stamps[i], frames_->rows[i]});
+        DeltaRow{pid, stamps[i], RowFrameFromView(frames_->external_view, pid, stamps[i])});
   }
   auto encoded = std::make_shared<const std::vector<std::uint8_t>>(
       EncodeDeltaPush(delta, options_.key));

@@ -6,16 +6,19 @@
 // super-gradient update; the rest are followers that serve the publisher's
 // snapshot from replicated bytes. What replicates is not the matrix but the
 // already-encoded response frames (SnapshotFrameSet): a follower installs
-// the publisher's NotModifiedResp / GetExternalViewResp / per-PID row /
-// GetPolicyResp buffers verbatim and serves them through the same
-// atomic<shared_ptr> publication path the publisher uses. Consequences:
+// the publisher's NotModifiedResp / GetExternalViewResp / GetPolicyResp
+// buffers and per-row content stamps verbatim, serves them through the same
+// atomic<shared_ptr> publication path the publisher uses, and cuts a per-PID
+// row out of the view when a client asks for it, exactly as the publisher
+// does (ServeDistances, service.h). Consequences:
 //
 //   * Version tokens are portal-wide, not per-replica: a client that
 //     fetched from replica A gets NotModified from replica B after
 //     failover, so the conditional/UDP fast path survives failover.
 //   * Aggregate NotModified throughput scales with replica count — a
 //     follower's serving cost is identical to the publisher's (one atomic
-//     load + a pre-encoded frame), with zero re-encode anywhere.
+//     load + a pre-encoded frame, or one row cut from the view), with zero
+//     re-encode anywhere.
 //   * Consistency is monotone-prefix: a follower either serves the frames
 //     of some version the publisher published, or sheds with
 //     UnavailableResp before its first install. It never mixes versions
@@ -41,13 +44,15 @@
 //   u64 term | u64 version | u64 view_version | i32 num_pids |
 //   blob not_modified | blob external_view | u32 num_rows (== num_pids) |
 //   num_rows x u64 row content stamp | u8 has_policy | [blob policy]
-// Row frame i is not shipped: it is the view's row-i slice behind a
-// GetPDistancesResp header carrying (i, row stamp i), so the follower cuts
-// it out of the view (RowFrameFromView, messages.h) byte-equal to the
-// publisher's own. EncodeFramePush throws std::invalid_argument on a set
-// whose rows are anything else; DecodeFramePush refuses a view frame that
-// is not a well-formed num_pids x num_pids GetExternalViewResp, and a row
-// count the payload cannot hold, before sizing anything by it.
+// Row frame i is not shipped, and not held by any replica: it is the
+// view's row-i slice behind a GetPDistancesResp header carrying
+// (i, row stamp i), cut when a client asks for it (RowFrameFromView,
+// messages.h), so every replica's row is byte-equal to the publisher's by
+// construction. EncodeFramePush throws std::invalid_argument unless the
+// view is a num_pids-PID view frame with one stamp per row; DecodeFramePush
+// refuses a view frame that is not a well-formed num_pids x num_pids
+// GetExternalViewResp, and a row count the payload cannot hold, before
+// sizing anything by it.
 // Push and pull ride the existing length-prefixed request/response
 // transports (TcpServer/TcpClient or any Transport); the beacon is a
 // fire-and-forget datagram — loss only delays gap detection until the next
@@ -186,10 +191,13 @@ struct DeltaPush {
 };
 
 /// Order-sensitive digest of an entire frame set (versions, stamps, and
-/// every frame's bytes): streaming SipHash-2-4 under kPublicSealKey. The
+/// every frame's bytes, each row frame included as a replica would serve
+/// it): streaming SipHash-2-4 under kPublicSealKey. Row frames are hashed
+/// from their header and view slice (SliceViewRow), never built. The
 /// publisher stamps it into each delta; the follower recomputes it over the
 /// spliced result before install. It checks the splice, not the sender —
-/// the delta's own seal does that.
+/// the delta's own seal does that. Throws as SliceViewRow does when the
+/// view does not hold one row per stamp.
 std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames);
 
 // --- frame codec ------------------------------------------------------------
@@ -197,9 +205,9 @@ std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames);
 // different key, truncation, trailing garbage, row-count mismatch, a
 // malformed view frame, a term above kMaxTerm) decode to std::nullopt.
 
-/// Throws std::invalid_argument unless row_versions has one stamp per row
-/// and every row is the view's slice under its stamp (as ExportFrames
-/// produces): the push carries only the view and the stamps.
+/// Throws std::invalid_argument unless external_view is a num_pids-PID view
+/// frame and row_versions has num_pids stamps (as ExportFrames produces):
+/// the push carries only the view and the stamps.
 std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
                                           const SealKey& key = kPublicSealKey);
 std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> bytes,
@@ -289,7 +297,7 @@ class ReplicatedSnapshotStore {
 
 /// The follower's serving half: answers the portal protocol from a
 /// ReplicatedSnapshotStore exactly as ITrackerService answers it from its
-/// response cache — the same bytes, via the same zero-copy aliasing.
+/// response cache — the same bytes, through the same ServeDistances.
 /// Before the first install every request gets a retryable UnavailableResp
 /// (and validation datagrams get silence), so failover clients move on to
 /// a synced replica instead of caching an error.

@@ -1,5 +1,8 @@
 #include "proto/messages.h"
 
+#include <algorithm>
+#include <stdexcept>
+
 namespace p4p::proto {
 
 namespace {
@@ -272,22 +275,38 @@ std::optional<std::int32_t> ViewFramePids(std::span<const std::uint8_t> view) {
   return n;
 }
 
+ViewRow SliceViewRow(std::span<const std::uint8_t> view, std::int32_t from,
+                     std::uint64_t version) {
+  const auto pids = ViewFramePids(view);
+  if (!pids) throw std::invalid_argument("SliceViewRow: not a view frame");
+  if (from < 0 || from >= *pids) throw std::out_of_range("SliceViewRow: PID out of range");
+  const auto n = static_cast<std::size_t>(*pids);
+  ViewRow row;
+  auto* p = row.header.data();
+  *p++ = kProtocolVersion;
+  *p++ = static_cast<std::uint8_t>(MsgType::kGetPDistancesResp);
+  const auto put = [&p](std::uint64_t v, int bytes) {
+    for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8) {
+      *p++ = static_cast<std::uint8_t>(v >> shift);
+    }
+  };
+  put(static_cast<std::uint32_t>(from), 4);
+  put(version, 8);
+  put(n, 4);
+  const std::size_t row_bytes = n * sizeof(double);
+  row.doubles = view.subspan(
+      kDistanceFrameDoublesOffset + static_cast<std::size_t>(from) * row_bytes, row_bytes);
+  return row;
+}
+
 std::vector<std::uint8_t> RowFrameFromView(std::span<const std::uint8_t> view,
                                            std::int32_t from, std::uint64_t version) {
-  Reader r(view.subspan(2));
-  const auto n = static_cast<std::size_t>(r.i32());
-  const std::size_t row_bytes = n * sizeof(double);
-  Writer w;
-  w.reserve(kDistanceFrameDoublesOffset + row_bytes);
-  w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(MsgType::kGetPDistancesResp));
-  w.i32(from);
-  w.u64(version);
-  w.u32(static_cast<std::uint32_t>(n));
-  const std::size_t offset =
-      kDistanceFrameDoublesOffset + static_cast<std::size_t>(from) * row_bytes;
-  w.raw(view.subspan(offset, row_bytes));
-  return w.take();
+  const auto row = SliceViewRow(view, from, version);
+  std::vector<std::uint8_t> frame(row.header.size() + row.doubles.size());
+  std::copy(row.header.begin(), row.header.end(), frame.begin());
+  std::copy(row.doubles.begin(), row.doubles.end(),
+            frame.begin() + static_cast<std::ptrdiff_t>(row.header.size()));
+  return frame;
 }
 
 namespace {

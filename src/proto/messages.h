@@ -6,6 +6,7 @@
 // to std::nullopt, never UB or exceptions.
 #pragma once
 
+#include <array>
 #include <optional>
 #include <variant>
 
@@ -123,9 +124,9 @@ MsgType TypeOf(const Message& message);
 //   [0..1] header | [2..5] i32 (num_pids / from) | [6..13] u64 version |
 //   [14..17] u32 count | [18..] doubles as big-endian u64
 // so row i of an n-PID view frame occupies bytes [18 + i*n*8, 18 + (i+1)*n*8),
-// and the row frame for PID i is those bytes behind a row header. The
-// service cuts its row frames out of its view frame, the federation push
-// ships only the view and rebuilds the rows from it, and the delta splice
+// and the row frame for PID i is those bytes behind a row header. Replicas
+// hold only the view frame and cut a row frame out of it when a client asks
+// for one; the federation push ships only the view, and the delta splice
 // writes changed rows into a held view.
 
 inline constexpr std::size_t kDistanceFrameVersionOffset = 6;
@@ -141,9 +142,22 @@ void PatchVersionField(std::vector<std::uint8_t>& frame, std::uint64_t version);
 /// doubles. Reads the header only; never allocates.
 std::optional<std::int32_t> ViewFramePids(std::span<const std::uint8_t> view);
 
+/// Row `from` of a view frame as the two parts of its GetPDistancesResp
+/// frame: the row header carrying (from, version, n) and the view bytes
+/// holding the row's doubles.
+struct ViewRow {
+  std::array<std::uint8_t, kDistanceFrameDoublesOffset> header;
+  std::span<const std::uint8_t> doubles;  ///< aliases the view
+};
+
+/// Throws std::invalid_argument unless ViewFramePids accepts `view`, and
+/// std::out_of_range for a `from` outside [0, n).
+ViewRow SliceViewRow(std::span<const std::uint8_t> view, std::int32_t from,
+                     std::uint64_t version);
+
 /// The GetPDistancesResp frame {from, version, row `from` of the view},
-/// byte-equal to Encode() of that message. `view` must be a frame that
-/// ViewFramePids accepts, and `from` one of its PIDs.
+/// byte-equal to Encode() of that message: SliceViewRow's two parts joined.
+/// Throws as SliceViewRow does.
 std::vector<std::uint8_t> RowFrameFromView(std::span<const std::uint8_t> view,
                                            std::int32_t from, std::uint64_t version);
 

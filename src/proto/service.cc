@@ -7,13 +7,6 @@ namespace p4p::proto {
 
 namespace {
 
-/// Decodes the 2-byte message header without touching the payload.
-/// Returns the type, or std::nullopt when the header is malformed.
-std::optional<MsgType> PeekType(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() < 2 || bytes[0] != kProtocolVersion) return std::nullopt;
-  return static_cast<MsgType>(bytes[1]);
-}
-
 /// Aliases a buffer owned by `owner` as a SharedResponse (no copy).
 template <typename Owner>
 SharedResponse Alias(const std::shared_ptr<Owner>& owner,
@@ -21,7 +14,38 @@ SharedResponse Alias(const std::shared_ptr<Owner>& owner,
   return SharedResponse(owner, &bytes);
 }
 
+SharedResponse Owned(std::vector<std::uint8_t> bytes) {
+  return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+}
+
 }  // namespace
+
+SharedResponse ServeDistances(const std::shared_ptr<const SnapshotFrameSet>& frames,
+                              const Message& request) {
+  if (const auto* req = std::get_if<GetExternalViewReq>(&request)) {
+    // A token matching either the current version or the view's content
+    // version earns NotModified: in the latter case the client's cached
+    // bytes are still bit-identical to external_view (only the counter
+    // moved), so re-sending the matrix would be pure waste.
+    if (req->if_version != 0 && (req->if_version == frames->version ||
+                                 req->if_version == frames->view_version)) {
+      return Alias(frames, frames->not_modified);
+    }
+    return Alias(frames, frames->external_view);
+  }
+  if (const auto* req = std::get_if<GetPDistancesReq>(&request)) {
+    if (req->from < 0 || static_cast<std::size_t>(req->from) >= frames->row_versions.size()) {
+      return Owned(Encode(ErrorMsg{"unknown PID"}));
+    }
+    const std::uint64_t stamp = frames->row_versions[static_cast<std::size_t>(req->from)];
+    if (req->if_version != 0 &&
+        (req->if_version == frames->version || req->if_version == stamp)) {
+      return Alias(frames, frames->not_modified);
+    }
+    return Owned(RowFrameFromView(frames->external_view, req->from, stamp));
+  }
+  return nullptr;
+}
 
 ITrackerService::ITrackerService(const core::ITracker* tracker,
                                  const core::PolicyRegistry* policy,
@@ -39,20 +63,22 @@ ITrackerService::encoded_state() const {
   // Fast path: the published buffers match the tracker's current snapshot.
   const auto snap = tracker_->snapshot();
   auto state = state_.load(std::memory_order_acquire);
-  if (state && state->version == snap->version) return state;
+  if (state && state->frames.version == snap->version) return state;
 
   // Encode once for this version; concurrent readers keep serving the old
   // buffers until the swap, and at most one thread pays the encode.
   std::lock_guard<std::mutex> lock(rebuild_mu_);
   state = state_.load(std::memory_order_acquire);
-  if (state && state->version == snap->version) return state;
+  if (state && state->frames.version == snap->version) return state;
 
   auto next = std::make_shared<EncodedState>();
-  next->version = snap->version;
   next->snap = snap;
-  next->not_modified = Encode(NotModifiedResp{snap->version});
-
+  SnapshotFrameSet& frames = next->frames;
   const int n = snap->view.size();
+  frames.version = snap->version;
+  frames.num_pids = n;
+  frames.not_modified = Encode(NotModifiedResp{snap->version});
+
   // Content stamping: diff each row's raw doubles against the previous
   // state's snapshot (byte compare — tolerant of NaN, and exact, since the
   // encoder is a bit-faithful function of these bytes). Unchanged rows keep
@@ -61,16 +87,16 @@ ITrackerService::encoded_state() const {
   // token still earn NotModified across no-op version bumps.
   const auto prev = state;
   const bool diffable = prev && prev->snap && prev->snap->view.size() == n &&
-                        prev->row_versions.size() == static_cast<std::size_t>(n);
-  next->row_versions.assign(static_cast<std::size_t>(n), snap->version);
+                        prev->frames.row_versions.size() == static_cast<std::size_t>(n);
+  frames.row_versions.assign(static_cast<std::size_t>(n), snap->version);
   bool any_row_changed = !diffable;
   for (core::Pid i = 0; diffable && i < n; ++i) {
     const auto values = snap->view.row(i);
     const auto prev_values = prev->snap->view.row(i);
     if (std::memcmp(values.data(), prev_values.data(),
                     static_cast<std::size_t>(n) * sizeof(double)) == 0) {
-      next->row_versions[static_cast<std::size_t>(i)] =
-          prev->row_versions[static_cast<std::size_t>(i)];
+      frames.row_versions[static_cast<std::size_t>(i)] =
+          prev->frames.row_versions[static_cast<std::size_t>(i)];
     } else {
       any_row_changed = true;
     }
@@ -79,22 +105,15 @@ ITrackerService::encoded_state() const {
   if (!any_row_changed && n > 0) {
     // Version bumped but no price byte moved: the whole matrix is stable,
     // so the view frame (and its content stamp) carries over verbatim.
-    next->view_version = prev->view_version;
-    next->external_view = prev->external_view;
+    frames.view_version = prev->frames.view_version;
+    frames.external_view = prev->frames.external_view;
   } else {
-    next->view_version = snap->version;
+    frames.view_version = snap->version;
     GetExternalViewResp view;
     view.num_pids = n;
     view.version = snap->version;
     view.distances.assign(snap->view.values().begin(), snap->view.values().end());
-    next->external_view = Encode(view);
-  }
-  // Each row frame is its slice of the view frame behind the row's header:
-  // an unchanged row comes out byte-equal to the previous state's frame.
-  next->rows.reserve(static_cast<std::size_t>(n));
-  for (core::Pid i = 0; i < n; ++i) {
-    next->rows.push_back(RowFrameFromView(
-        next->external_view, i, next->row_versions[static_cast<std::size_t>(i)]));
+    frames.external_view = Encode(view);
   }
 
   state_.store(next, std::memory_order_release);
@@ -131,15 +150,7 @@ void ITrackerService::ResetEncodedState() const {
 }
 
 SnapshotFrameSet ITrackerService::ExportFrames() const {
-  SnapshotFrameSet out;
-  const auto state = encoded_state();
-  out.version = state->version;
-  out.view_version = state->view_version;
-  out.num_pids = tracker_->num_pids();
-  out.not_modified = state->not_modified;
-  out.external_view = state->external_view;
-  out.rows = state->rows;
-  out.row_versions = state->row_versions;
+  SnapshotFrameSet out = encoded_state()->frames;
   if (policy_ != nullptr) out.policy = encoded_policy()->bytes;
   return out;
 }
@@ -151,8 +162,8 @@ SharedResponse ITrackerService::ValidationFrame(std::uint64_t* version_out) cons
   const std::uint64_t version = tracker_->version();
   *version_out = version;
   if (const auto state = state_.load(std::memory_order_acquire);
-      state && state->version == version) {
-    return Alias(state, state->not_modified);
+      state && state->frames.version == version) {
+    return Alias(state, state->frames.not_modified);
   }
   if (const auto cached = validation_cache_.load(std::memory_order_acquire);
       cached && cached->version == version) {
@@ -179,54 +190,19 @@ std::optional<std::vector<std::uint8_t>> ITrackerService::HandleValidationDatagr
   return EncodeValidationResponse(request->nonce, status, *frame);
 }
 
-SharedResponse ITrackerService::TryServeCached(
-    std::span<const std::uint8_t> request) const {
+SharedResponse ITrackerService::TryServeCached(const Message& request) const {
   if (!options_.enable_response_cache) return nullptr;
-  const auto type = PeekType(request);
-  if (!type) return nullptr;
-  switch (*type) {
-    case MsgType::kGetExternalViewReq: {
-      const auto decoded = Decode(request);
-      if (!decoded) return nullptr;
-      const auto& req = std::get<GetExternalViewReq>(*decoded);
-      const auto state = encoded_state();
-      // A token matching either the current version or the view's content
-      // version earns NotModified: in the latter case the client's cached
-      // bytes are still bit-identical to external_view (only the counter
-      // moved), so re-sending the matrix would be pure waste.
-      if (req.if_version != 0 && (req.if_version == state->version ||
-                                  req.if_version == state->view_version)) {
-        return Alias(state, state->not_modified);
-      }
-      return Alias(state, state->external_view);
-    }
-    case MsgType::kGetPDistancesReq: {
-      const auto decoded = Decode(request);
-      if (!decoded) return nullptr;
-      const auto& req = std::get<GetPDistancesReq>(*decoded);
-      if (req.from < 0 || req.from >= tracker_->num_pids()) {
-        return nullptr;  // slow path answers with ErrorMsg
-      }
-      const auto state = encoded_state();
-      const auto idx = static_cast<std::size_t>(req.from);
-      if (req.if_version != 0 &&
-          (req.if_version == state->version ||
-           (idx < state->row_versions.size() &&
-            req.if_version == state->row_versions[idx]))) {
-        return Alias(state, state->not_modified);
-      }
-      return Alias(state, state->rows[idx]);
-    }
-    case MsgType::kGetPolicyReq: {
-      if (policy_ == nullptr) return nullptr;
-      const auto decoded = Decode(request);
-      if (!decoded) return nullptr;
-      const auto policy = encoded_policy();
-      return Alias(policy, policy->bytes);
-    }
-    default:
-      return nullptr;
+  if (std::holds_alternative<GetExternalViewReq>(request) ||
+      std::holds_alternative<GetPDistancesReq>(request)) {
+    const auto state = encoded_state();
+    return ServeDistances(std::shared_ptr<const SnapshotFrameSet>(state, &state->frames),
+                          request);
   }
+  if (std::holds_alternative<GetPolicyReq>(request) && policy_ != nullptr) {
+    const auto policy = encoded_policy();
+    return Alias(policy, policy->bytes);
+  }
+  return nullptr;
 }
 
 Message ITrackerService::Dispatch(const Message& request) const {
@@ -282,25 +258,17 @@ Message ITrackerService::Dispatch(const Message& request) const {
   return ErrorMsg{"unexpected message type"};
 }
 
-std::vector<std::uint8_t> ITrackerService::Handle(
-    std::span<const std::uint8_t> request) const {
-  if (const auto cached = TryServeCached(request)) return *cached;
-  const auto decoded = Decode(request);
-  if (!decoded) {
-    return Encode(ErrorMsg{"malformed request"});
-  }
-  return Encode(Dispatch(*decoded));
-}
-
 SharedResponse ITrackerService::HandleShared(
     std::span<const std::uint8_t> request) const {
-  if (auto cached = TryServeCached(request)) return cached;
   const auto decoded = Decode(request);
-  if (!decoded) {
-    return std::make_shared<const std::vector<std::uint8_t>>(
-        Encode(ErrorMsg{"malformed request"}));
-  }
-  return std::make_shared<const std::vector<std::uint8_t>>(Encode(Dispatch(*decoded)));
+  if (!decoded) return Owned(Encode(ErrorMsg{"malformed request"}));
+  if (auto cached = TryServeCached(*decoded)) return cached;
+  return Owned(Encode(Dispatch(*decoded)));
+}
+
+std::vector<std::uint8_t> ITrackerService::Handle(
+    std::span<const std::uint8_t> request) const {
+  return *HandleShared(request);
 }
 
 PortalClient::PortalClient(std::unique_ptr<Transport> transport)

@@ -4,15 +4,16 @@
 // in trackerless systems) query iTracker portals for policy and
 // p-distances.
 //
-// Serving path: the p-distance responses (full external view and every
-// per-PID row) are encoded once per price version into shared byte buffers
-// keyed on the tracker's PriceSnapshot version. The steady-state request
-// path is: decode the (tiny) request -> one atomic snapshot load -> cache
-// version check -> write the pre-encoded bytes. Clients presenting a
-// current version token get a ~16-byte NotModifiedResp instead of the
-// matrix. This is the paper's Section 4 mandate ("information should be
-// aggregated and allow caching to avoid handling per client query to
-// networks") applied to the server side.
+// Serving path: the p-distance view response is encoded once per price
+// version into a shared byte buffer keyed on the tracker's PriceSnapshot
+// version. The steady-state request path is: decode the (tiny) request ->
+// one atomic snapshot load -> cache version check -> write the pre-encoded
+// bytes. A per-PID row is cut out of that view frame when a client asks
+// for it (RowFrameFromView), so a version nobody reads a row of costs no
+// row frames. Clients presenting a current version token get a ~16-byte
+// NotModifiedResp instead of the matrix. This is the paper's Section 4
+// mandate ("information should be aggregated and allow caching to avoid
+// handling per client query to networks") applied to the server side.
 #pragma once
 
 #include <memory>
@@ -33,11 +34,14 @@ struct ServiceOptions {
 };
 
 /// Everything a portal replica needs to serve one price version: the
-/// version token plus every pre-encoded response frame, exactly as the
-/// owning service would write them. The federation publisher ships these
-/// bytes to follower replicas, which install them verbatim — a follower
-/// never decodes the matrix or re-encodes a response, so its answers are
-/// byte-identical to the publisher's.
+/// version token, the pre-encoded NotModified, view and policy frames, and
+/// one content stamp per row. The federation publisher ships these bytes to
+/// follower replicas, which install them verbatim — a follower never
+/// decodes the matrix or re-encodes a response, so its answers are
+/// byte-identical to the publisher's. Row frames are not held: every
+/// replica cuts row i out of the view under row_versions[i] when a client
+/// asks for it (RowFrameFromView, messages.h), so a row answer is a
+/// function of the view and the stamp alone.
 ///
 /// Every frame carries a *content version*: the price version at which its
 /// bytes last changed. A super-gradient tick that moves only a few link
@@ -62,16 +66,22 @@ struct SnapshotFrameSet {
   std::int32_t num_pids = 0;
   std::vector<std::uint8_t> not_modified;       // NotModifiedResp{version}
   std::vector<std::uint8_t> external_view;      // GetExternalViewResp
-  /// GetPDistancesResp per PID: row i is external_view's row-i slice behind
-  /// a header carrying (i, row_versions[i]) — RowFrameFromView, messages.h.
-  std::vector<std::vector<std::uint8_t>> rows;
-  /// Per-row content version: the price version at which rows[i] last
-  /// changed. Always rows.size() entries.
+  /// Per-row content version: the price version at which row i last
+  /// changed. num_pids entries.
   std::vector<std::uint64_t> row_versions;
   /// GetPolicyResp frame; empty when the publisher offers no policy
   /// interface (followers then answer policy queries with an ErrorMsg).
   std::vector<std::uint8_t> policy;
 };
+
+/// Answers a GetExternalViewReq or GetPDistancesReq from `frames`, the one
+/// conditional-serving rule of every portal replica: a token equal to the
+/// set's version or to the asked frame's content version earns the
+/// NotModified frame; otherwise the view frame is aliased (no copy) and a
+/// row frame is cut from it. A PID outside [0, num_pids) gets
+/// ErrorMsg{"unknown PID"}. Null for any other request.
+SharedResponse ServeDistances(const std::shared_ptr<const SnapshotFrameSet>& frames,
+                              const Message& request);
 
 /// Server-side dispatcher. The referenced components must outlive the
 /// service. Any of policy/capabilities/pid_map may be null, in which case
@@ -143,22 +153,14 @@ class ITrackerService {
   void ResetEncodedState() const;
 
  private:
-  /// All p4p-distance responses for one price version, encoded once. Each
+  /// The p-distance frames of one price version, encoded once. Each
   /// rebuild diffs the new PriceSnapshot against the previous state's
   /// snapshot row by row (raw-byte compare, so NaN-safe): unchanged rows
   /// keep their previous content stamp, changed rows are stamped with the
-  /// current version. Row frames are cut from the view frame
-  /// (RowFrameFromView), so an unchanged row keeps its bytes too.
+  /// current version. `frames.term` stays 0 and `frames.policy` empty (the
+  /// policy frame has its own cache).
   struct EncodedState {
-    std::uint64_t version = 0;
-    /// Content version of external_view: the price version at which any
-    /// row last changed (== version on the first build).
-    std::uint64_t view_version = 0;
-    std::vector<std::uint8_t> not_modified;        // NotModifiedResp{version}
-    std::vector<std::uint8_t> external_view;       // GetExternalViewResp
-    std::vector<std::vector<std::uint8_t>> rows;   // GetPDistancesResp per PID
-    /// Per-row content versions, rows.size() entries.
-    std::vector<std::uint64_t> row_versions;
+    SnapshotFrameSet frames;
     /// The snapshot these frames encode — kept so the next rebuild can
     /// diff against it without decoding its own output.
     std::shared_ptr<const core::PriceSnapshot> snap;
@@ -176,9 +178,10 @@ class ITrackerService {
   };
 
   Message Dispatch(const Message& request) const;
-  /// Serves a request from the pre-encoded caches when possible; null means
-  /// "fall through to Dispatch". Rebuilds the cache on version mismatch.
-  SharedResponse TryServeCached(std::span<const std::uint8_t> request) const;
+  /// Serves a decoded request from the pre-encoded caches when possible;
+  /// null means "fall through to Dispatch". Rebuilds the cache on version
+  /// mismatch.
+  SharedResponse TryServeCached(const Message& request) const;
   std::shared_ptr<const EncodedState> encoded_state() const;
   std::shared_ptr<const EncodedPolicy> encoded_policy() const;
   /// The current-version NotModifiedResp frame, and that version, for the

@@ -7,6 +7,7 @@
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -24,19 +25,6 @@ namespace {
 
 [[noreturn]] void ThrowErrno(const char* what) {
   throw std::runtime_error(std::string(what) + ": " + std::strerror(errno));
-}
-
-bool WriteAll(int fd, const std::uint8_t* data, std::size_t len) {
-  while (len > 0) {
-    const ssize_t n = ::send(fd, data, len, MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    data += n;
-    len -= static_cast<std::size_t>(n);
-  }
-  return true;
 }
 
 bool ReadAll(int fd, std::uint8_t* data, std::size_t len) {
@@ -71,11 +59,42 @@ void SetNoDelay(int fd) {
 
 }  // namespace
 
+OutboundFrame::OutboundFrame(std::span<const std::uint8_t> payload)
+    : header_(FrameHeader(static_cast<std::uint32_t>(payload.size()))),
+      payload_(payload) {}
+
+std::array<std::span<const std::uint8_t>, 2> OutboundFrame::unsent() const {
+  const std::size_t in_header = std::min(sent_, header_.size());
+  return {std::span<const std::uint8_t>(header_).subspan(in_header),
+          payload_.subspan(sent_ - in_header)};
+}
+
+WriteStatus WriteFrameSome(int fd, OutboundFrame& frame) {
+  while (!frame.done()) {
+    std::array<iovec, 2> iov{};
+    msghdr msg{};
+    msg.msg_iov = iov.data();
+    for (const auto part : frame.unsent()) {
+      if (part.empty()) continue;
+      iov[msg.msg_iovlen].iov_base = const_cast<std::uint8_t*>(part.data());
+      iov[msg.msg_iovlen].iov_len = part.size();
+      ++msg.msg_iovlen;
+    }
+    const ssize_t n = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) return WriteStatus::kBlocked;
+      return WriteStatus::kFailed;
+    }
+    frame.Advance(static_cast<std::size_t>(n));
+  }
+  return WriteStatus::kDone;
+}
+
 bool WriteFrameBlocking(int fd, std::span<const std::uint8_t> payload) {
   if (payload.size() > kMaxFrameBytes) return false;
-  const auto header = FrameHeader(static_cast<std::uint32_t>(payload.size()));
-  return WriteAll(fd, header.data(), header.size()) &&
-         WriteAll(fd, payload.data(), payload.size());
+  OutboundFrame frame(payload);
+  return WriteFrameSome(fd, frame) == WriteStatus::kDone;
 }
 
 bool ReadFrameBlocking(int fd, std::vector<std::uint8_t>& out) {
@@ -109,13 +128,11 @@ struct TcpServer::Connection {
   /// Inbound bytes; frames are parsed from `consumed` onward.
   std::vector<std::uint8_t> in;
   std::size_t consumed = 0;
-  /// Outbound frame queue. Each entry is a 4-byte header plus a shared
-  /// payload buffer written in place (zero-copy for cached responses).
+  /// Outbound frame queue. Each entry writes a shared payload buffer in
+  /// place behind its header (zero-copy for cached responses).
   struct OutFrame {
-    std::array<std::uint8_t, 4> header;
-    std::size_t header_off = 0;
     SharedResponse payload;
-    std::size_t payload_off = 0;
+    OutboundFrame frame;
   };
   std::deque<OutFrame> out;
   bool want_write = false;  // EPOLLOUT currently registered
@@ -268,10 +285,8 @@ bool TcpServer::DrainFrames(Connection& conn) {
       }
     }
     if (!response || response->size() > kMaxFrameBytes) return false;
-    Connection::OutFrame frame;
-    frame.header = FrameHeader(static_cast<std::uint32_t>(response->size()));
-    frame.payload = std::move(response);
-    conn.out.push_back(std::move(frame));
+    const OutboundFrame frame(*response);
+    conn.out.push_back(Connection::OutFrame{std::move(response), frame});
     conn.consumed += 4 + len;
   }
   // Compact: drop fully parsed bytes so the buffer doesn't grow without
@@ -289,28 +304,15 @@ bool TcpServer::DrainFrames(Connection& conn) {
 
 bool TcpServer::FlushWrites(Connection& conn) {
   while (!conn.out.empty()) {
-    auto& f = conn.out.front();
-    while (f.header_off < f.header.size()) {
-      const ssize_t n = ::send(conn.fd, f.header.data() + f.header_off,
-                               f.header.size() - f.header_off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
+    switch (WriteFrameSome(conn.fd, conn.out.front().frame)) {
+      case WriteStatus::kDone:
+        conn.out.pop_front();
+        break;
+      case WriteStatus::kBlocked:
+        return true;
+      case WriteStatus::kFailed:
         return false;
-      }
-      f.header_off += static_cast<std::size_t>(n);
     }
-    while (f.payload_off < f.payload->size()) {
-      const ssize_t n = ::send(conn.fd, f.payload->data() + f.payload_off,
-                               f.payload->size() - f.payload_off, MSG_NOSIGNAL);
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        if (errno == EAGAIN || errno == EWOULDBLOCK) return true;
-        return false;
-      }
-      f.payload_off += static_cast<std::size_t>(n);
-    }
-    conn.out.pop_front();
   }
   return true;
 }

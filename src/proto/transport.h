@@ -8,9 +8,12 @@
 // threads, not one thread per connection. Responses produced by a
 // SharedHandler are written straight from the shared buffer — the portal
 // serves its pre-encoded, version-keyed responses without copying them per
-// connection.
+// connection. Client and server write each frame's length header and
+// payload with one sendmsg (OutboundFrame), so a small frame is one TCP
+// segment and wakes its reader once.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -40,6 +43,37 @@ using SharedHandler = std::function<SharedResponse(std::span<const std::uint8_t>
 
 /// Largest accepted frame (16 MiB) — guards against hostile length prefixes.
 inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
+
+/// One outbound frame — the u32 big-endian length header and the payload —
+/// and how much of it has been written. Both parts leave in one sendmsg, so
+/// a frame up to the MSS is one TCP segment and one wake-up of the reader;
+/// a partial write resumes inside whichever part it stopped in. The
+/// payload's bytes must outlive the frame. Callers keep payloads within
+/// kMaxFrameBytes.
+class OutboundFrame {
+ public:
+  explicit OutboundFrame(std::span<const std::uint8_t> payload);
+
+  /// The bytes not yet written: the rest of the header, then the rest of
+  /// the payload (either may be empty).
+  std::array<std::span<const std::uint8_t>, 2> unsent() const;
+  /// Records `n` more bytes written (at most what unsent() holds).
+  void Advance(std::size_t n) { sent_ += n; }
+  bool done() const { return sent_ == header_.size() + payload_.size(); }
+
+ private:
+  std::array<std::uint8_t, 4> header_;
+  std::span<const std::uint8_t> payload_;
+  std::size_t sent_ = 0;
+};
+
+enum class WriteStatus { kDone, kBlocked, kFailed };
+
+/// Writes the unsent rest of `frame` to `fd`, one sendmsg per attempt,
+/// until it is done (kDone), the socket would block (kBlocked), or a write
+/// fails (kFailed). EINTR is retried. Shared by the blocking client and the
+/// nonblocking server.
+WriteStatus WriteFrameSome(int fd, OutboundFrame& frame);
 
 /// Frame helpers for blocking sockets (u32 big-endian length prefix). Used
 /// by TcpClient and by out-of-tree blocking servers (benchmark baselines).

@@ -439,8 +439,8 @@ TEST(PullBackoffTest, SuccessfulInstallResetsTheSchedule) {
 // --- codec: the term field rides every frame totally ------------------------
 
 std::vector<std::vector<std::uint8_t>> TermCarryingFrames() {
-  // A coherent set (each row is the view's slice under its own stamp): the
-  // push encoder refuses any other.
+  // A coherent set (a num_pids view and one stamp per row): the push
+  // encoder refuses any other.
   SnapshotFrameSet frames;
   frames.term = 3;
   frames.version = 9;
@@ -449,10 +449,6 @@ std::vector<std::vector<std::uint8_t>> TermCarryingFrames() {
   frames.not_modified = Encode(NotModifiedResp{9});
   frames.external_view = Encode(GetExternalViewResp{2, 9, {0.0, 1.5, 2.5, 0.0}});
   frames.row_versions = {7, 9};
-  for (int i = 0; i < 2; ++i) {
-    frames.rows.push_back(
-        RowFrameFromView(frames.external_view, i, frames.row_versions[i]));
-  }
 
   DeltaPush delta;
   delta.term = 3;
@@ -461,7 +457,7 @@ std::vector<std::vector<std::uint8_t>> TermCarryingFrames() {
   delta.view_version = 9;
   delta.num_pids = 2;
   delta.not_modified = frames.not_modified;
-  delta.rows.push_back(DeltaRow{1, 9, frames.rows[1]});
+  delta.rows.push_back(DeltaRow{1, 9, RowFrameFromView(frames.external_view, 1, 9)});
   delta.result_checksum = FrameSetChecksum(frames);
 
   return {

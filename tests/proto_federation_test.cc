@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <functional>
@@ -24,6 +25,7 @@
 #include "proto/resilient_client.h"
 #include "proto/wire.h"
 #include "support/fault_injection.h"
+#include "support/frame_rows.h"
 
 namespace p4p::proto {
 namespace {
@@ -32,10 +34,9 @@ namespace {
 
 class FederationCodecTest : public ::testing::Test {
  protected:
-  /// A coherent frame set: the external view's doubles and each row's
-  /// doubles agree (row i is view row i), every frame's embedded version
-  /// matches its content stamp — exactly what ITrackerService exports and
-  /// what the delta splice/checksum chain depends on.
+  /// A coherent frame set: an n-PID view whose embedded version is its
+  /// content stamp and one stamp per row — exactly what ITrackerService
+  /// exports and what the delta splice/checksum chain depends on.
   SnapshotFrameSet MakeFrames(std::uint64_t version, int num_pids,
                               double fill = 1.5) {
     const auto n = static_cast<std::size_t>(num_pids);
@@ -50,13 +51,6 @@ class FederationCodecTest : public ::testing::Test {
     view.version = version;
     view.distances.assign(n * n, fill);
     f.external_view = Encode(view);
-    for (int i = 0; i < num_pids; ++i) {
-      GetPDistancesResp row;
-      row.from = i;
-      row.version = version;
-      row.distances.assign(n, fill);
-      f.rows.push_back(Encode(row));
-    }
     return f;
   }
 
@@ -72,24 +66,9 @@ class FederationCodecTest : public ::testing::Test {
     next.not_modified = Encode(NotModifiedResp{version});
     if (changed_pids.empty()) return next;
     next.view_version = version;
-    // Rebuild the coherent view: decode the base's doubles row by row.
-    GetExternalViewResp view;
-    view.num_pids = base.num_pids;
+    auto view = std::get<GetExternalViewResp>(*Decode(base.external_view));
     view.version = version;
-    view.distances.reserve(n * n);
-    for (int i = 0; i < base.num_pids; ++i) {
-      const auto decoded = Decode(next.rows[static_cast<std::size_t>(i)]);
-      view.distances.insert(
-          view.distances.end(),
-          std::get<GetPDistancesResp>(*decoded).distances.begin(),
-          std::get<GetPDistancesResp>(*decoded).distances.end());
-    }
     for (const int pid : changed_pids) {
-      GetPDistancesResp row;
-      row.from = pid;
-      row.version = version;
-      row.distances.assign(n, value);
-      next.rows[static_cast<std::size_t>(pid)] = Encode(row);
       next.row_versions[static_cast<std::size_t>(pid)] = version;
       std::fill_n(view.distances.begin() + pid * base.num_pids, n, value);
     }
@@ -108,10 +87,11 @@ class FederationCodecTest : public ::testing::Test {
     delta.not_modified = target.not_modified;
     delta.policy = target.policy;
     delta.result_checksum = FrameSetChecksum(target);
-    for (std::size_t i = 0; i < target.rows.size(); ++i) {
+    const auto rows = testsupport::RowFrames(target);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       if (target.row_versions[i] > base.version) {
-        delta.rows.push_back(DeltaRow{static_cast<std::int32_t>(i),
-                                      target.row_versions[i], target.rows[i]});
+        delta.rows.push_back(
+            DeltaRow{static_cast<std::int32_t>(i), target.row_versions[i], rows[i]});
       }
     }
     return delta;
@@ -140,8 +120,11 @@ TEST_F(FederationCodecTest, PushRoundTrip) {
   EXPECT_EQ(decoded->row_versions, frames.row_versions);
   EXPECT_EQ(decoded->not_modified, frames.not_modified);
   EXPECT_EQ(decoded->external_view, frames.external_view);
-  EXPECT_EQ(decoded->rows, frames.rows);
   EXPECT_EQ(decoded->policy, frames.policy);
+  // Row 1 was re-priced at 7: the follower cuts it from the view under that
+  // stamp, byte-equal to Encode() of the row.
+  EXPECT_EQ(testsupport::RowFrames(*decoded)[1],
+            Encode(GetPDistancesResp{1, 7, {4.0, 4.0, 4.0, 4.0}}));
 }
 
 TEST_F(FederationCodecTest, PushRefusesInconsistentFrameSets) {
@@ -156,26 +139,8 @@ TEST_F(FederationCodecTest, PushRefusesInconsistentFrameSets) {
   extra_stamp.row_versions.push_back(5);
   EXPECT_THROW(EncodeFramePush(extra_stamp), std::invalid_argument);
 
-  // A row whose doubles are not the view's row.
-  auto other_doubles = good;
-  other_doubles.rows[2] = Encode(GetPDistancesResp{2, 3, {9.0, 9.0, 9.0}});
-  EXPECT_THROW(EncodeFramePush(other_doubles), std::invalid_argument);
-
-  // The view's slice, but under a stamp other than the row's.
-  auto other_stamp = good;
-  other_stamp.row_versions[0] = 4;
-  EXPECT_THROW(EncodeFramePush(other_stamp), std::invalid_argument);
-
-  // A row frame for another PID.
-  auto other_pid = good;
-  other_pid.rows[0] = RowFrameFromView(good.external_view, 1, good.row_versions[0]);
-  EXPECT_THROW(EncodeFramePush(other_pid), std::invalid_argument);
-
-  auto missing_row = good;
-  missing_row.rows.pop_back();
-  missing_row.row_versions.pop_back();
-  EXPECT_THROW(EncodeFramePush(missing_row), std::invalid_argument);
-
+  // A set holds no row frames, so no row can disagree with the view: only
+  // the view's shape and the stamp count are left to check.
   auto other_count = good;
   other_count.num_pids = 2;
   EXPECT_THROW(EncodeFramePush(other_count), std::invalid_argument);
@@ -343,8 +308,8 @@ TEST_F(FederationCodecTest, PushRejectsForgedViews) {
   const auto good_view = ViewLike(kVer, kView, 2, 4, 4);
   const auto good = DecodeFramePush(ForgedPush(2, good_view, 2, 2), kTestKey);
   ASSERT_TRUE(good.has_value());
-  ASSERT_EQ(good->rows.size(), 2u);
-  EXPECT_EQ(good->rows[1], Encode(GetPDistancesResp{1, 2, {1.0, 1.0}}));
+  ASSERT_EQ(good->row_versions.size(), 2u);
+  EXPECT_EQ(testsupport::RowFrames(*good)[1], Encode(GetPDistancesResp{1, 2, {1.0, 1.0}}));
 
   std::vector<std::pair<std::string, std::vector<std::uint8_t>>> forged = {
       // A row frame has the view's layout, but not its type.
@@ -396,10 +361,11 @@ TEST_F(FederationCodecTest, PushRejectsTheRowCarryingLayout) {
     w.i32(frames.num_pids);
     w.blob(frames.not_modified);
     w.blob(frames.external_view);
-    w.u32(static_cast<std::uint32_t>(frames.rows.size()));
-    for (std::size_t i = 0; i < frames.rows.size(); ++i) {
+    const auto rows = testsupport::RowFrames(frames);
+    w.u32(static_cast<std::uint32_t>(rows.size()));
+    for (std::size_t i = 0; i < rows.size(); ++i) {
       w.u64(frames.row_versions[i]);
-      w.blob(frames.rows[i]);
+      w.blob(rows[i]);
     }
     w.u8(0);  // no policy
   });
@@ -489,7 +455,7 @@ TEST_F(FederationCodecTest, DeltaRoundTrip) {
   ASSERT_EQ(decoded->rows.size(), 2u);
   EXPECT_EQ(decoded->rows[0].pid, 1);
   EXPECT_EQ(decoded->rows[0].row_version, 7u);
-  EXPECT_EQ(decoded->rows[0].bytes, target.rows[1]);
+  EXPECT_EQ(decoded->rows[0].bytes, RowFrameFromView(target.external_view, 1, 7));
   EXPECT_EQ(decoded->rows[1].pid, 3);
 
   // A no-op version bump travels as an empty delta (stamps carried over).
@@ -499,6 +465,60 @@ TEST_F(FederationCodecTest, DeltaRoundTrip) {
   ASSERT_TRUE(empty_decoded.has_value());
   EXPECT_TRUE(empty_decoded->rows.empty());
   EXPECT_EQ(empty_decoded->view_version, 5u);
+}
+
+/// FrameSetChecksum over materialized row frames, in the field order the
+/// streaming digest must reproduce: each row frame built in full, then
+/// hashed behind its stamp and its length.
+std::uint64_t MaterializedRowsChecksum(const SnapshotFrameSet& frames) {
+  SipHasher hasher(kPublicSealKey);
+  const auto u64 = [&hasher](std::uint64_t v) {
+    std::uint8_t word[8];
+    for (int i = 0; i < 8; ++i) word[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+    hasher.update(word);
+  };
+  const auto blob = [&](std::span<const std::uint8_t> bytes) {
+    u64(bytes.size());
+    hasher.update(bytes);
+  };
+  const auto rows = testsupport::RowFrames(frames);
+  u64(frames.term);
+  u64(frames.version);
+  u64(frames.view_version);
+  u64(static_cast<std::uint32_t>(frames.num_pids));
+  u64(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    u64(frames.row_versions[i]);
+    blob(rows[i]);
+  }
+  blob(frames.not_modified);
+  blob(frames.external_view);
+  blob(frames.policy);
+  return hasher.finish();
+}
+
+TEST_F(FederationCodecTest, ChecksumStreamsTheMaterializedRows) {
+  std::mt19937_64 rng(0xC0FFEE);
+  std::uniform_real_distribution<double> price(0.0, 100.0);
+  for (int trial = 0; trial < 200; ++trial) {
+    const int n = static_cast<int>(rng() % 9);
+    SnapshotFrameSet f;
+    f.term = rng() % 5;
+    f.version = 1 + rng() % 1000;
+    f.num_pids = n;
+    f.view_version = 0;
+    for (int i = 0; i < n; ++i) {
+      f.row_versions.push_back(1 + rng() % f.version);
+      f.view_version = std::max(f.view_version, f.row_versions.back());
+    }
+    if (n == 0) f.view_version = f.version;
+    f.not_modified = Encode(NotModifiedResp{f.version});
+    GetExternalViewResp view{n, f.view_version, {}};
+    for (int k = 0; k < n * n; ++k) view.distances.push_back(price(rng));
+    f.external_view = Encode(view);
+    if (rng() % 2 == 0) f.policy = Encode(GetPolicyResp{{0.5, 0.75}, {}});
+    EXPECT_EQ(FrameSetChecksum(f), MaterializedRowsChecksum(f)) << "trial " << trial;
+  }
 }
 
 TEST_F(FederationCodecTest, DeltaRejectsCorruptionAndTruncation) {
@@ -591,8 +611,8 @@ class FederationDeltaStoreTest : public FederationCodecTest {
     EXPECT_EQ(got.num_pids, want.num_pids);
     EXPECT_EQ(got.not_modified, want.not_modified);
     EXPECT_EQ(got.external_view, want.external_view);
-    EXPECT_EQ(got.rows, want.rows);
     EXPECT_EQ(got.row_versions, want.row_versions);
+    EXPECT_EQ(testsupport::RowFrames(got), testsupport::RowFrames(want));
     EXPECT_EQ(got.policy, want.policy);
   }
 };
@@ -692,7 +712,7 @@ TEST_F(FederationDeltaStoreTest, ChecksumChainCatchesDivergenceWithoutRollback) 
   // A substituted row (right shape, wrong bytes) breaks the chain the
   // same way — the forged doubles never become servable.
   auto forged = MakeDelta(v5, v7);
-  forged.rows[0].bytes = v5.rows[1];
+  forged.rows[0].bytes = RowFrameFromView(v5.external_view, 1, v5.row_versions[1]);
   EXPECT_EQ(store.InstallDelta(forged),
             ReplicatedSnapshotStore::DeltaResult::kChecksumMismatch);
   EXPECT_EQ(store.version(), 5u);
@@ -782,9 +802,10 @@ TEST_F(FederationTest, ExportFramesMatchesServedBytes) {
   EXPECT_EQ(frames.version, tracker_.version());
   EXPECT_EQ(frames.num_pids, tracker_.num_pids());
   EXPECT_EQ(frames.external_view, service_.Handle(Encode(GetExternalViewReq{})));
-  EXPECT_EQ(frames.rows.size(), static_cast<std::size_t>(tracker_.num_pids()));
+  const auto rows = testsupport::RowFrames(frames);
+  EXPECT_EQ(rows.size(), static_cast<std::size_t>(tracker_.num_pids()));
   for (core::Pid i = 0; i < tracker_.num_pids(); ++i) {
-    EXPECT_EQ(frames.rows[static_cast<std::size_t>(i)],
+    EXPECT_EQ(rows[static_cast<std::size_t>(i)],
               service_.Handle(Encode(GetPDistancesReq{i})));
   }
   EXPECT_EQ(frames.not_modified,
@@ -891,7 +912,7 @@ TEST_F(FederationTest, NoOpBumpCarriesContentStampsForward) {
   const auto first = service_.ExportFrames();
   EXPECT_EQ(first.version, tracker_.version());
   EXPECT_EQ(first.view_version, first.version);
-  ASSERT_EQ(first.row_versions.size(), first.rows.size());
+  ASSERT_EQ(first.row_versions.size(), static_cast<std::size_t>(first.num_pids));
   for (const auto rv : first.row_versions) EXPECT_EQ(rv, first.version);
 
   // Background traffic does not enter p-distances: the bump burns a
@@ -902,7 +923,7 @@ TEST_F(FederationTest, NoOpBumpCarriesContentStampsForward) {
   EXPECT_EQ(second.version, first.version + 1);
   EXPECT_EQ(second.view_version, first.version);
   EXPECT_EQ(second.external_view, first.external_view);
-  EXPECT_EQ(second.rows, first.rows);
+  EXPECT_EQ(testsupport::RowFrames(second), testsupport::RowFrames(first));
   EXPECT_EQ(second.row_versions, first.row_versions);
   EXPECT_NE(second.not_modified, first.not_modified);  // tracks the version
 
@@ -945,14 +966,16 @@ TEST_F(FederationTest, PartialRepriceStampsOnlyTouchedRows) {
   EXPECT_EQ(second.version, first.version + 1);
   EXPECT_EQ(second.view_version, second.version);  // a row changed => view did
 
+  const auto first_rows = testsupport::RowFrames(first);
+  const auto second_rows = testsupport::RowFrames(second);
   std::size_t changed = 0;
-  for (std::size_t i = 0; i < second.rows.size(); ++i) {
+  for (std::size_t i = 0; i < second_rows.size(); ++i) {
     if (second.row_versions[i] == second.version) {
       ++changed;
-      EXPECT_NE(second.rows[i], first.rows[i]);
+      EXPECT_NE(second_rows[i], first_rows[i]);
     } else {
       EXPECT_EQ(second.row_versions[i], first.version);
-      EXPECT_EQ(second.rows[i], first.rows[i]);
+      EXPECT_EQ(second_rows[i], first_rows[i]);
       // An unchanged row's old token still earns NotModified now.
       const auto decoded = Decode(service_.Handle(
           Encode(GetPDistancesReq{static_cast<core::Pid>(i), first.version})));
@@ -961,7 +984,68 @@ TEST_F(FederationTest, PartialRepriceStampsOnlyTouchedRows) {
     }
   }
   EXPECT_GT(changed, 0u);
-  EXPECT_LT(changed, second.rows.size());
+  EXPECT_LT(changed, second_rows.size());
+}
+
+TEST_F(FederationTest, EveryReplicaCutsServedRowsFromItsView) {
+  // The publisher and two followers, checked after a full push (bootstrap)
+  // and again after a delta install (one link repriced).
+  ReplicatedSnapshotStore second_store;
+  SnapshotFollower second_follower(&second_store);
+  FollowerPortalService second_service(&second_store);
+  SnapshotPublisher publisher(&service_);
+  publisher.AddFollower("b.example", 1,
+                        std::make_unique<InProcessTransport>(follower_.replication_handler()));
+  publisher.AddFollower("c.example", 2, std::make_unique<InProcessTransport>(
+                                            second_follower.replication_handler()));
+
+  const auto check_every_row = [&](const std::string& when) {
+    const auto exported = service_.ExportFrames();
+    const std::vector<std::pair<std::string, std::pair<Handler, SnapshotFrameSet>>> replicas = {
+        {"publisher", {service_.handler(), exported}},
+        {"follower b", {follower_service_.handler(), *store_.current()}},
+        {"follower c", {second_service.handler(), *second_store.current()}},
+    };
+    for (const auto& [name, replica] : replicas) {
+      const auto& [handle, frames] = replica;
+      const std::string where = when + ", " + name;
+      ASSERT_EQ(frames.version, tracker_.version()) << where;
+      ASSERT_EQ(frames.row_versions.size(), static_cast<std::size_t>(frames.num_pids));
+      for (core::Pid i = 0; i < frames.num_pids; ++i) {
+        const auto stamp = frames.row_versions[static_cast<std::size_t>(i)];
+        EXPECT_EQ(handle(Encode(GetPDistancesReq{i})),
+                  RowFrameFromView(frames.external_view, i, stamp))
+            << where << ", PID " << i;
+        // The row's content stamp and the current version earn NotModified;
+        // any other token gets the row.
+        EXPECT_EQ(handle(Encode(GetPDistancesReq{i, stamp})), frames.not_modified) << where;
+        EXPECT_EQ(handle(Encode(GetPDistancesReq{i, frames.version})), frames.not_modified)
+            << where;
+        EXPECT_EQ(handle(Encode(GetPDistancesReq{i, frames.version + 1})),
+                  RowFrameFromView(frames.external_view, i, stamp))
+            << where;
+      }
+      for (const core::Pid bad : {core::Pid{-1}, frames.num_pids}) {
+        EXPECT_EQ(handle(Encode(GetPDistancesReq{bad})), Encode(ErrorMsg{"unknown PID"}))
+            << where << ", PID " << bad;
+      }
+    }
+  };
+
+  BumpOneLink(0);
+  ASSERT_EQ(publisher.PublishOnce(), 2u);
+  ASSERT_EQ(follower_.push_install_count(), 1u);
+  ASSERT_EQ(second_follower.push_install_count(), 1u);
+  check_every_row("after a full push");
+
+  BumpOneLink(1);
+  ASSERT_EQ(publisher.PublishOnce(), 2u);
+  ASSERT_EQ(follower_.delta_install_count(), 1u);
+  ASSERT_EQ(second_follower.delta_install_count(), 1u);
+  // Some rows kept their old stamp, so old tokens are exercised above.
+  const auto stamps = store_.current()->row_versions;
+  ASSERT_LT(*std::min_element(stamps.begin(), stamps.end()), store_.current()->version);
+  check_every_row("after a delta install");
 }
 
 // --- publisher delta path ---------------------------------------------------
@@ -989,7 +1073,7 @@ TEST_F(FederationTest, PublishOnceShipsDeltasToAckedFollowers) {
   const auto frames = service_.ExportFrames();
   EXPECT_EQ(FrameSetChecksum(*store_.current()), FrameSetChecksum(frames));
   EXPECT_EQ(store_.current()->external_view, frames.external_view);
-  EXPECT_EQ(store_.current()->rows, frames.rows);
+  EXPECT_EQ(store_.current()->row_versions, frames.row_versions);
 
   // Deltas are strictly smaller than the full frames they replace.
   EXPECT_LT(publisher.delta_bytes_sent(), publisher.full_bytes_sent());
@@ -1058,10 +1142,11 @@ TEST_F(FederationTest, ReplicationEndpointAcksDeltaOutcomes) {
   delta.not_modified = v2.not_modified;
   delta.policy = v2.policy;
   delta.result_checksum = FrameSetChecksum(v2);
-  for (std::size_t i = 0; i < v2.rows.size(); ++i) {
+  const auto v2_rows = testsupport::RowFrames(v2);
+  for (std::size_t i = 0; i < v2_rows.size(); ++i) {
     if (v2.row_versions[i] > v1.version) {
       delta.rows.push_back(DeltaRow{static_cast<std::int32_t>(i),
-                                    v2.row_versions[i], v2.rows[i]});
+                                    v2.row_versions[i], v2_rows[i]});
     }
   }
   const auto delta_bytes = EncodeDeltaPush(delta);
@@ -1138,7 +1223,7 @@ TEST_F(FederationTest, PullsAreAnsweredWithDeltasWhenPossible) {
   EXPECT_EQ(follower_.pull_install_count(), 1u);
   const auto frames = service_.ExportFrames();
   EXPECT_EQ(store_.current()->external_view, frames.external_view);
-  EXPECT_EQ(store_.current()->rows, frames.rows);
+  EXPECT_EQ(store_.current()->row_versions, frames.row_versions);
 }
 
 TEST_F(FederationTest, VersionListenerFiresOnEveryMutator) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <random>
+#include <stdexcept>
+#include <string>
+#include <utility>
 
 namespace p4p::proto {
 namespace {
@@ -374,6 +378,70 @@ TEST(ValidationDatagrams, MutatedValidDatagramsNeverCrash) {
         static_cast<std::uint8_t>(byte(rng));
     (void)DecodeValidationRequest(a);
     (void)DecodeValidationResponse(b);
+  }
+}
+
+// --- row frames cut from a view -------------------------------------------
+
+GetExternalViewResp ThreePidView() {
+  return GetExternalViewResp{3, 9, {0.0, 1.0, 2.5, 1.0, 0.0, 4.0, 2.5, -0.0, 0.0}};
+}
+
+TEST(RowFrameFromView, EqualsTheEncodedRow) {
+  const auto view = ThreePidView();
+  const auto frame = Encode(view);
+  for (std::int32_t i = 0; i < 3; ++i) {
+    for (const std::uint64_t stamp : {std::uint64_t{0}, std::uint64_t{7}, ~std::uint64_t{0}}) {
+      GetPDistancesResp row{i, stamp, {}};
+      row.distances.assign(view.distances.begin() + 3 * i,
+                           view.distances.begin() + 3 * (i + 1));
+      EXPECT_EQ(RowFrameFromView(frame, i, stamp), Encode(row)) << i << " @ " << stamp;
+      const auto parts = SliceViewRow(frame, i, stamp);
+      std::vector<std::uint8_t> joined(parts.header.begin(), parts.header.end());
+      joined.insert(joined.end(), parts.doubles.begin(), parts.doubles.end());
+      EXPECT_EQ(joined, Encode(row));
+    }
+  }
+}
+
+TEST(RowFrameFromView, RejectsPidsOutsideTheView) {
+  const auto frame = Encode(ThreePidView());
+  for (const std::int32_t pid : {-1, 3, 4, std::numeric_limits<std::int32_t>::max(),
+                                 std::numeric_limits<std::int32_t>::min()}) {
+    EXPECT_THROW(RowFrameFromView(frame, pid, 1), std::out_of_range) << pid;
+    EXPECT_THROW(SliceViewRow(frame, pid, 1), std::out_of_range) << pid;
+  }
+  // An empty view has no PIDs at all.
+  EXPECT_THROW(RowFrameFromView(Encode(GetExternalViewResp{0, 1, {}}), 0, 1),
+               std::out_of_range);
+}
+
+TEST(RowFrameFromView, RejectsBuffersThatAreNotViewFrames) {
+  const auto frame = Encode(ThreePidView());
+  auto row_typed = frame;
+  row_typed[1] = static_cast<std::uint8_t>(MsgType::kGetPDistancesResp);
+  auto old_version = frame;
+  old_version[0] = 1;
+  auto more_pids = frame;
+  more_pids[5] = 4;  // num_pids 4 over a 3x3 body
+  const std::vector<std::pair<std::string, std::vector<std::uint8_t>>> bad = {
+      {"empty", {}},
+      {"header only", std::vector<std::uint8_t>(frame.begin(), frame.begin() + 17)},
+      {"one double short", std::vector<std::uint8_t>(frame.begin(), frame.end() - 1)},
+      {"trailing byte", [&] {
+         auto longer = frame;
+         longer.push_back(0);
+         return longer;
+       }()},
+      {"row frame type", row_typed},
+      {"old protocol version", old_version},
+      {"num_pids disagrees with the body", more_pids},
+      {"a row frame", Encode(GetPDistancesResp{0, 9, {0.0, 1.0, 2.5}})},
+      {"not modified", Encode(NotModifiedResp{9})},
+  };
+  for (const auto& [what, bytes] : bad) {
+    EXPECT_THROW(RowFrameFromView(bytes, 0, 1), std::invalid_argument) << what;
+    EXPECT_THROW(SliceViewRow(bytes, 0, 1), std::invalid_argument) << what;
   }
 }
 

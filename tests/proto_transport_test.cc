@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <linux/tcp.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <cstddef>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -33,6 +39,181 @@ std::vector<std::uint8_t> EchoUpper(std::span<const std::uint8_t> in) {
 
 std::vector<std::uint8_t> Bytes(const char* s) {
   return std::vector<std::uint8_t>(s, s + std::string(s).size());
+}
+
+/// `n` bytes of a position-dependent pattern, so a dropped, repeated or
+/// reordered slice shows up as a mismatch.
+std::vector<std::uint8_t> Pattern(std::size_t n, std::uint8_t salt) {
+  std::vector<std::uint8_t> out(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = static_cast<std::uint8_t>(i * 31 + (i >> 13) + salt);
+  }
+  return out;
+}
+
+/// A blocking loopback TCP socket connected to `port`, with Nagle off as on
+/// TcpClient.
+int Dial(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr.sin_port = htons(port);
+  if (fd < 0 || ::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    throw std::runtime_error("Dial: connect failed");
+  }
+  const int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+  return fd;
+}
+
+/// A connected loopback pair of raw blocking sockets: `dialed` connected to
+/// `accepted`.
+struct RawPair {
+  RawPair() {
+    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    socklen_t len = sizeof(addr);
+    if (listener < 0 || ::bind(listener, reinterpret_cast<sockaddr*>(&addr), len) != 0 ||
+        ::getsockname(listener, reinterpret_cast<sockaddr*>(&addr), &len) != 0 ||
+        ::listen(listener, 1) != 0) {
+      throw std::runtime_error("RawPair: listen failed");
+    }
+    dialed = Dial(ntohs(addr.sin_port));
+    accepted = ::accept(listener, nullptr, nullptr);
+    ::close(listener);
+  }
+  ~RawPair() {
+    ::close(dialed);
+    ::close(accepted);
+  }
+  int dialed = -1;
+  int accepted = -1;
+};
+
+/// Segments carrying data that `fd` has received (TCP_INFO), or nullopt on
+/// a kernel too old to report them.
+std::optional<std::uint32_t> DataSegsIn(int fd) {
+  tcp_info info{};
+  socklen_t len = sizeof(info);
+  if (::getsockopt(fd, IPPROTO_TCP, TCP_INFO, &info, &len) != 0 ||
+      len < offsetof(tcp_info, tcpi_data_segs_in) + sizeof(info.tcpi_data_segs_in)) {
+    return std::nullopt;
+  }
+  return info.tcpi_data_segs_in;
+}
+
+/// Reads exactly `n` bytes from `fd`, at most `slice` per recv.
+std::vector<std::uint8_t> RecvExactly(int fd, std::size_t n, std::size_t slice) {
+  std::vector<std::uint8_t> out(n);
+  std::size_t got = 0;
+  while (got < n) {
+    const ssize_t r = ::recv(fd, out.data() + got, std::min(slice, n - got), 0);
+    if (r <= 0) throw std::runtime_error("RecvExactly: connection ended early");
+    got += static_cast<std::size_t>(r);
+  }
+  return out;
+}
+
+std::vector<std::uint8_t> Framed(std::span<const std::uint8_t> payload) {
+  const auto n = static_cast<std::uint32_t>(payload.size());
+  std::vector<std::uint8_t> out = {static_cast<std::uint8_t>(n >> 24),
+                                   static_cast<std::uint8_t>(n >> 16),
+                                   static_cast<std::uint8_t>(n >> 8),
+                                   static_cast<std::uint8_t>(n)};
+  out.insert(out.end(), payload.begin(), payload.end());
+  return out;
+}
+
+std::vector<std::uint8_t> Joined(const std::array<std::span<const std::uint8_t>, 2>& parts) {
+  std::vector<std::uint8_t> out(parts[0].begin(), parts[0].end());
+  out.insert(out.end(), parts[1].begin(), parts[1].end());
+  return out;
+}
+
+TEST(OutboundFrame, ResumesAtEverySplitOffset) {
+  const auto payload = Pattern(10, 3);
+  const auto wire = Framed(payload);
+  ASSERT_EQ(wire.size(), 14u);
+  for (std::size_t first = 0; first <= wire.size(); ++first) {
+    for (std::size_t second = first; second <= wire.size(); ++second) {
+      OutboundFrame frame(payload);
+      frame.Advance(first);
+      const auto parts = frame.unsent();
+      // The header's rest comes first, the payload's rest after it.
+      EXPECT_EQ(parts[0].size(), first < 4 ? 4 - first : 0u) << first;
+      EXPECT_EQ(parts[1].size(), wire.size() - std::max<std::size_t>(first, 4)) << first;
+      EXPECT_EQ(Joined(parts), std::vector<std::uint8_t>(wire.begin() + first, wire.end()))
+          << first;
+      // A second partial write resumes where the first stopped.
+      frame.Advance(second - first);
+      EXPECT_EQ(Joined(frame.unsent()),
+                std::vector<std::uint8_t>(wire.begin() + second, wire.end()))
+          << first << "+" << second - first;
+      EXPECT_EQ(frame.done(), second == wire.size()) << first << "+" << second - first;
+    }
+  }
+}
+
+TEST(OutboundFrame, EmptyPayloadIsItsHeader) {
+  OutboundFrame frame({});
+  EXPECT_EQ(Joined(frame.unsent()), (std::vector<std::uint8_t>{0, 0, 0, 0}));
+  frame.Advance(4);
+  EXPECT_TRUE(frame.done());
+}
+
+TEST(TcpTransport, BlockingWriteSendsOneSegmentPerFrame) {
+  RawPair pair;
+  const auto payload = Pattern(10, 1);
+  for (int i = 0; i < 5; ++i) {
+    const auto before = DataSegsIn(pair.accepted);
+    if (!before) GTEST_SKIP() << "kernel does not report tcpi_data_segs_in";
+    ASSERT_TRUE(WriteFrameBlocking(pair.dialed, payload));
+    EXPECT_EQ(RecvExactly(pair.accepted, 14, 14), Framed(payload));
+    EXPECT_EQ(*DataSegsIn(pair.accepted) - *before, 1u) << "frame " << i;
+  }
+}
+
+TEST(TcpTransport, ServerReplySendsOneSegmentPerFrame) {
+  const auto reply = std::make_shared<const std::vector<std::uint8_t>>(Pattern(10, 2));
+  TcpServer server(0, SharedHandler([reply](std::span<const std::uint8_t>) {
+                     return reply;
+                   }), 1);
+  const int fd = Dial(server.port());
+  for (int i = 0; i < 5; ++i) {
+    const auto before = DataSegsIn(fd);
+    if (!before) {
+      ::close(fd);
+      GTEST_SKIP() << "kernel does not report tcpi_data_segs_in";
+    }
+    ASSERT_TRUE(WriteFrameBlocking(fd, Bytes("q")));
+    EXPECT_EQ(RecvExactly(fd, 14, 14), Framed(*reply));
+    EXPECT_EQ(*DataSegsIn(fd) - *before, 1u) << "reply " << i;
+  }
+  ::close(fd);
+}
+
+TEST(TcpTransport, LargeFramesArriveByteExactThroughPartialWrites) {
+  // Both directions outgrow the socket buffers, so the writes stop and
+  // resume mid-payload; the reply is read in small slices to keep the
+  // server's writes partial.
+  constexpr std::size_t kBig = 4u << 20;
+  const auto request = Pattern(kBig, 5);
+  const auto reply = std::make_shared<const std::vector<std::uint8_t>>(Pattern(kBig, 9));
+  const auto refusal = std::make_shared<const std::vector<std::uint8_t>>(Bytes("bad"));
+  TcpServer server(0, SharedHandler([&](std::span<const std::uint8_t> got) {
+                     return std::equal(got.begin(), got.end(), request.begin(),
+                                       request.end())
+                                ? reply
+                                : refusal;
+                   }), 1);
+  const int fd = Dial(server.port());
+  ASSERT_TRUE(WriteFrameBlocking(fd, request));
+  const auto got = RecvExactly(fd, 4 + kBig, 1500);
+  ::close(fd);
+  EXPECT_TRUE(got == Framed(*reply));
 }
 
 TEST(InProcessTransport, CallsHandler) {

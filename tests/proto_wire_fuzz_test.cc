@@ -81,8 +81,8 @@ std::vector<Codec> AllCodecs() {
   };
 }
 
-/// A coherent frame set: row i is the view's row i behind a header that
-/// carries its own content stamp, as the push encoder requires.
+/// A coherent frame set: an n-PID view and one content stamp per row, as
+/// the push encoder requires.
 SnapshotFrameSet CorpusFrames() {
   SnapshotFrameSet f;
   f.term = 2;
@@ -93,9 +93,6 @@ SnapshotFrameSet CorpusFrames() {
   f.external_view = Encode(
       GetExternalViewResp{3, 9, {0.0, 1.0, 2.5, 1.0, 0.0, 4.0, 2.5, 4.0, 0.0}});
   f.row_versions = {8, 9, 8};
-  for (int i = 0; i < 3; ++i) {
-    f.rows.push_back(RowFrameFromView(f.external_view, i, f.row_versions[i]));
-  }
   f.policy = Encode(GetPolicyResp{{0.7, 0.9}, {{1, 8, 18, 0.5}}});
   return f;
 }
@@ -109,7 +106,7 @@ std::vector<Bytes> FederationCorpus() {
   delta.view_version = 9;
   delta.num_pids = 3;
   delta.not_modified = frames.not_modified;
-  delta.rows.push_back(DeltaRow{1, 9, frames.rows[1]});
+  delta.rows.push_back(DeltaRow{1, 9, RowFrameFromView(frames.external_view, 1, 9)});
   delta.policy = frames.policy;
   delta.result_checksum = FrameSetChecksum(frames);
   auto no_policy = frames;

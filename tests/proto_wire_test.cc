@@ -8,6 +8,7 @@
 
 #include "proto/federation.h"
 #include "proto/messages.h"
+#include "support/frame_rows.h"
 
 namespace p4p::proto {
 namespace {
@@ -259,7 +260,6 @@ GetExternalViewResp GoldenView() {
 }
 
 SnapshotFrameSet GoldenFrames() {
-  const auto v = SpecialDoubles();
   SnapshotFrameSet f;
   f.term = 3;
   f.version = 7;
@@ -267,8 +267,6 @@ SnapshotFrameSet GoldenFrames() {
   f.num_pids = 2;
   f.not_modified = Encode(NotModifiedResp{7});
   f.external_view = Encode(GoldenView());
-  f.rows = {Encode(GetPDistancesResp{0, 5, {v[0], v[4]}}),
-            Encode(GetPDistancesResp{1, 7, {v[7], v[9]}})};
   f.row_versions = {5, 7};
   f.policy = Encode(GetPolicyResp{{0.5, 0.75}, {}});
   return f;
@@ -316,11 +314,15 @@ TEST(WireGolden, ExternalViewDiffersOnlyInTheVersionByte) {
 TEST(WireGolden, FramePushShipsTheViewOnce) {
   const auto frames = GoldenFrames();
   EXPECT_EQ(EncodeFramePush(frames), kGoldenPush);
-  // The follower cuts each row frame out of the view: byte-equal to the
-  // publisher's own Encode() of that row.
+  // A replica cuts each row frame out of the view: byte-equal to Encode()
+  // of that row under its stamp.
+  const auto v = SpecialDoubles();
   const auto decoded = DecodeFramePush(kGoldenPush);
   ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->rows, frames.rows);
+  EXPECT_EQ(testsupport::RowFrames(*decoded),
+            (std::vector<std::vector<std::uint8_t>>{
+                Encode(GetPDistancesResp{0, 5, {v[0], v[4]}}),
+                Encode(GetPDistancesResp{1, 7, {v[7], v[9]}})}));
   EXPECT_EQ(decoded->row_versions, frames.row_versions);
   EXPECT_EQ(decoded->external_view, frames.external_view);
 }

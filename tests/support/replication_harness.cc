@@ -15,6 +15,7 @@
 #include "proto/federation.h"
 #include "proto/telemetry.h"
 #include "support/fault_injection.h"
+#include "support/frame_rows.h"
 
 namespace p4p::testsupport {
 namespace {
@@ -55,13 +56,14 @@ void CompareFrameSets(const proto::SnapshotFrameSet& got,
   if (got.not_modified != want.not_modified) fail("not_modified bytes differ");
   if (got.external_view != want.external_view) fail("external_view bytes differ");
   if (got.policy != want.policy) fail("policy bytes differ");
-  if (got.rows.size() != want.rows.size() ||
-      got.row_versions.size() != want.row_versions.size()) {
+  if (got.row_versions.size() != want.row_versions.size()) {
     fail("row count mismatch");
     return;
   }
-  for (std::size_t i = 0; i < got.rows.size(); ++i) {
-    if (got.rows[i] != want.rows[i]) {
+  const auto got_rows = RowFrames(got);
+  const auto want_rows = RowFrames(want);
+  for (std::size_t i = 0; i < got_rows.size(); ++i) {
+    if (got_rows[i] != want_rows[i]) {
       fail("row " + std::to_string(i) + " bytes differ");
     }
     if (got.row_versions[i] != want.row_versions[i]) {
@@ -267,9 +269,10 @@ ReplicationScenarioResult RunReplicationScenario(
         if (nm == nullptr || nm->version != view->version) {
           fail("view version token did not earn NotModified");
         }
-        const auto pid = static_cast<core::Pid>(round % held->rows.size());
+        const auto pid = static_cast<core::Pid>(round % held->row_versions.size());
         if (serve_d.Handle(proto::Encode(proto::GetPDistancesReq{pid})) !=
-            held->rows[static_cast<std::size_t>(pid)]) {
+            proto::RowFrameFromView(held->external_view, pid,
+                                    held->row_versions[static_cast<std::size_t>(pid)])) {
           fail("served row bytes differ from the installed frames");
         }
       }

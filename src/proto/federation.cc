@@ -448,42 +448,41 @@ void SnapshotFollower::RaiseFenceTerm(std::uint64_t term) { ObserveTerm(term); }
 
 std::vector<std::uint8_t> SnapshotFollower::HandleReplication(
     std::span<const std::uint8_t> request) {
+  // The reply to every request but a served pull: the outcome, the held
+  // version, and the held term unless a fence term is reported instead.
+  const auto ack = [this](AckStatus status, std::optional<std::uint64_t> term = {}) {
+    return EncodeFrameAck(
+        FrameAck{status, store_->version(), term.value_or(store_->term())}, key_);
+  };
   const auto tag = PeekFederationTag(request);
   if (tag == FederationTag::kDeltaPush) {
     const auto delta = DecodeDeltaPush(request, key_);
     if (!delta) {
       push_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return EncodeFrameAck(
-          FrameAck{AckStatus::kRejected, store_->version(), store_->term()}, key_);
+      return ack(AckStatus::kRejected);
     }
     const std::uint64_t fence = ObserveTerm(delta->term);
     if (delta->term < fence) {
       stale_term_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return EncodeFrameAck(
-          FrameAck{AckStatus::kStaleTerm, store_->version(), fence}, key_);
+      return ack(AckStatus::kStaleTerm, fence);
     }
     switch (store_->InstallDelta(*delta)) {
       case ReplicatedSnapshotStore::DeltaResult::kInstalled:
         delta_installs_.fetch_add(1, std::memory_order_relaxed);
-        return EncodeFrameAck(
-            FrameAck{AckStatus::kInstalled, store_->version(), store_->term()}, key_);
+        return ack(AckStatus::kInstalled);
       case ReplicatedSnapshotStore::DeltaResult::kStale:
         delta_stales_.fetch_add(1, std::memory_order_relaxed);
-        return EncodeFrameAck(FrameAck{AckStatus::kAlreadyCurrent,
-                                       store_->version(), store_->term()}, key_);
+        return ack(AckStatus::kAlreadyCurrent);
       case ReplicatedSnapshotStore::DeltaResult::kStaleTerm:
         stale_term_rejects_.fetch_add(1, std::memory_order_relaxed);
-        return EncodeFrameAck(
-            FrameAck{AckStatus::kStaleTerm, store_->version(), store_->term()}, key_);
+        return ack(AckStatus::kStaleTerm);
       case ReplicatedSnapshotStore::DeltaResult::kBaseMismatch:
       case ReplicatedSnapshotStore::DeltaResult::kChecksumMismatch:
         delta_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        return EncodeFrameAck(
-            FrameAck{AckStatus::kNeedFullSet, store_->version(), store_->term()}, key_);
+        return ack(AckStatus::kNeedFullSet);
     }
     // Unreachable, but keeps -Wswitch honest without a default case.
-    return EncodeFrameAck(
-        FrameAck{AckStatus::kRejected, store_->version(), store_->term()}, key_);
+    return ack(AckStatus::kRejected);
   }
   if (tag == FederationTag::kFramePull) {
     // Promotion-time anti-entropy: a candidate collects the freshest held
@@ -492,8 +491,7 @@ std::vector<std::uint8_t> SnapshotFollower::HandleReplication(
     const auto pull = DecodeFramePull(request, key_);
     if (!pull) {
       push_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return EncodeFrameAck(
-          FrameAck{AckStatus::kRejected, store_->version(), store_->term()}, key_);
+      return ack(AckStatus::kRejected);
     }
     const auto held = store_->current();
     if (!held || std::pair(held->term, held->version) <=
@@ -508,23 +506,19 @@ std::vector<std::uint8_t> SnapshotFollower::HandleReplication(
   auto frames = DecodeFramePush(request, key_);
   if (!frames) {
     push_rejects_.fetch_add(1, std::memory_order_relaxed);
-    return EncodeFrameAck(
-        FrameAck{AckStatus::kRejected, store_->version(), store_->term()}, key_);
+    return ack(AckStatus::kRejected);
   }
   const std::uint64_t fence = ObserveTerm(frames->term);
   if (frames->term < fence) {
     stale_term_rejects_.fetch_add(1, std::memory_order_relaxed);
-    return EncodeFrameAck(
-        FrameAck{AckStatus::kStaleTerm, store_->version(), fence}, key_);
+    return ack(AckStatus::kStaleTerm, fence);
   }
   if (store_->Install(std::move(*frames))) {
     push_installs_.fetch_add(1, std::memory_order_relaxed);
-    return EncodeFrameAck(
-        FrameAck{AckStatus::kInstalled, store_->version(), store_->term()}, key_);
+    return ack(AckStatus::kInstalled);
   }
   push_stales_.fetch_add(1, std::memory_order_relaxed);
-  return EncodeFrameAck(
-      FrameAck{AckStatus::kAlreadyCurrent, store_->version(), store_->term()}, key_);
+  return ack(AckStatus::kAlreadyCurrent);
 }
 
 std::optional<std::vector<std::uint8_t>> SnapshotFollower::HandleBeacon(

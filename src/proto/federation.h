@@ -26,7 +26,7 @@
 //
 // Wire format: every frame is a sealed envelope (wire.h),
 //   u32 magic "P4PF" | u8 protocol version | u8 tag | payload | u64 MAC
-// where the MAC is SipHash-2-4 over everything before it, keyed with the
+// where the MAC is SealMac over everything before it, keyed with the
 // deployment's SealKey (PublisherOptions::key, the SnapshotFollower key).
 // A frame sealed under any other key, or altered in flight, is refused, so
 // a host without the key cannot push frames or fence the federation with a

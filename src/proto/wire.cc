@@ -144,30 +144,56 @@ std::vector<double> Reader::f64_vec() {
   return out;
 }
 
-// --- SipHash-2-4 and the sealed envelope -------------------------------------
+// --- SipHash-2-4, SealMac and the sealed envelope ---------------------------
 
 namespace {
 
-void SipRound(std::uint64_t& v0, std::uint64_t& v1, std::uint64_t& v2, std::uint64_t& v3) {
-  v0 += v1; v1 = std::rotl(v1, 13); v1 ^= v0; v0 = std::rotl(v0, 32);
-  v2 += v3; v3 = std::rotl(v3, 16); v3 ^= v2;
-  v0 += v3; v3 = std::rotl(v3, 21); v3 ^= v0;
-  v2 += v1; v1 = std::rotl(v1, 17); v1 ^= v2; v2 = std::rotl(v2, 32);
+/// Reads a little-endian word, the order SipHash and NH consume.
+std::uint64_t LoadLe(const std::uint8_t* p) {
+  std::uint64_t m;
+  std::memcpy(&m, p, 8);
+  if constexpr (std::endian::native == std::endian::big) m = __builtin_bswap64(m);
+  return m;
 }
 
-/// Two SipRounds on one message word (the "2" of SipHash-2-4).
-void Compress(std::uint64_t* v, std::uint64_t m) {
-  v[3] ^= m;
-  SipRound(v[0], v[1], v[2], v[3]);
-  SipRound(v[0], v[1], v[2], v[3]);
-  v[0] ^= m;
+void StoreLe(std::uint64_t v, std::uint8_t* p) {
+  if constexpr (std::endian::native == std::endian::big) v = __builtin_bswap64(v);
+  std::memcpy(p, &v, 8);
+}
+
+__extension__ using U128 = unsigned __int128;
+
+/// A chunk digest: two 128-bit NH sums.
+constexpr std::size_t kNhDigestBytes = 32;
+
+/// NH-Toeplitz digest of one chunk of at most kNhChunkBytes, zero-padded to
+/// a multiple of 16 bytes, into `out` as four little-endian words.
+void NhChunk(const std::uint64_t* k, const std::uint8_t* p, std::size_t n,
+             std::uint8_t* out) {
+  U128 a = 0;
+  U128 b = 0;
+  const auto pair = [&](const std::uint8_t* q) {
+    const std::uint64_t m0 = LoadLe(q);
+    const std::uint64_t m1 = LoadLe(q + 8);
+    a += U128{m0 + k[0]} * (m1 + k[1]);
+    b += U128{m0 + k[2]} * (m1 + k[3]);
+    k += 2;
+  };
+  for (; n >= 16; n -= 16, p += 16) pair(p);
+  if (n > 0) {
+    std::uint8_t pad[16] = {};
+    std::memcpy(pad, p, n);
+    pair(pad);
+  }
+  StoreLe(static_cast<std::uint64_t>(a), out);
+  StoreLe(static_cast<std::uint64_t>(a >> 64), out + 8);
+  StoreLe(static_cast<std::uint64_t>(b), out + 16);
+  StoreLe(static_cast<std::uint64_t>(b >> 64), out + 24);
 }
 
 }  // namespace
 
-SipHasher::SipHasher(const SealKey& key)
-    : v_{key.k0 ^ 0x736f6d6570736575ULL, key.k1 ^ 0x646f72616e646f6dULL,
-         key.k0 ^ 0x6c7967656e657261ULL, key.k1 ^ 0x7465646279746573ULL} {}
+SipHasher::SipHasher(const SealKey& key) { detail::SipInit(v_, key.k0(), key.k1()); }
 
 void SipHasher::update(std::span<const std::uint8_t> bytes) {
   const std::uint8_t* p = bytes.data();
@@ -177,34 +203,46 @@ void SipHasher::update(std::span<const std::uint8_t> bytes) {
   if (fill != 0) {
     for (; n > 0 && fill < 8; --n, ++fill) tail_ |= std::uint64_t{*p++} << (8 * fill);
     if (fill < 8) return;
-    Compress(v_, tail_);
+    detail::SipCompress(v_, tail_);
     tail_ = 0;
   }
   // Locals, not members: the compiler cannot prove the input bytes do not
   // alias the state, and would otherwise store it back every word.
   std::uint64_t v[4] = {v_[0], v_[1], v_[2], v_[3]};
-  for (; n >= 8; n -= 8, p += 8) {
-    std::uint64_t m;
-    std::memcpy(&m, p, 8);
-    // SipHash reads message words little-endian.
-    if constexpr (std::endian::native == std::endian::big) m = __builtin_bswap64(m);
-    Compress(v, m);
-  }
+  for (; n >= 8; n -= 8, p += 8) detail::SipCompress(v, LoadLe(p));
   std::copy(v, v + 4, v_);
   for (int shift = 0; n > 0; --n, shift += 8) tail_ |= std::uint64_t{*p++} << shift;
 }
 
 std::uint64_t SipHasher::finish() const {
   std::uint64_t v[4] = {v_[0], v_[1], v_[2], v_[3]};
-  Compress(v, tail_ | (len_ << 56));
-  v[2] ^= 0xff;
-  for (int i = 0; i < 4; ++i) SipRound(v[0], v[1], v[2], v[3]);
-  return v[0] ^ v[1] ^ v[2] ^ v[3];
+  return detail::SipFinish(v, tail_ | (len_ << 56));
 }
 
 std::uint64_t SipHash24(const SealKey& key, std::span<const std::uint8_t> bytes) {
   SipHasher hasher(key);
   hasher.update(bytes);
+  return hasher.finish();
+}
+
+std::uint64_t SealMac(const SealKey& key, std::span<const std::uint8_t> bytes) {
+  // SipHash's input is staged and fed in long updates: a small frame's whole
+  // outer input (domain, one digest, length) is one update.
+  std::uint8_t outer[kSealMacDomain.size() + 16 * kNhDigestBytes + 8];
+  std::memcpy(outer, kSealMacDomain.data(), kSealMacDomain.size());
+  std::size_t staged = kSealMacDomain.size();
+  SipHasher hasher(key);
+  for (std::size_t at = 0; at < bytes.size(); at += kNhChunkBytes) {
+    if (staged + kNhDigestBytes + 8 > sizeof(outer)) {
+      hasher.update(std::span(outer, staged));
+      staged = 0;
+    }
+    const std::size_t n = std::min(kNhChunkBytes, bytes.size() - at);
+    NhChunk(key.nh().data(), bytes.data() + at, n, outer + staged);
+    staged += kNhDigestBytes;
+  }
+  StoreLe(bytes.size(), outer + staged);
+  hasher.update(std::span(outer, staged + 8));
   return hasher.finish();
 }
 
@@ -218,7 +256,7 @@ Writer BeginSealed(std::uint32_t magic, std::uint8_t tag, std::size_t payload_by
 }
 
 std::vector<std::uint8_t> Seal(Writer& w, const SealKey& key) {
-  w.u64(SipHash24(key, w.bytes()));
+  w.u64(SealMac(key, w.bytes()));
   return w.take();
 }
 
@@ -230,7 +268,7 @@ std::optional<std::span<const std::uint8_t>> Open(std::span<const std::uint8_t> 
     return std::nullopt;
   }
   const auto body = frame.first(frame.size() - kSealMacBytes);
-  if (Reader(frame.subspan(body.size())).u64() != SipHash24(key, body)) {
+  if (Reader(frame.subspan(body.size())).u64() != SealMac(key, body)) {
     return std::nullopt;
   }
   return body.subspan(kSealHeaderBytes);

@@ -9,10 +9,14 @@
 // Federation ("P4PF"), telemetry ("P4PL") and validation ("P4PV") frames
 // share one sealed envelope, built by BeginSealed/Seal and checked by Open:
 //   u32 magic | u8 protocol version | u8 tag | payload | u64 MAC
-// where the MAC is keyed SipHash-2-4 over every byte before it. Portal
-// requests and responses (messages.h) are not sealed: clients hold no key.
+// where the MAC is SealMac over every byte before it: an NH universal hash
+// of each 1 KiB chunk, then keyed SipHash-2-4 over the chunk digests and the
+// byte length. Portal requests and responses (messages.h) are not sealed:
+// clients hold no key.
 #pragma once
 
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -89,14 +93,84 @@ class Reader {
   bool ok_ = true;
 };
 
-/// 128-bit SipHash key sealing an envelope. Federation and telemetry
-/// components take a per-deployment key; whoever holds it can mint frames.
-/// Every keyed component exposes key(); `key() == kPublicSealKey` flags one
-/// built without a deployment key.
-struct SealKey {
-  std::uint64_t k0 = 0;
-  std::uint64_t k1 = 0;
-  friend bool operator==(const SealKey&, const SealKey&) = default;
+namespace detail {
+
+constexpr void SipRound(std::uint64_t& v0, std::uint64_t& v1, std::uint64_t& v2,
+                        std::uint64_t& v3) {
+  v0 += v1; v1 = std::rotl(v1, 13); v1 ^= v0; v0 = std::rotl(v0, 32);
+  v2 += v3; v3 = std::rotl(v3, 16); v3 ^= v2;
+  v0 += v3; v3 = std::rotl(v3, 21); v3 ^= v0;
+  v2 += v1; v1 = std::rotl(v1, 17); v1 ^= v2; v2 = std::rotl(v2, 32);
+}
+
+/// Two SipRounds on one message word (the "2" of SipHash-2-4).
+constexpr void SipCompress(std::uint64_t* v, std::uint64_t m) {
+  v[3] ^= m;
+  SipRound(v[0], v[1], v[2], v[3]);
+  SipRound(v[0], v[1], v[2], v[3]);
+  v[0] ^= m;
+}
+
+constexpr void SipInit(std::uint64_t* v, std::uint64_t k0, std::uint64_t k1) {
+  v[0] = k0 ^ 0x736f6d6570736575ULL;
+  v[1] = k1 ^ 0x646f72616e646f6dULL;
+  v[2] = k0 ^ 0x6c7967656e657261ULL;
+  v[3] = k1 ^ 0x7465646279746573ULL;
+}
+
+/// Compresses the last block (the tail bytes and the length byte) and runs
+/// the four finalization rounds.
+constexpr std::uint64_t SipFinish(std::uint64_t* v, std::uint64_t last_block) {
+  SipCompress(v, last_block);
+  v[2] ^= 0xff;
+  for (int i = 0; i < 4; ++i) SipRound(v[0], v[1], v[2], v[3]);
+  return v[0] ^ v[1] ^ v[2] ^ v[3];
+}
+
+/// SipHash-2-4 under (k0, k1) of the 8-byte little-endian encoding of `m`.
+constexpr std::uint64_t SipHashWord(std::uint64_t k0, std::uint64_t k1, std::uint64_t m) {
+  std::uint64_t v[4] = {};
+  SipInit(v, k0, k1);
+  SipCompress(v, m);
+  return SipFinish(v, std::uint64_t{8} << 56);  // empty tail, length 8
+}
+
+}  // namespace detail
+
+/// SealMac hashes its input in chunks of this many bytes.
+inline constexpr std::size_t kNhChunkBytes = 1024;
+/// NH key words: one per chunk word, plus the one-pair (two-word) offset of
+/// the second Toeplitz pass.
+inline constexpr std::size_t kNhKeyWords = kNhChunkBytes / 8 + 2;
+
+/// 128-bit key sealing an envelope. Federation and telemetry components take
+/// a per-deployment key; whoever holds it can mint frames. Every keyed
+/// component exposes key(); `key() == kPublicSealKey` flags one built
+/// without a deployment key.
+///
+/// The constructor derives SealMac's NH key once: word i is
+/// SipHash24(K, u64 i), an 8-byte input no SealMac outer input (at least 16
+/// bytes) can equal. It is constexpr, so constant keys are derived at
+/// compile time.
+class SealKey {
+ public:
+  constexpr SealKey(std::uint64_t k0, std::uint64_t k1) : k0_(k0), k1_(k1) {
+    for (std::size_t i = 0; i < kNhKeyWords; ++i) nh_[i] = detail::SipHashWord(k0, k1, i);
+  }
+
+  constexpr std::uint64_t k0() const { return k0_; }
+  constexpr std::uint64_t k1() const { return k1_; }
+  constexpr const std::array<std::uint64_t, kNhKeyWords>& nh() const { return nh_; }
+
+  /// The NH words are a function of (k0, k1), so those decide equality.
+  friend constexpr bool operator==(const SealKey& a, const SealKey& b) {
+    return a.k0_ == b.k0_ && a.k1_ == b.k1_;
+  }
+
+ private:
+  std::uint64_t k0_;
+  std::uint64_t k1_;
+  std::array<std::uint64_t, kNhKeyWords> nh_{};
 };
 
 /// Published key for frames no secret can guard: client validation
@@ -121,6 +195,24 @@ class SipHasher {
 
 std::uint64_t SipHash24(const SealKey& key, std::span<const std::uint8_t> bytes);
 
+/// Leads SealMac's SipHash input, so it is never a plain SipHash of a frame.
+inline constexpr std::string_view kSealMacDomain = "p4p-nh64";
+
+/// The envelope MAC: a hash-then-PRF construction (UMAC, RFC 4418).
+///   * Message words are read little-endian, 1 KiB per chunk; the last
+///     chunk is zero-padded to a multiple of 16 bytes.
+///   * A chunk's digest is NH-Toeplitz over 64-bit words, two passes:
+///     sum_i (m[2i] + k[2i+2j]) * (m[2i+1] + k[2i+1+2j]) mod 2^128 for
+///     j = 0, 1 (additions mod 2^64), with k = key.nh(). Distinct chunks
+///     collide with probability at most 2^-128.
+///   * The tag is SipHash24(key, kSealMacDomain | digest_1 | ... | digest_n
+///     | u64 byte length), each digest as four little-endian words (pass 1
+///     low, pass 1 high, pass 2 low, pass 2 high). The length separates
+///     inputs that differ only by trailing zeros.
+/// Forging one tag after q sealed frames succeeds with probability at most
+/// q^2 * 2^-128 + 2^-64 plus SipHash's PRF advantage.
+std::uint64_t SealMac(const SealKey& key, std::span<const std::uint8_t> bytes);
+
 /// Envelope framing: magic + protocol version + tag, and the trailing MAC.
 inline constexpr std::size_t kSealHeaderBytes = 6;
 inline constexpr std::size_t kSealMacBytes = 8;
@@ -128,7 +220,7 @@ inline constexpr std::size_t kSealMacBytes = 8;
 /// A Writer holding an envelope header, with room for `payload_bytes` and
 /// the MAC reserved.
 Writer BeginSealed(std::uint32_t magic, std::uint8_t tag, std::size_t payload_bytes);
-/// Appends the MAC over everything written to `w` and returns the frame.
+/// Appends the SealMac over everything written to `w` and returns the frame.
 std::vector<std::uint8_t> Seal(Writer& w, const SealKey& key);
 /// The payload of a frame whose magic, protocol version, tag and MAC all
 /// check out under `key`; std::nullopt otherwise.

@@ -391,7 +391,7 @@ TEST_F(FederationCodecTest, DeltaRejectsRowCountBeyondPayload) {
 }
 
 TEST_F(FederationCodecTest, FramesOpenOnlyUnderTheirOwnKey) {
-  constexpr SealKey kOtherKey{kTestKey.k0, kTestKey.k1 ^ 1};
+  constexpr SealKey kOtherKey{kTestKey.k0(), kTestKey.k1() ^ 1};
   const auto frames = MakeFrames(4, 3);
   const auto push = EncodeFramePush(frames, kTestKey);
   EXPECT_TRUE(DecodeFramePush(push, kTestKey).has_value());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <random>
@@ -248,7 +249,7 @@ const std::vector<std::uint8_t> kGoldenPush = {
     0x00, 0x00, 0x00, 0x16,                          // policy: 22 bytes
     0x02, 0x06, 0x3F, 0xE0, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x3F, 0xE8,
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
-    0x42, 0xBE, 0xC1, 0xE3, 0x8A, 0x47, 0x7E, 0x77};  // SipHash-2-4 MAC
+    0x8F, 0xFA, 0x90, 0x57, 0xD2, 0x78, 0x7D, 0xB8};  // SealMac
 
 GetExternalViewResp GoldenView() {
   const auto v = SpecialDoubles();
@@ -338,7 +339,7 @@ TEST(Wire, TruncatedF64VecRejected) {
   }
 }
 
-// --- SipHash-2-4 and the sealed envelope -------------------------------------
+// --- SipHash-2-4 ------------------------------------------------------------
 
 TEST(SipHash, MatchesReferenceVectors) {
   // Key 00 01 .. 0f and message 00 01 .. (len-1), from the SipHash paper's
@@ -367,6 +368,156 @@ TEST(SipHash, StreamingMatchesOneShotAtEverySplit) {
     }
   }
 }
+
+// --- SealMac: NH-Toeplitz chunk digests under the SipHash-2-4 PRF ----------
+
+__extension__ using U128 = unsigned __int128;
+
+/// SealMac as wire.h specifies it, one word at a time: each chunk's words
+/// assembled byte by byte, each NH pass summed in its own __int128.
+std::uint64_t OracleSealMac(const SealKey& key, std::span<const std::uint8_t> bytes) {
+  std::vector<std::uint8_t> outer(kSealMacDomain.begin(), kSealMacDomain.end());
+  const auto put = [&outer](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) outer.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  for (std::size_t at = 0; at < bytes.size(); at += kNhChunkBytes) {
+    const std::size_t n = std::min(kNhChunkBytes, bytes.size() - at);
+    std::vector<std::uint64_t> m((n + 15) / 16 * 2, 0);  // zero-padded to 16 bytes
+    for (std::size_t b = 0; b < n; ++b) {
+      m[b / 8] |= std::uint64_t{bytes[at + b]} << (8 * (b % 8));
+    }
+    for (std::size_t pass = 0; pass < 2; ++pass) {
+      U128 sum = 0;
+      for (std::size_t i = 0; i < m.size(); i += 2) {
+        const std::uint64_t x = m[i] + key.nh()[i + 2 * pass];
+        const std::uint64_t y = m[i + 1] + key.nh()[i + 1 + 2 * pass];
+        sum += static_cast<U128>(x) * y;
+      }
+      put(static_cast<std::uint64_t>(sum));
+      put(static_cast<std::uint64_t>(sum >> 64));
+    }
+  }
+  put(bytes.size());
+  return SipHash24(key, outer);
+}
+
+std::vector<std::uint8_t> RandomBytes(std::size_t n, std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint8_t> bytes(n);
+  for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+  return bytes;
+}
+
+constexpr std::size_t kMaxMacLength = 3 * kNhChunkBytes + 17;
+
+TEST(SealMac, MatchesThePerWordOracleAtEveryLength) {
+  constexpr SealKey kKey{0x5EA1AB1E5EA1AB1EULL, 0x0DDBA11C0FFEE000ULL};
+  const auto message = RandomBytes(kMaxMacLength, 0x3AC);
+  for (std::size_t len = 0; len <= kMaxMacLength; ++len) {
+    const std::span<const std::uint8_t> m(message.data(), len);
+    ASSERT_EQ(SealMac(kKey, m), OracleSealMac(kKey, m)) << "len " << len;
+  }
+  // Long inputs, around the points where SealMac hands its staged chunk
+  // digests to SipHash, up to a push-sized frame.
+  constexpr std::size_t K = kNhChunkBytes;
+  const auto long_message = RandomBytes(166 * K, 0x3AD);
+  for (const std::size_t len : {16 * K - 1, 16 * K, 16 * K + 1, 17 * K, 32 * K + 17,
+                                33 * K, 166 * K}) {
+    const std::span<const std::uint8_t> m(long_message.data(), len);
+    EXPECT_EQ(SealMac(kKey, m), OracleSealMac(kKey, m)) << "len " << len;
+  }
+}
+
+TEST(SealMac, EveryChunkAndThePaddedTailAreCovered) {
+  constexpr SealKey kKey{0xC0DE, 0xFACE};
+  auto message = RandomBytes(kMaxMacLength, 0xF11);
+  for (std::size_t len = 1; len <= kMaxMacLength; ++len) {
+    const std::span<const std::uint8_t> m(message.data(), len);
+    const std::uint64_t tag = SealMac(kKey, m);
+    // One flip in every chunk, at an offset that walks through the chunk as
+    // the length grows; then one in the last byte, inside the padded block.
+    std::vector<std::size_t> flips;
+    for (std::size_t at = 0; at < len; at += kNhChunkBytes) {
+      flips.push_back(std::min(len - 1, at + len * 7 % kNhChunkBytes));
+    }
+    flips.push_back(len - 1);
+    for (const std::size_t at : flips) {
+      const std::uint8_t bit = static_cast<std::uint8_t>(1u << (len % 8));
+      message[at] ^= bit;
+      EXPECT_NE(SealMac(kKey, m), tag) << "len " << len << ", byte " << at;
+      message[at] ^= bit;
+    }
+  }
+}
+
+TEST(SealMac, TrailingZeroByteChangesTheTag) {
+  // Zero padding makes m and m|00 hash to the same chunk digests whenever
+  // they share a padded block; only the length word tells them apart.
+  std::vector<std::uint8_t> message = RandomBytes(kMaxMacLength, 0x2E0);
+  std::vector<std::uint8_t> longer;
+  for (std::size_t len = 0; len <= kMaxMacLength; ++len) {
+    longer.assign(message.begin(), message.begin() + static_cast<std::ptrdiff_t>(len));
+    const std::uint64_t tag = SealMac(kPublicSealKey, longer);
+    longer.push_back(0x00);
+    EXPECT_NE(SealMac(kPublicSealKey, longer), tag) << "len " << len;
+  }
+}
+
+TEST(SealMac, EachKeyHalfMatters) {
+  constexpr SealKey kKey{0x0123456789ABCDEFULL, 0xFEDCBA9876543210ULL};
+  constexpr SealKey kOtherK0{kKey.k0() ^ 1, kKey.k1()};
+  constexpr SealKey kOtherK1{kKey.k0(), kKey.k1() ^ 1};
+  EXPECT_NE(kKey.nh(), kOtherK0.nh());
+  EXPECT_NE(kKey.nh(), kOtherK1.nh());
+  for (const std::size_t len : {0u, 1u, 16u, 1024u, 1500u}) {
+    const auto m = RandomBytes(len, len);
+    const std::uint64_t tag = SealMac(kKey, m);
+    EXPECT_NE(SealMac(kOtherK0, m), tag) << "len " << len;
+    EXPECT_NE(SealMac(kOtherK1, m), tag) << "len " << len;
+  }
+}
+
+TEST(SealMac, UnalignedInputGivesTheSameTag) {
+  const auto message = RandomBytes(2 * kNhChunkBytes + 9, 0xA11);
+  const std::uint64_t tag = SealMac(kPublicSealKey, message);
+  std::vector<std::uint8_t> shifted(message.size() + 16);
+  for (std::size_t offset = 1; offset < 16; ++offset) {
+    std::uint8_t* unaligned = shifted.data() + offset;
+    std::copy(message.begin(), message.end(), unaligned);
+    EXPECT_EQ(SealMac(kPublicSealKey, std::span(unaligned, message.size())), tag)
+        << "offset " << offset;
+  }
+}
+
+TEST(SealMac, CompileTimeKeyMatchesRuntimeDerivation) {
+  static_assert(kPublicSealKey.nh()[kNhKeyWords - 1] != 0, "derived at compile time");
+  volatile std::uint64_t k0 = kPublicSealKey.k0();
+  volatile std::uint64_t k1 = kPublicSealKey.k1();
+  const SealKey runtime{k0, k1};
+  EXPECT_EQ(runtime, kPublicSealKey);
+  EXPECT_EQ(runtime.nh(), kPublicSealKey.nh());
+  for (std::uint64_t i = 0; i < kNhKeyWords; ++i) {
+    std::uint8_t word[8];
+    for (int b = 0; b < 8; ++b) word[b] = static_cast<std::uint8_t>(i >> (8 * b));
+    EXPECT_EQ(kPublicSealKey.nh()[i], SipHash24(kPublicSealKey, word)) << "word " << i;
+  }
+}
+
+TEST(SealMac, MatchesPinnedVectors) {
+  // Key 00 01 .. 0f and message 00 01 .. (len-1) mod 256, as for SipHash.
+  constexpr SealKey kKey{0x0706050403020100ULL, 0x0F0E0D0C0B0A0908ULL};
+  std::vector<std::uint8_t> message(20 * kNhChunkBytes + 3);
+  for (std::size_t i = 0; i < message.size(); ++i) {
+    message[i] = static_cast<std::uint8_t>(i);
+  }
+  EXPECT_EQ(SealMac(kKey, std::span(message.data(), 0)), 0x3C3B09FAF8093888ULL);
+  EXPECT_EQ(SealMac(kKey, std::span(message.data(), 15)), 0x082E8FB48D7793E2ULL);
+  EXPECT_EQ(SealMac(kKey, std::span(message.data(), 2 * kNhChunkBytes + 17)),
+            0x1F0778CA15A4F302ULL);
+  EXPECT_EQ(SealMac(kKey, message), 0x2DA559BDCD829660ULL);
+}
+
+// --- the sealed envelope -----------------------------------------------------
 
 TEST(SealedEnvelope, OpensOnlyTheExactFrameUnderItsKey) {
   constexpr SealKey kKey{1, 2};

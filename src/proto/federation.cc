@@ -47,7 +47,7 @@ std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames) {
   SipHasher hasher(kPublicSealKey);
   const auto u64 = [&hasher](std::uint64_t v) {
     std::uint8_t word[8];
-    for (int i = 0; i < 8; ++i) word[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
+    StoreBig(v, word);
     hasher.update(word);
   };
   // Length-prefixed, so adjacent variable-size fields cannot alias.
@@ -63,7 +63,7 @@ std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames) {
   // two parts rather than materialized.
   u64(frames.row_versions.size());
   for (std::size_t i = 0; i < frames.row_versions.size(); ++i) {
-    const auto row = SliceViewRow(frames.external_view, static_cast<std::int32_t>(i),
+    const auto row = SliceViewRow(frames.view(), static_cast<std::int32_t>(i),
                                   frames.row_versions[i]);
     u64(frames.row_versions[i]);
     u64(row.header.size() + row.doubles.size());
@@ -71,7 +71,7 @@ std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames) {
     hasher.update(row.doubles);
   }
   blob(frames.not_modified);
-  blob(frames.external_view);
+  blob(frames.view());
   blob(frames.policy);
   return hasher.finish();
 }
@@ -81,13 +81,14 @@ std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
   // The push ships the view once plus one stamp per row: every replica
   // cuts its row frames from that view, so they match by construction.
   const std::size_t n = frames.row_versions.size();
-  if (ViewFramePids(frames.external_view) != frames.num_pids ||
+  const auto view = frames.view();
+  if (ViewFramePids(view) != frames.num_pids ||
       static_cast<std::size_t>(frames.num_pids) != n) {
     throw std::invalid_argument(
         "EncodeFramePush: need a num_pids view frame and one content stamp per row");
   }
   const std::size_t payload = 8 + 8 + 8 + 4 + 4 + frames.not_modified.size() + 4 +
-                              frames.external_view.size() + 4 + n * kPushRowBytes +
+                              view.size() + 4 + n * kPushRowBytes +
                               1 + 4 + frames.policy.size();
   Writer w = BeginFrame(FederationTag::kFramePush, payload);
   w.u64(frames.term);
@@ -95,7 +96,7 @@ std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
   w.u64(frames.view_version);
   w.i32(frames.num_pids);
   w.blob(frames.not_modified);
-  w.blob(frames.external_view);
+  w.blob(view);
   w.u32(static_cast<std::uint32_t>(n));
   for (const std::uint64_t stamp : frames.row_versions) w.u64(stamp);
   w.u8(frames.policy.empty() ? 0 : 1);
@@ -114,12 +115,12 @@ std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> by
   frames.view_version = r.u64();
   frames.num_pids = r.i32();
   frames.not_modified = r.blob();
-  frames.external_view = r.blob();
+  frames.external_view = Share(r.blob());
   const std::uint32_t num_rows = r.u32();
   if (!r.ok() || frames.term > kMaxTerm || frames.num_pids < 0 ||
       num_rows != static_cast<std::uint32_t>(frames.num_pids) ||
       num_rows > r.remaining() / kPushRowBytes ||
-      ViewFramePids(frames.external_view) != frames.num_pids) {
+      ViewFramePids(frames.view()) != frames.num_pids) {
     return std::nullopt;
   }
   frames.row_versions.reserve(num_rows);
@@ -308,26 +309,28 @@ ReplicatedSnapshotStore::DeltaResult ReplicatedSnapshotStore::InstallDelta(
   if (!held || held->term != delta.term || held->version != delta.base_version ||
       held->num_pids != delta.num_pids ||
       held->row_versions.size() != static_cast<std::size_t>(delta.num_pids) ||
-      ViewFramePids(held->external_view) != delta.num_pids) {
+      ViewFramePids(held->view()) != delta.num_pids) {
     return DeltaResult::kBaseMismatch;
   }
   const std::size_t n = held->row_versions.size();
 
   // Splice into a private copy; readers only ever see the held set or the
-  // fully-verified result.
+  // fully-verified result. The held view buffer is shared with readers and
+  // answers in flight, so the splice writes into a copy of it (never into
+  // the held bytes).
   auto next = std::make_shared<SnapshotFrameSet>(*held);
   next->version = delta.version;
   next->view_version = delta.view_version;
   next->not_modified = delta.not_modified;
   next->policy = delta.policy;
+  std::vector<std::uint8_t> view = *held->external_view;
   for (const auto& row : delta.rows) {
     const auto i = static_cast<std::size_t>(row.pid);
     if (row.bytes.size() !=
         kDistanceFrameDoublesOffset + n * sizeof(double)) {
       return DeltaResult::kBaseMismatch;
     }
-    std::memcpy(next->external_view.data() + kDistanceFrameDoublesOffset +
-                    i * n * sizeof(double),
+    std::memcpy(view.data() + kDistanceFrameDoublesOffset + i * n * sizeof(double),
                 row.bytes.data() + kDistanceFrameDoublesOffset,
                 n * sizeof(double));
     // Only the doubles and the stamp are taken, so the set stays one matrix
@@ -337,7 +340,8 @@ ReplicatedSnapshotStore::DeltaResult ReplicatedSnapshotStore::InstallDelta(
   }
   // The view frame's embedded version is its content stamp; unchanged rows
   // keep their doubles, so only this field differs from a re-encode.
-  PatchVersionField(next->external_view, delta.view_version);
+  PatchVersionField(view, delta.view_version);
+  next->external_view = Share(std::move(view));
 
   // Checksum chain: the spliced result must digest to exactly what the
   // publisher computed over its own frame set, or the delta is discarded
@@ -369,8 +373,7 @@ FollowerPortalService::FollowerPortalService(const ReplicatedSnapshotStore* stor
   }
   // Not-synced-yet shedding frame: explicitly retryable, so failover
   // clients try the next replica instead of surfacing an error.
-  not_synced_ = std::make_shared<const std::vector<std::uint8_t>>(
-      Encode(UnavailableResp{/*retry_after_ms=*/100}));
+  not_synced_ = Share(Encode(UnavailableResp{/*retry_after_ms=*/100}));
 }
 
 SharedResponse FollowerPortalService::HandleShared(
@@ -378,24 +381,19 @@ SharedResponse FollowerPortalService::HandleShared(
   const auto frames = store_->current();
   if (!frames) return not_synced_;
   const auto decoded = Decode(request);
-  if (!decoded) {
-    return std::make_shared<const std::vector<std::uint8_t>>(
-        Encode(ErrorMsg{"malformed request"}));
-  }
+  if (!decoded) return Share(Encode(ErrorMsg{"malformed request"}));
   // Content-version tokens earn NotModified exactly as on the publisher —
   // byte-identical serving includes the conditional protocol.
   if (auto served = ServeDistances(frames, *decoded)) return served;
   if (std::holds_alternative<GetPolicyReq>(*decoded)) {
     if (frames->policy.empty()) {
-      return std::make_shared<const std::vector<std::uint8_t>>(
-          Encode(ErrorMsg{"policy interface not offered"}));
+      return Share(Encode(ErrorMsg{"policy interface not offered"}));
     }
     return SharedResponse(frames, &frames->policy);
   }
   // Followers replicate the p-distance/policy frames only; the capability
   // and pid-map interfaces stay on the publisher.
-  return std::make_shared<const std::vector<std::uint8_t>>(
-      Encode(ErrorMsg{"interface not offered by follower replica"}));
+  return Share(Encode(ErrorMsg{"interface not offered by follower replica"}));
 }
 
 std::vector<std::uint8_t> FollowerPortalService::Handle(
@@ -773,8 +771,7 @@ void SnapshotPublisher::RefreshLocked() {
   // the frames, their checksum, and every delta derived from them carry it.
   exported.term = term_.load(std::memory_order_relaxed);
   frames_ = std::make_shared<const SnapshotFrameSet>(std::move(exported));
-  push_frame_ = std::make_shared<const std::vector<std::uint8_t>>(
-      EncodeFramePush(*frames_, options_.key));
+  push_frame_ = Share(EncodeFramePush(*frames_, options_.key));
   delta_cache_.clear();
   encoded_version_ = version;
   if (options_.directory != nullptr) {
@@ -820,10 +817,9 @@ SnapshotPublisher::DeltaFrameLocked(std::uint64_t base) {
     if (stamps[i] <= base) continue;
     const auto pid = static_cast<std::int32_t>(i);
     delta.rows.push_back(
-        DeltaRow{pid, stamps[i], RowFrameFromView(frames_->external_view, pid, stamps[i])});
+        DeltaRow{pid, stamps[i], RowFrameFromView(frames_->view(), pid, stamps[i])});
   }
-  auto encoded = std::make_shared<const std::vector<std::uint8_t>>(
-      EncodeDeltaPush(delta, options_.key));
+  auto encoded = Share(EncodeDeltaPush(delta, options_.key));
   delta_cache_.emplace(base, encoded);
   return encoded;
 }
@@ -909,6 +905,11 @@ std::size_t SnapshotPublisher::PublishOnce() {
 std::uint64_t SnapshotPublisher::published_version() const {
   std::lock_guard<std::mutex> lock(mu_);
   return encoded_version_;
+}
+
+std::shared_ptr<const SnapshotFrameSet> SnapshotPublisher::published_frames() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return frames_;
 }
 
 std::vector<std::uint8_t> SnapshotPublisher::BeaconFrame() const {

@@ -10,7 +10,11 @@
 // buffers and per-row content stamps verbatim, serves them through the same
 // atomic<shared_ptr> publication path the publisher uses, and cuts a per-PID
 // row out of the view when a client asks for it, exactly as the publisher
-// does (ServeDistances, service.h). Consequences:
+// does (ServeDistances, service.h). The view frame is one immutable buffer
+// per version: on the publisher the response cache, every ExportFrames, the
+// term-stamped set pushes are encoded from and every full-view answer share
+// it; a follower holds the one copy it reads out of the push, and a delta
+// splices into a fresh copy, never into bytes a reader holds. Consequences:
 //
 //   * Version tokens are portal-wide, not per-replica: a client that
 //     fetched from replica A gets NotModified from replica B after
@@ -575,6 +579,9 @@ class SnapshotPublisher {
 
   /// The version PublishOnce last encoded (0 before the first publish).
   std::uint64_t published_version() const;
+  /// The term-stamped frame set PublishOnce last encoded (null before the
+  /// first publish); its view frame is the service's own buffer.
+  std::shared_ptr<const SnapshotFrameSet> published_frames() const;
 
   /// Encoded beacon datagram for the service's current version; broadcast
   /// it over any datagram channel(s) after a publish.

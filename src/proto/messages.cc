@@ -14,18 +14,22 @@ void EncodeBody(const GetPDistancesReq& m, Writer& w) {
   w.u64(m.if_version);
 }
 
+/// The body shared by both distance frames (the layout below).
+void EncodeDistances(std::int32_t pids_or_from, std::uint64_t version,
+                     std::span<const double> distances, Writer& w) {
+  w.i32(pids_or_from);
+  w.u64(version);
+  w.f64_vec(distances);
+}
+
 void EncodeBody(const GetPDistancesResp& m, Writer& w) {
-  w.i32(m.from);
-  w.u64(m.version);
-  w.f64_vec(m.distances);
+  EncodeDistances(m.from, m.version, m.distances, w);
 }
 
 void EncodeBody(const GetExternalViewReq& m, Writer& w) { w.u64(m.if_version); }
 
 void EncodeBody(const GetExternalViewResp& m, Writer& w) {
-  w.i32(m.num_pids);
-  w.u64(m.version);
-  w.f64_vec(m.distances);
+  EncodeDistances(m.num_pids, m.version, m.distances, w);
 }
 
 void EncodeBody(const GetPolicyReq&, Writer&) {}
@@ -222,40 +226,49 @@ std::optional<Message> DecodeAs<GetPidMapResp>(Reader& r) {
 
 }  // namespace
 
-MsgType TypeOf(const Message& message) {
-  return std::visit(
-      [](const auto& m) -> MsgType {
-        using T = std::decay_t<decltype(m)>;
-        if constexpr (std::is_same_v<T, ErrorMsg>) return MsgType::kError;
-        if constexpr (std::is_same_v<T, GetPDistancesReq>) return MsgType::kGetPDistancesReq;
-        if constexpr (std::is_same_v<T, GetPDistancesResp>) return MsgType::kGetPDistancesResp;
-        if constexpr (std::is_same_v<T, GetExternalViewReq>) return MsgType::kGetExternalViewReq;
-        if constexpr (std::is_same_v<T, GetExternalViewResp>) return MsgType::kGetExternalViewResp;
-        if constexpr (std::is_same_v<T, GetPolicyReq>) return MsgType::kGetPolicyReq;
-        if constexpr (std::is_same_v<T, GetPolicyResp>) return MsgType::kGetPolicyResp;
-        if constexpr (std::is_same_v<T, GetCapabilityReq>) return MsgType::kGetCapabilityReq;
-        if constexpr (std::is_same_v<T, GetCapabilityResp>) return MsgType::kGetCapabilityResp;
-        if constexpr (std::is_same_v<T, GetPidMapReq>) return MsgType::kGetPidMapReq;
-        if constexpr (std::is_same_v<T, GetPidMapResp>) return MsgType::kGetPidMapResp;
-        if constexpr (std::is_same_v<T, NotModifiedResp>) return MsgType::kNotModified;
-        if constexpr (std::is_same_v<T, UnavailableResp>) return MsgType::kUnavailable;
-      },
-      message);
-}
+static_assert(std::variant_size_v<Message> ==
+              static_cast<std::size_t>(MsgType::kUnavailable) + 1);
 
-std::vector<std::uint8_t> Encode(const Message& message) {
+MsgType TypeOf(const Message& message) { return static_cast<MsgType>(message.index()); }
+
+template <MessageBody T>
+std::vector<std::uint8_t> Encode(const T& message) {
   Writer w;
   w.u8(kProtocolVersion);
-  w.u8(static_cast<std::uint8_t>(TypeOf(message)));
-  std::visit([&w](const auto& m) { EncodeBody(m, w); }, message);
+  w.u8(static_cast<std::uint8_t>(detail::IndexIn<T>(static_cast<const Message*>(nullptr))));
+  EncodeBody(message, w);
+  return w.take();
+}
+
+template std::vector<std::uint8_t> Encode(const ErrorMsg&);
+template std::vector<std::uint8_t> Encode(const GetPDistancesReq&);
+template std::vector<std::uint8_t> Encode(const GetPDistancesResp&);
+template std::vector<std::uint8_t> Encode(const GetExternalViewReq&);
+template std::vector<std::uint8_t> Encode(const GetExternalViewResp&);
+template std::vector<std::uint8_t> Encode(const GetPolicyReq&);
+template std::vector<std::uint8_t> Encode(const GetPolicyResp&);
+template std::vector<std::uint8_t> Encode(const GetCapabilityReq&);
+template std::vector<std::uint8_t> Encode(const GetCapabilityResp&);
+template std::vector<std::uint8_t> Encode(const GetPidMapReq&);
+template std::vector<std::uint8_t> Encode(const GetPidMapResp&);
+template std::vector<std::uint8_t> Encode(const NotModifiedResp&);
+template std::vector<std::uint8_t> Encode(const UnavailableResp&);
+
+std::vector<std::uint8_t> Encode(const Message& message) {
+  return std::visit([](const auto& m) { return Encode(m); }, message);
+}
+
+std::vector<std::uint8_t> EncodeViewFrame(std::int32_t num_pids, std::uint64_t version,
+                                          std::span<const double> distances) {
+  Writer w;
+  w.u8(kProtocolVersion);
+  w.u8(static_cast<std::uint8_t>(MsgType::kGetExternalViewResp));
+  EncodeDistances(num_pids, version, distances, w);
   return w.take();
 }
 
 void PatchVersionField(std::vector<std::uint8_t>& frame, std::uint64_t version) {
-  for (int i = 0; i < 8; ++i) {
-    frame[kDistanceFrameVersionOffset + static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>(version >> (56 - 8 * i));
-  }
+  StoreBig(version, frame.data() + kDistanceFrameVersionOffset);
 }
 
 std::optional<std::int32_t> ViewFramePids(std::span<const std::uint8_t> view) {
@@ -283,16 +296,11 @@ ViewRow SliceViewRow(std::span<const std::uint8_t> view, std::int32_t from,
   const auto n = static_cast<std::size_t>(*pids);
   ViewRow row;
   auto* p = row.header.data();
-  *p++ = kProtocolVersion;
-  *p++ = static_cast<std::uint8_t>(MsgType::kGetPDistancesResp);
-  const auto put = [&p](std::uint64_t v, int bytes) {
-    for (int shift = 8 * (bytes - 1); shift >= 0; shift -= 8) {
-      *p++ = static_cast<std::uint8_t>(v >> shift);
-    }
-  };
-  put(static_cast<std::uint32_t>(from), 4);
-  put(version, 8);
-  put(n, 4);
+  p[0] = kProtocolVersion;
+  p[1] = static_cast<std::uint8_t>(MsgType::kGetPDistancesResp);
+  StoreBig(static_cast<std::uint32_t>(from), p + 2);
+  StoreBig(version, p + kDistanceFrameVersionOffset);
+  StoreBig(static_cast<std::uint32_t>(n), p + kDistanceFrameVersionOffset + 8);
   const std::size_t row_bytes = n * sizeof(double);
   row.doubles = view.subspan(
       kDistanceFrameDoublesOffset + static_cast<std::size_t>(from) * row_bytes, row_bytes);

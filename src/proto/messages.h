@@ -103,14 +103,35 @@ struct GetPidMapResp {
   std::int32_t as_number = 0;
 };
 
+/// The alternatives are listed in MsgType order: a message's type byte is
+/// its variant index.
 using Message =
     std::variant<ErrorMsg, GetPDistancesReq, GetPDistancesResp, GetExternalViewReq,
                  GetExternalViewResp, GetPolicyReq, GetPolicyResp, GetCapabilityReq,
                  GetCapabilityResp, GetPidMapReq, GetPidMapResp, NotModifiedResp,
                  UnavailableResp>;
 
+namespace detail {
+/// The index of T among Ts, or sizeof...(Ts) when T is not one of them.
+template <typename T, typename... Ts>
+constexpr std::size_t IndexIn(const std::variant<Ts...>*) {
+  std::size_t i = 0;
+  ((std::is_same_v<T, Ts> ? false : (++i, true)) && ...);
+  return i;
+}
+}  // namespace detail
+
+/// One concrete alternative of Message.
+template <typename T>
+concept MessageBody =
+    detail::IndexIn<T>(static_cast<const Message*>(nullptr)) < std::variant_size_v<Message>;
+
 /// Serializes a message (version byte + type byte + payload).
 std::vector<std::uint8_t> Encode(const Message& message);
+/// As Encode(Message), byte for byte, without first copying `message` into
+/// a Message.
+template <MessageBody T>
+std::vector<std::uint8_t> Encode(const T& message);
 
 /// Parses a message; std::nullopt on malformed input, unknown type, or
 /// version mismatch.
@@ -131,6 +152,12 @@ MsgType TypeOf(const Message& message);
 
 inline constexpr std::size_t kDistanceFrameVersionOffset = 6;
 inline constexpr std::size_t kDistanceFrameDoublesOffset = 18;
+
+/// The GetExternalViewResp frame {num_pids, version, distances}, byte-equal
+/// to Encode() of that message, written straight from `distances` (row
+/// major, num_pids^2 entries) with no staging copy.
+std::vector<std::uint8_t> EncodeViewFrame(std::int32_t num_pids, std::uint64_t version,
+                                          std::span<const double> distances);
 
 /// Overwrites the u64 version field of an encoded distance frame, which
 /// must be at least kDistanceFrameDoublesOffset bytes long.

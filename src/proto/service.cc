@@ -14,10 +14,6 @@ SharedResponse Alias(const std::shared_ptr<Owner>& owner,
   return SharedResponse(owner, &bytes);
 }
 
-SharedResponse Owned(std::vector<std::uint8_t> bytes) {
-  return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
-}
-
 }  // namespace
 
 SharedResponse ServeDistances(const std::shared_ptr<const SnapshotFrameSet>& frames,
@@ -31,18 +27,18 @@ SharedResponse ServeDistances(const std::shared_ptr<const SnapshotFrameSet>& fra
                                  req->if_version == frames->view_version)) {
       return Alias(frames, frames->not_modified);
     }
-    return Alias(frames, frames->external_view);
+    return frames->external_view;
   }
   if (const auto* req = std::get_if<GetPDistancesReq>(&request)) {
     if (req->from < 0 || static_cast<std::size_t>(req->from) >= frames->row_versions.size()) {
-      return Owned(Encode(ErrorMsg{"unknown PID"}));
+      return Share(Encode(ErrorMsg{"unknown PID"}));
     }
     const std::uint64_t stamp = frames->row_versions[static_cast<std::size_t>(req->from)];
     if (req->if_version != 0 &&
         (req->if_version == frames->version || req->if_version == stamp)) {
       return Alias(frames, frames->not_modified);
     }
-    return Owned(RowFrameFromView(frames->external_view, req->from, stamp));
+    return Share(RowFrameFromView(frames->view(), req->from, stamp));
   }
   return nullptr;
 }
@@ -109,11 +105,7 @@ ITrackerService::encoded_state() const {
     frames.external_view = prev->frames.external_view;
   } else {
     frames.view_version = snap->version;
-    GetExternalViewResp view;
-    view.num_pids = n;
-    view.version = snap->version;
-    view.distances.assign(snap->view.values().begin(), snap->view.values().end());
-    frames.external_view = Encode(view);
+    frames.external_view = Share(EncodeViewFrame(n, snap->version, snap->view.values()));
   }
 
   state_.store(next, std::memory_order_release);
@@ -261,9 +253,9 @@ Message ITrackerService::Dispatch(const Message& request) const {
 SharedResponse ITrackerService::HandleShared(
     std::span<const std::uint8_t> request) const {
   const auto decoded = Decode(request);
-  if (!decoded) return Owned(Encode(ErrorMsg{"malformed request"}));
+  if (!decoded) return Share(Encode(ErrorMsg{"malformed request"}));
   if (auto cached = TryServeCached(*decoded)) return cached;
-  return Owned(Encode(Dispatch(*decoded)));
+  return Share(Encode(Dispatch(*decoded)));
 }
 
 std::vector<std::uint8_t> ITrackerService::Handle(

@@ -65,20 +65,30 @@ struct SnapshotFrameSet {
   std::uint64_t view_version = 0;
   std::int32_t num_pids = 0;
   std::vector<std::uint8_t> not_modified;       // NotModifiedResp{version}
-  std::vector<std::uint8_t> external_view;      // GetExternalViewResp
+  /// GetExternalViewResp frame: one immutable buffer per content version,
+  /// shared by every copy of the set and by every full-view answer, so a
+  /// copy of the set never copies the matrix. Nobody writes into it; a
+  /// changed view is a new buffer. Null reads as an empty frame (view()).
+  SharedResponse external_view;
   /// Per-row content version: the price version at which row i last
   /// changed. num_pids entries.
   std::vector<std::uint64_t> row_versions;
   /// GetPolicyResp frame; empty when the publisher offers no policy
   /// interface (followers then answer policy queries with an ErrorMsg).
   std::vector<std::uint8_t> policy;
+
+  /// The view frame's bytes; empty when external_view is null.
+  std::span<const std::uint8_t> view() const {
+    return external_view ? std::span<const std::uint8_t>(*external_view)
+                         : std::span<const std::uint8_t>();
+  }
 };
 
 /// Answers a GetExternalViewReq or GetPDistancesReq from `frames`, the one
 /// conditional-serving rule of every portal replica: a token equal to the
 /// set's version or to the asked frame's content version earns the
-/// NotModified frame; otherwise the view frame is aliased (no copy) and a
-/// row frame is cut from it. A PID outside [0, num_pids) gets
+/// NotModified frame; otherwise the shared view frame itself is the answer
+/// (no copy) and a row frame is cut from it. A PID outside [0, num_pids) gets
 /// ErrorMsg{"unknown PID"}. Null for any other request.
 SharedResponse ServeDistances(const std::shared_ptr<const SnapshotFrameSet>& frames,
                               const Message& request);
@@ -137,9 +147,10 @@ class ITrackerService {
   std::uint64_t price_version() const;
 
   /// Exports the current version's pre-encoded response frames for
-  /// federation. The buffers are copied out of the response cache (one copy
-  /// per republish, not per request); the publisher encodes them into a
-  /// push frame once per version.
+  /// federation. The view frame is shared with the response cache, not
+  /// copied: an export copies the small frames and the row stamps (~1 kB
+  /// at 144 PIDs). The publisher encodes the set into a push frame once per
+  /// version.
   SnapshotFrameSet ExportFrames() const;
 
   /// Drops every encoded cache, so the next rebuild re-stamps all rows at

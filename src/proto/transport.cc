@@ -41,17 +41,6 @@ bool ReadAll(int fd, std::uint8_t* data, std::size_t len) {
   return true;
 }
 
-std::array<std::uint8_t, 4> FrameHeader(std::uint32_t len) {
-  return {static_cast<std::uint8_t>(len >> 24), static_cast<std::uint8_t>(len >> 16),
-          static_cast<std::uint8_t>(len >> 8), static_cast<std::uint8_t>(len)};
-}
-
-std::uint32_t ParseFrameLen(const std::uint8_t* p) {
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
-}
-
 void SetNoDelay(int fd) {
   const int one = 1;
   ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
@@ -60,8 +49,9 @@ void SetNoDelay(int fd) {
 }  // namespace
 
 OutboundFrame::OutboundFrame(std::span<const std::uint8_t> payload)
-    : header_(FrameHeader(static_cast<std::uint32_t>(payload.size()))),
-      payload_(payload) {}
+    : payload_(payload) {
+  StoreBig(static_cast<std::uint32_t>(payload.size()), header_.data());
+}
 
 std::array<std::span<const std::uint8_t>, 2> OutboundFrame::unsent() const {
   const std::size_t in_header = std::min(sent_, header_.size());
@@ -100,7 +90,7 @@ bool WriteFrameBlocking(int fd, std::span<const std::uint8_t> payload) {
 bool ReadFrameBlocking(int fd, std::vector<std::uint8_t>& out) {
   std::uint8_t header[4];
   if (!ReadAll(fd, header, 4)) return false;
-  const std::uint32_t len = ParseFrameLen(header);
+  const std::uint32_t len = LoadBig<std::uint32_t>(header);
   if (len > kMaxFrameBytes) return false;
   out.resize(len);
   return len == 0 || ReadAll(fd, out.data(), len);
@@ -121,13 +111,20 @@ std::vector<std::uint8_t> InProcessTransport::Call(
 // TcpServer: fixed epoll worker pool.
 // ---------------------------------------------------------------------------
 
+std::size_t GrownReceiveBufferSize(std::size_t size, std::size_t frame_end) {
+  const std::size_t doubled = std::max(kMinReceiveBuffer, 2 * size);
+  return frame_end > size ? std::min(doubled, frame_end) : doubled;
+}
+
 /// One multiplexed connection. Owned by exactly one worker; only that
 /// worker's thread touches it after registration.
 struct TcpServer::Connection {
   int fd = -1;
-  /// Inbound bytes; frames are parsed from `consumed` onward.
+  /// Receive buffer: recv writes at `end`, and frames are parsed from
+  /// `begin`, so [begin, end) holds received, unparsed bytes.
   std::vector<std::uint8_t> in;
-  std::size_t consumed = 0;
+  std::size_t begin = 0;
+  std::size_t end = 0;
   /// Outbound frame queue. Each entry writes a shared payload buffer in
   /// place behind its header (zero-copy for cached responses).
   struct OutFrame {
@@ -152,7 +149,7 @@ TcpServer::TcpServer(std::uint16_t port, Handler handler, int num_workers) {
     throw std::invalid_argument("TcpServer: null handler");
   }
   handler_ = [h = std::move(handler)](std::span<const std::uint8_t> req) {
-    return std::make_shared<const std::vector<std::uint8_t>>(h(req));
+    return Share(h(req));
   };
   Init(port, num_workers);
 }
@@ -175,10 +172,9 @@ TcpServer::TcpServer(std::uint16_t port, SharedHandler handler, TcpServerOptions
 
 void TcpServer::Init(std::uint16_t port, int num_workers) {
   if (options_.max_connections != 0 || options_.max_pipelined_requests != 0) {
-    overload_frame_ = std::make_shared<const std::vector<std::uint8_t>>(
-        options_.overload_response.empty()
-            ? Encode(UnavailableResp{options_.retry_after_ms})
-            : options_.overload_response);
+    overload_frame_ = Share(options_.overload_response.empty()
+                                ? Encode(UnavailableResp{options_.retry_after_ms})
+                                : options_.overload_response);
   }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) ThrowErrno("socket");
@@ -264,12 +260,53 @@ void TcpServer::AcceptLoop() {
   }
 }
 
+bool TcpServer::ReceiveInto(Connection& conn, bool& peer_closed) {
+  while (true) {
+    if (conn.end == conn.in.size() && conn.begin > 0) {
+      // Full behind parsed bytes: move the unparsed tail to the front.
+      std::copy(conn.in.begin() + static_cast<std::ptrdiff_t>(conn.begin),
+                conn.in.end(), conn.in.begin());
+      conn.end -= conn.begin;
+      conn.begin = 0;
+    } else if (conn.end == conn.in.size()) {
+      std::size_t frame_end = 0;
+      if (conn.end >= 4) {
+        const std::uint32_t len = LoadBig<std::uint32_t>(conn.in.data());
+        if (len > kMaxFrameBytes) return false;  // hostile length prefix
+        frame_end = 4 + std::size_t{len};
+        // A whole frame is waiting: parse it before reading on (epoll is
+        // level-triggered, so the unread bytes wake the worker again).
+        if (frame_end <= conn.end) return true;
+      }
+      // reserve first: resize alone would round the capacity up to 2x.
+      const std::size_t grown = GrownReceiveBufferSize(conn.in.size(), frame_end);
+      conn.in.reserve(grown);
+      conn.in.resize(grown);
+    }
+    const std::size_t room = conn.in.size() - conn.end;
+    const ssize_t r = ::recv(conn.fd, conn.in.data() + conn.end, room, 0);
+    if (r > 0) {
+      conn.end += static_cast<std::size_t>(r);
+      // A short read emptied the socket; epoll is level-triggered, so any
+      // later bytes wake the worker again.
+      if (static_cast<std::size_t>(r) < room) return true;
+      continue;
+    }
+    if (r == 0) {
+      peer_closed = true;
+      return true;
+    }
+    if (errno == EINTR) continue;
+    return errno == EAGAIN || errno == EWOULDBLOCK;
+  }
+}
+
 bool TcpServer::DrainFrames(Connection& conn) {
-  while (conn.in.size() - conn.consumed >= 4) {
-    const std::uint32_t len = ParseFrameLen(conn.in.data() + conn.consumed);
+  while (conn.end - conn.begin >= 4) {
+    const std::uint32_t len = LoadBig<std::uint32_t>(conn.in.data() + conn.begin);
     if (len > kMaxFrameBytes) return false;  // hostile length prefix
-    if (conn.in.size() - conn.consumed - 4 < len) break;  // incomplete frame
-    const std::span<const std::uint8_t> payload(conn.in.data() + conn.consumed + 4, len);
+    if (conn.end - conn.begin - 4 < len) break;  // incomplete frame
+    const std::span<const std::uint8_t> payload(conn.in.data() + conn.begin + 4, len);
     SharedResponse response;
     if (options_.max_pipelined_requests != 0 &&
         conn.out.size() >= options_.max_pipelined_requests) {
@@ -287,18 +324,11 @@ bool TcpServer::DrainFrames(Connection& conn) {
     if (!response || response->size() > kMaxFrameBytes) return false;
     const OutboundFrame frame(*response);
     conn.out.push_back(Connection::OutFrame{std::move(response), frame});
-    conn.consumed += 4 + len;
+    conn.begin += 4 + len;
   }
-  // Compact: drop fully parsed bytes so the buffer doesn't grow without
-  // bound across a long-lived connection.
-  if (conn.consumed == conn.in.size()) {
-    conn.in.clear();
-    conn.consumed = 0;
-  } else if (conn.consumed >= (64u << 10)) {
-    conn.in.erase(conn.in.begin(),
-                  conn.in.begin() + static_cast<std::ptrdiff_t>(conn.consumed));
-    conn.consumed = 0;
-  }
+  // Everything parsed: the next read starts at the front again. A partial
+  // frame stays put until a read finds the buffer full (ReceiveInto).
+  if (conn.begin == conn.end) conn.begin = conn.end = 0;
   return true;
 }
 
@@ -319,7 +349,6 @@ bool TcpServer::FlushWrites(Connection& conn) {
 
 void TcpServer::WorkerLoop(Worker& worker) {
   std::array<epoll_event, 64> events;
-  std::vector<std::uint8_t> scratch(64u << 10);
 
   const auto close_conn = [this, &worker](int fd) {
     ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
@@ -352,23 +381,7 @@ void TcpServer::WorkerLoop(Worker& worker) {
 
       bool ok = (ev & (EPOLLHUP | EPOLLERR)) == 0;
       bool peer_closed = false;
-      if (ok && (ev & EPOLLIN) != 0) {
-        while (true) {
-          const ssize_t r = ::recv(conn.fd, scratch.data(), scratch.size(), 0);
-          if (r > 0) {
-            conn.in.insert(conn.in.end(), scratch.data(), scratch.data() + r);
-            continue;
-          }
-          if (r == 0) {
-            peer_closed = true;
-            break;
-          }
-          if (errno == EINTR) continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-          ok = false;
-          break;
-        }
-      }
+      if (ok && (ev & EPOLLIN) != 0) ok = ReceiveInto(conn, peer_closed);
       if (ok) ok = DrainFrames(conn);
       if (ok) ok = FlushWrites(conn);
       if (!ok || peer_closed) {

@@ -10,7 +10,9 @@
 // serves its pre-encoded, version-keyed responses without copying them per
 // connection. Client and server write each frame's length header and
 // payload with one sendmsg (OutboundFrame), so a small frame is one TCP
-// segment and wakes its reader once.
+// segment and wakes its reader once. The server reads each connection's
+// bytes straight into that connection's buffer and hands the handler a
+// span of it, so a request is copied once, by the kernel.
 #pragma once
 
 #include <array>
@@ -36,6 +38,11 @@ using Handler = std::function<std::vector<std::uint8_t>(std::span<const std::uin
 /// outlives them). Never null on success.
 using SharedResponse = std::shared_ptr<const std::vector<std::uint8_t>>;
 
+/// Moves `bytes` into a new shared buffer.
+inline SharedResponse Share(std::vector<std::uint8_t> bytes) {
+  return std::make_shared<const std::vector<std::uint8_t>>(std::move(bytes));
+}
+
 /// Handler variant returning a shareable buffer: the server writes the
 /// bytes without copying them into the connection, so one pre-encoded
 /// response can be in flight on any number of connections at once.
@@ -43,6 +50,17 @@ using SharedHandler = std::function<SharedResponse(std::span<const std::uint8_t>
 
 /// Largest accepted frame (16 MiB) — guards against hostile length prefixes.
 inline constexpr std::uint32_t kMaxFrameBytes = 16u << 20;
+
+/// The size a TcpServer connection's receive buffer starts at.
+inline constexpr std::size_t kMinReceiveBuffer = 4096;
+
+/// The size a TcpServer connection's receive buffer grows to when a read
+/// has filled all `size` bytes of it. It doubles (from kMinReceiveBuffer),
+/// so it never exceeds twice the bytes actually received. `frame_end`, the
+/// buffer offset at which the first unparsed frame ends (0 while its header
+/// is incomplete), can only cap the doubling at that frame's size: a
+/// declared length never sizes the buffer on its own.
+std::size_t GrownReceiveBufferSize(std::size_t size, std::size_t frame_end);
 
 /// One outbound frame — the u32 big-endian length header and the payload —
 /// and how much of it has been written. Both parts leave in one sendmsg, so
@@ -62,7 +80,7 @@ class OutboundFrame {
   bool done() const { return sent_ == header_.size() + payload_.size(); }
 
  private:
-  std::array<std::uint8_t, 4> header_;
+  std::array<std::uint8_t, 4> header_{};
   std::span<const std::uint8_t> payload_;
   std::size_t sent_ = 0;
 };
@@ -171,6 +189,10 @@ class TcpServer {
   void Init(std::uint16_t port, int num_workers);
   void AcceptLoop();
   void WorkerLoop(Worker& worker);
+  /// Reads what the socket holds straight into the connection's receive
+  /// buffer. Returns false on a read error or a frame over kMaxFrameBytes;
+  /// sets `peer_closed` on EOF.
+  bool ReceiveInto(Connection& conn, bool& peer_closed);
   /// Parses complete frames out of the connection's read buffer and runs
   /// the handler on each. Returns false when the connection must close.
   bool DrainFrames(Connection& conn);

@@ -6,35 +6,6 @@
 
 namespace p4p::proto {
 
-namespace {
-
-/// Swaps a host-order word to big-endian wire order (and back).
-std::uint64_t WireOrder(std::uint64_t v) {
-  if constexpr (std::endian::native == std::endian::little) return __builtin_bswap64(v);
-  return v;
-}
-
-}  // namespace
-
-void Writer::u16(std::uint16_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
-}
-
-void Writer::u32(std::uint32_t v) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void Writer::u64(std::uint64_t v) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    buf_.push_back(static_cast<std::uint8_t>(v >> shift));
-  }
-}
-
-void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
-
 void Writer::str(std::string_view s) {
   if (s.size() > 0xFFFF) {
     throw std::length_error("Writer::str: string too long");
@@ -56,8 +27,7 @@ void Writer::f64_vec(std::span<const double> values) {
   buf_.resize(at + values.size() * 8);
   std::uint8_t* out = buf_.data() + at;
   for (const double v : values) {
-    const std::uint64_t word = WireOrder(std::bit_cast<std::uint64_t>(v));
-    std::memcpy(out, &word, 8);
+    StoreBig(std::bit_cast<std::uint64_t>(v), out);
     out += 8;
   }
 }
@@ -74,44 +44,6 @@ void Writer::blob(std::span<const std::uint8_t> bytes) {
   u32(static_cast<std::uint32_t>(bytes.size()));
   raw(bytes);
 }
-
-bool Reader::take(std::size_t n, const std::uint8_t** out) {
-  if (!ok_ || data_.size() - pos_ < n) {
-    ok_ = false;
-    return false;
-  }
-  *out = data_.data() + pos_;
-  pos_ += n;
-  return true;
-}
-
-std::uint8_t Reader::u8() {
-  const std::uint8_t* p = nullptr;
-  if (!take(1, &p)) return 0;
-  return p[0];
-}
-
-std::uint16_t Reader::u16() {
-  const std::uint8_t* p = nullptr;
-  if (!take(2, &p)) return 0;
-  return static_cast<std::uint16_t>((p[0] << 8) | p[1]);
-}
-
-std::uint32_t Reader::u32() {
-  const std::uint8_t* p = nullptr;
-  if (!take(4, &p)) return 0;
-  return (static_cast<std::uint32_t>(p[0]) << 24) |
-         (static_cast<std::uint32_t>(p[1]) << 16) |
-         (static_cast<std::uint32_t>(p[2]) << 8) | p[3];
-}
-
-std::uint64_t Reader::u64() {
-  std::uint64_t hi = u32();
-  std::uint64_t lo = u32();
-  return (hi << 32) | lo;
-}
-
-double Reader::f64() { return std::bit_cast<double>(u64()); }
 
 std::string Reader::str() {
   const std::uint16_t len = u16();
@@ -136,9 +68,7 @@ std::vector<double> Reader::f64_vec() {
   if (!take(static_cast<std::size_t>(len) * 8, &p)) return {};
   std::vector<double> out(len);
   for (double& v : out) {
-    std::uint64_t word;
-    std::memcpy(&word, p, 8);
-    v = std::bit_cast<double>(WireOrder(word));
+    v = std::bit_cast<double>(LoadBig<std::uint64_t>(p));
     p += 8;
   }
   return out;

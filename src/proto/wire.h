@@ -17,6 +17,7 @@
 
 #include <array>
 #include <bit>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <optional>
@@ -30,6 +31,40 @@ namespace p4p::proto {
 /// Revision byte leading every portal message and sealed envelope.
 inline constexpr std::uint8_t kProtocolVersion = 2;
 
+namespace detail {
+
+/// `v` with its bytes in wire (big-endian) order, or back: the swap is its
+/// own inverse.
+template <std::unsigned_integral T>
+constexpr T WireOrder(T v) {
+  if constexpr (std::endian::native == std::endian::big || sizeof(T) == 1) {
+    return v;
+  } else if constexpr (sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
+
+}  // namespace detail
+
+/// Stores `v` big-endian (wire order) at `p`.
+template <std::unsigned_integral T>
+void StoreBig(T v, std::uint8_t* p) {
+  v = detail::WireOrder(v);
+  std::memcpy(p, &v, sizeof(T));
+}
+
+/// Loads a big-endian (wire order) `T` from `p`.
+template <std::unsigned_integral T>
+T LoadBig(const std::uint8_t* p) {
+  T v{};
+  std::memcpy(&v, p, sizeof(T));
+  return detail::WireOrder(v);
+}
+
 class Writer {
  public:
   /// Pre-allocates room for `n` more bytes. The bulk appenders (str,
@@ -38,12 +73,20 @@ class Writer {
   /// so encoding is a single allocation.
   void reserve(std::size_t n) { buf_.reserve(buf_.size() + n); }
 
+  /// Appends `v` big-endian: one resize and one store.
+  template <std::unsigned_integral T>
+  void put(T v) {
+    const std::size_t at = buf_.size();
+    buf_.resize(at + sizeof(T));
+    StoreBig(v, buf_.data() + at);
+  }
+
   void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v);
-  void u32(std::uint32_t v);
-  void u64(std::uint64_t v);
-  void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
-  void f64(double v);
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+  void i32(std::int32_t v) { put(static_cast<std::uint32_t>(v)); }
+  void f64(double v) { put(std::bit_cast<std::uint64_t>(v)); }
   /// Length-prefixed (u16) UTF-8 string; throws std::length_error if longer
   /// than 65535 bytes.
   void str(std::string_view s);
@@ -70,12 +113,19 @@ class Reader {
  public:
   explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
 
-  std::uint8_t u8();
-  std::uint16_t u16();
-  std::uint32_t u32();
-  std::uint64_t u64();
+  /// Reads a big-endian `T` with one bounds check; 0 once !ok().
+  template <std::unsigned_integral T>
+  T get() {
+    const std::uint8_t* p = nullptr;
+    return take(sizeof(T), &p) ? LoadBig<T>(p) : T{0};
+  }
+
+  std::uint8_t u8() { return get<std::uint8_t>(); }
+  std::uint16_t u16() { return get<std::uint16_t>(); }
+  std::uint32_t u32() { return get<std::uint32_t>(); }
+  std::uint64_t u64() { return get<std::uint64_t>(); }
   std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-  double f64();
+  double f64() { return std::bit_cast<double>(u64()); }
   std::string str();
   std::vector<double> f64_vec();
   std::vector<std::uint8_t> blob();
@@ -86,7 +136,15 @@ class Reader {
   std::size_t remaining() const { return data_.size() - pos_; }
 
  private:
-  bool take(std::size_t n, const std::uint8_t** out);
+  bool take(std::size_t n, const std::uint8_t** out) {
+    if (!ok_ || data_.size() - pos_ < n) {
+      ok_ = false;
+      return false;
+    }
+    *out = data_.data() + pos_;
+    pos_ += n;
+    return true;
+  }
 
   std::span<const std::uint8_t> data_;
   std::size_t pos_ = 0;

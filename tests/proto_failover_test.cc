@@ -447,7 +447,7 @@ std::vector<std::vector<std::uint8_t>> TermCarryingFrames() {
   frames.view_version = 9;
   frames.num_pids = 2;
   frames.not_modified = Encode(NotModifiedResp{9});
-  frames.external_view = Encode(GetExternalViewResp{2, 9, {0.0, 1.5, 2.5, 0.0}});
+  frames.external_view = Share(Encode(GetExternalViewResp{2, 9, {0.0, 1.5, 2.5, 0.0}}));
   frames.row_versions = {7, 9};
 
   DeltaPush delta;
@@ -457,7 +457,7 @@ std::vector<std::vector<std::uint8_t>> TermCarryingFrames() {
   delta.view_version = 9;
   delta.num_pids = 2;
   delta.not_modified = frames.not_modified;
-  delta.rows.push_back(DeltaRow{1, 9, RowFrameFromView(frames.external_view, 1, 9)});
+  delta.rows.push_back(DeltaRow{1, 9, RowFrameFromView(frames.view(), 1, 9)});
   delta.result_checksum = FrameSetChecksum(frames);
 
   return {

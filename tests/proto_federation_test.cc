@@ -50,7 +50,7 @@ class FederationCodecTest : public ::testing::Test {
     view.num_pids = num_pids;
     view.version = version;
     view.distances.assign(n * n, fill);
-    f.external_view = Encode(view);
+    f.external_view = Share(Encode(view));
     return f;
   }
 
@@ -66,13 +66,13 @@ class FederationCodecTest : public ::testing::Test {
     next.not_modified = Encode(NotModifiedResp{version});
     if (changed_pids.empty()) return next;
     next.view_version = version;
-    auto view = std::get<GetExternalViewResp>(*Decode(base.external_view));
+    auto view = std::get<GetExternalViewResp>(*Decode(base.view()));
     view.version = version;
     for (const int pid : changed_pids) {
       next.row_versions[static_cast<std::size_t>(pid)] = version;
       std::fill_n(view.distances.begin() + pid * base.num_pids, n, value);
     }
-    next.external_view = Encode(view);
+    next.external_view = Share(Encode(view));
     return next;
   }
 
@@ -110,7 +110,7 @@ TEST_F(FederationCodecTest, PushRoundTrip) {
   // The matrix travels once: the view, then one stamp per row.
   EXPECT_EQ(bytes.size(), kSealHeaderBytes + 8 + 8 + 8 + 4 + 4 +
                               frames.not_modified.size() + 4 +
-                              frames.external_view.size() + 4 + 4 * 8 + 1 + 4 +
+                              frames.view().size() + 4 + 4 * 8 + 1 + 4 +
                               frames.policy.size() + kSealMacBytes);
   const auto decoded = DecodeFramePush(bytes);
   ASSERT_TRUE(decoded.has_value());
@@ -119,7 +119,7 @@ TEST_F(FederationCodecTest, PushRoundTrip) {
   EXPECT_EQ(decoded->num_pids, 4);
   EXPECT_EQ(decoded->row_versions, frames.row_versions);
   EXPECT_EQ(decoded->not_modified, frames.not_modified);
-  EXPECT_EQ(decoded->external_view, frames.external_view);
+  EXPECT_EQ(*decoded->external_view, *frames.external_view);
   EXPECT_EQ(decoded->policy, frames.policy);
   // Row 1 was re-priced at 7: the follower cuts it from the view under that
   // stamp, byte-equal to Encode() of the row.
@@ -146,7 +146,7 @@ TEST_F(FederationCodecTest, PushRefusesInconsistentFrameSets) {
   EXPECT_THROW(EncodeFramePush(other_count), std::invalid_argument);
 
   auto no_view = good;
-  no_view.external_view.clear();
+  no_view.external_view = nullptr;
   EXPECT_THROW(EncodeFramePush(no_view), std::invalid_argument);
 }
 
@@ -360,7 +360,7 @@ TEST_F(FederationCodecTest, PushRejectsTheRowCarryingLayout) {
     w.u64(frames.view_version);
     w.i32(frames.num_pids);
     w.blob(frames.not_modified);
-    w.blob(frames.external_view);
+    w.blob(frames.view());
     const auto rows = testsupport::RowFrames(frames);
     w.u32(static_cast<std::uint32_t>(rows.size()));
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -455,7 +455,7 @@ TEST_F(FederationCodecTest, DeltaRoundTrip) {
   ASSERT_EQ(decoded->rows.size(), 2u);
   EXPECT_EQ(decoded->rows[0].pid, 1);
   EXPECT_EQ(decoded->rows[0].row_version, 7u);
-  EXPECT_EQ(decoded->rows[0].bytes, RowFrameFromView(target.external_view, 1, 7));
+  EXPECT_EQ(decoded->rows[0].bytes, RowFrameFromView(target.view(), 1, 7));
   EXPECT_EQ(decoded->rows[1].pid, 3);
 
   // A no-op version bump travels as an empty delta (stamps carried over).
@@ -492,7 +492,7 @@ std::uint64_t MaterializedRowsChecksum(const SnapshotFrameSet& frames) {
     blob(rows[i]);
   }
   blob(frames.not_modified);
-  blob(frames.external_view);
+  blob(frames.view());
   blob(frames.policy);
   return hasher.finish();
 }
@@ -515,7 +515,7 @@ TEST_F(FederationCodecTest, ChecksumStreamsTheMaterializedRows) {
     f.not_modified = Encode(NotModifiedResp{f.version});
     GetExternalViewResp view{n, f.view_version, {}};
     for (int k = 0; k < n * n; ++k) view.distances.push_back(price(rng));
-    f.external_view = Encode(view);
+    f.external_view = Share(Encode(view));
     if (rng() % 2 == 0) f.policy = Encode(GetPolicyResp{{0.5, 0.75}, {}});
     EXPECT_EQ(FrameSetChecksum(f), MaterializedRowsChecksum(f)) << "trial " << trial;
   }
@@ -610,7 +610,7 @@ class FederationDeltaStoreTest : public FederationCodecTest {
     EXPECT_EQ(got.view_version, want.view_version);
     EXPECT_EQ(got.num_pids, want.num_pids);
     EXPECT_EQ(got.not_modified, want.not_modified);
-    EXPECT_EQ(got.external_view, want.external_view);
+    EXPECT_EQ(*got.external_view, *want.external_view);
     EXPECT_EQ(got.row_versions, want.row_versions);
     EXPECT_EQ(testsupport::RowFrames(got), testsupport::RowFrames(want));
     EXPECT_EQ(got.policy, want.policy);
@@ -630,6 +630,28 @@ TEST_F(FederationDeltaStoreTest, SplicesExactBaseDeltaByteForByte) {
   // is byte-identical to what a full push of the target would install.
   ExpectSameFrames(*store.current(), target);
   EXPECT_EQ(store.install_count(), 2u);
+}
+
+// Readers may hold the installed view buffer (a full-view answer in
+// flight): the splice writes into a copy, so the held set keeps its bytes
+// and its checksum, and so does every set sharing its buffer.
+TEST_F(FederationDeltaStoreTest, SpliceNeverWritesIntoTheHeldView) {
+  const auto base = MakeFrames(5, 4);
+  const auto target = Advance(base, 7, {1, 3}, 9.75);
+  ReplicatedSnapshotStore store;
+  ASSERT_TRUE(store.Install(base));
+  const auto held = store.current();
+  ASSERT_EQ(held->external_view, base.external_view);  // the install shared it
+  const auto held_bytes = *held->external_view;
+  const auto held_checksum = FrameSetChecksum(*held);
+
+  ASSERT_EQ(store.InstallDelta(MakeDelta(base, target)),
+            ReplicatedSnapshotStore::DeltaResult::kInstalled);
+  EXPECT_NE(store.current()->external_view, held->external_view);
+  EXPECT_EQ(*store.current()->external_view, *target.external_view);
+  EXPECT_EQ(*held->external_view, held_bytes);
+  EXPECT_EQ(*base.external_view, held_bytes);
+  EXPECT_EQ(FrameSetChecksum(*held), held_checksum);
 }
 
 TEST_F(FederationDeltaStoreTest, EmptyDeltaAdvancesNoOpVersionBump) {
@@ -712,7 +734,7 @@ TEST_F(FederationDeltaStoreTest, ChecksumChainCatchesDivergenceWithoutRollback) 
   // A substituted row (right shape, wrong bytes) breaks the chain the
   // same way — the forged doubles never become servable.
   auto forged = MakeDelta(v5, v7);
-  forged.rows[0].bytes = RowFrameFromView(v5.external_view, 1, v5.row_versions[1]);
+  forged.rows[0].bytes = RowFrameFromView(v5.view(), 1, v5.row_versions[1]);
   EXPECT_EQ(store.InstallDelta(forged),
             ReplicatedSnapshotStore::DeltaResult::kChecksumMismatch);
   EXPECT_EQ(store.version(), 5u);
@@ -801,7 +823,7 @@ TEST_F(FederationTest, ExportFramesMatchesServedBytes) {
   const auto frames = service_.ExportFrames();
   EXPECT_EQ(frames.version, tracker_.version());
   EXPECT_EQ(frames.num_pids, tracker_.num_pids());
-  EXPECT_EQ(frames.external_view, service_.Handle(Encode(GetExternalViewReq{})));
+  EXPECT_EQ(*frames.external_view, service_.Handle(Encode(GetExternalViewReq{})));
   const auto rows = testsupport::RowFrames(frames);
   EXPECT_EQ(rows.size(), static_cast<std::size_t>(tracker_.num_pids()));
   for (core::Pid i = 0; i < tracker_.num_pids(); ++i) {
@@ -871,6 +893,40 @@ TEST_F(FederationTest, PublishOncePushesAndCachesPerVersion) {
   EXPECT_EQ(publisher.push_failure_count(), 0u);
 }
 
+// One version's view frame is one allocation on the publisher: every
+// export, the set pushes are encoded from and every full-view answer share
+// it. A follower holds the copy it read out of the push and serves that.
+TEST_F(FederationTest, OneVersionSharesOneViewBuffer) {
+  SnapshotPublisher publisher(&service_);
+  publisher.AddFollower("b.example", 1,
+                        std::make_unique<InProcessTransport>(
+                            follower_.replication_handler()));
+  BumpVersion(0);
+  const auto first = service_.ExportFrames();
+  const auto second = service_.ExportFrames();
+  ASSERT_NE(first.external_view, nullptr);
+  EXPECT_EQ(second.external_view, first.external_view);
+
+  ASSERT_EQ(publisher.PublishOnce(), 1u);
+  const auto published = publisher.published_frames();
+  ASSERT_NE(published, nullptr);
+  EXPECT_EQ(published->external_view, first.external_view);
+  EXPECT_EQ(service_.HandleShared(Encode(GetExternalViewReq{})), first.external_view);
+
+  const auto held = store_.current();
+  ASSERT_NE(held, nullptr);
+  EXPECT_NE(held->external_view, first.external_view);
+  EXPECT_EQ(*held->external_view, *first.external_view);
+  EXPECT_EQ(follower_service_.HandleShared(Encode(GetExternalViewReq{})),
+            held->external_view);
+
+  // A new version is a new buffer; the old one keeps its bytes.
+  const auto old_bytes = *first.external_view;
+  BumpVersion(1);
+  EXPECT_NE(service_.ExportFrames().external_view, first.external_view);
+  EXPECT_EQ(*first.external_view, old_bytes);
+}
+
 TEST_F(FederationTest, FollowerRefusesPushSealedUnderAnotherKey) {
   constexpr SealKey kFollowerKey{0x1111, 0x2222};
   constexpr SealKey kForgerKey{0x1111, 0x2223};
@@ -922,6 +978,7 @@ TEST_F(FederationTest, NoOpBumpCarriesContentStampsForward) {
   const auto second = service_.ExportFrames();
   EXPECT_EQ(second.version, first.version + 1);
   EXPECT_EQ(second.view_version, first.version);
+  // The carried view is the same buffer, not a copy of it.
   EXPECT_EQ(second.external_view, first.external_view);
   EXPECT_EQ(testsupport::RowFrames(second), testsupport::RowFrames(first));
   EXPECT_EQ(second.row_versions, first.row_versions);
@@ -1014,7 +1071,7 @@ TEST_F(FederationTest, EveryReplicaCutsServedRowsFromItsView) {
       for (core::Pid i = 0; i < frames.num_pids; ++i) {
         const auto stamp = frames.row_versions[static_cast<std::size_t>(i)];
         EXPECT_EQ(handle(Encode(GetPDistancesReq{i})),
-                  RowFrameFromView(frames.external_view, i, stamp))
+                  RowFrameFromView(frames.view(), i, stamp))
             << where << ", PID " << i;
         // The row's content stamp and the current version earn NotModified;
         // any other token gets the row.
@@ -1022,7 +1079,7 @@ TEST_F(FederationTest, EveryReplicaCutsServedRowsFromItsView) {
         EXPECT_EQ(handle(Encode(GetPDistancesReq{i, frames.version})), frames.not_modified)
             << where;
         EXPECT_EQ(handle(Encode(GetPDistancesReq{i, frames.version + 1})),
-                  RowFrameFromView(frames.external_view, i, stamp))
+                  RowFrameFromView(frames.view(), i, stamp))
             << where;
       }
       for (const core::Pid bad : {core::Pid{-1}, frames.num_pids}) {
@@ -1072,7 +1129,7 @@ TEST_F(FederationTest, PublishOnceShipsDeltasToAckedFollowers) {
   EXPECT_EQ(store_.version(), tracker_.version());
   const auto frames = service_.ExportFrames();
   EXPECT_EQ(FrameSetChecksum(*store_.current()), FrameSetChecksum(frames));
-  EXPECT_EQ(store_.current()->external_view, frames.external_view);
+  EXPECT_EQ(*store_.current()->external_view, *frames.external_view);
   EXPECT_EQ(store_.current()->row_versions, frames.row_versions);
 
   // Deltas are strictly smaller than the full frames they replace.
@@ -1116,7 +1173,7 @@ TEST_F(FederationTest, NeedFullSetAckTriggersSameRoundFullRetry) {
   EXPECT_EQ(publisher.delta_fallback_count(), 1u);
   EXPECT_EQ(follower_.delta_fallback_count(), 1u);
   const auto frames = service_.ExportFrames();
-  EXPECT_EQ(store_.current()->external_view, frames.external_view);
+  EXPECT_EQ(*store_.current()->external_view, *frames.external_view);
 
   // The fallback is sticky only until an ack: the next publish goes back
   // to the delta path.
@@ -1163,7 +1220,7 @@ TEST_F(FederationTest, ReplicationEndpointAcksDeltaOutcomes) {
   ASSERT_TRUE(installed.has_value());
   EXPECT_EQ(installed->status, AckStatus::kInstalled);
   EXPECT_EQ(installed->version, v2.version);
-  EXPECT_EQ(store_.current()->external_view, v2.external_view);
+  EXPECT_EQ(*store_.current()->external_view, *v2.external_view);
 
   // Re-delivered (duplicate) delta: kAlreadyCurrent, no rollback.
   const auto duplicate = DecodeFrameAck(follower_.HandleReplication(delta_bytes));
@@ -1222,7 +1279,7 @@ TEST_F(FederationTest, PullsAreAnsweredWithDeltasWhenPossible) {
   EXPECT_EQ(follower_.delta_install_count(), 1u);
   EXPECT_EQ(follower_.pull_install_count(), 1u);
   const auto frames = service_.ExportFrames();
-  EXPECT_EQ(store_.current()->external_view, frames.external_view);
+  EXPECT_EQ(*store_.current()->external_view, *frames.external_view);
   EXPECT_EQ(store_.current()->row_versions, frames.row_versions);
 }
 
@@ -1349,7 +1406,7 @@ TEST_F(FederationTest, LossyReplicationConvergesWithInvariants) {
       EXPECT_NE(std::get_if<UnavailableResp>(&*decoded), nullptr);
       continue;
     }
-    EXPECT_EQ(response, frames->external_view);
+    EXPECT_EQ(response, *frames->external_view);
     const auto decoded = Decode(response);
     ASSERT_TRUE(decoded.has_value());
     const auto* view = std::get_if<GetExternalViewResp>(&*decoded);

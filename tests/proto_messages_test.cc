@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <limits>
 #include <random>
 #include <stdexcept>
@@ -162,6 +163,78 @@ TEST(Messages, TypeOfCoversAll) {
   EXPECT_EQ(TypeOf(GetCapabilityResp{}), MsgType::kGetCapabilityResp);
   EXPECT_EQ(TypeOf(GetPidMapReq{}), MsgType::kGetPidMapReq);
   EXPECT_EQ(TypeOf(GetPidMapResp{}), MsgType::kGetPidMapResp);
+}
+
+/// Lowercase hex of `bytes`, so a golden mismatch reads as bytes.
+std::string Hex(std::span<const std::uint8_t> bytes) {
+  std::string out;
+  for (const std::uint8_t b : bytes) {
+    out += "0123456789abcdef"[b >> 4];
+    out += "0123456789abcdef"[b & 15];
+  }
+  return out;
+}
+
+// One message of every type, pinned byte for byte: both Encode overloads
+// (the concrete body and the Message variant) and the integer writers
+// behind them must keep every byte.
+TEST(Messages, EveryTypeEncodesToPinnedBytes) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  GetCapabilityResp capability;
+  capability.capabilities.push_back({core::CapabilityType::kCache, 4, 1e9, "cache"});
+  const std::vector<std::pair<Message, std::string>> cases = {
+      {ErrorMsg{"boom"}, "02000004626f6f6d"},
+      {GetPDistancesReq{7, 0x0102030405060708ULL}, "0201000000070102030405060708"},
+      {GetPDistancesResp{3, 99, {1.5, -0.0, nan, inf, -inf}},
+       "0202000000030000000000000063000000053ff8000000000000800000000000000"
+       "07ff80000000000007ff0000000000000fff0000000000000"},
+      {GetExternalViewReq{0xfffffffffULL}, "02030000000fffffffff"},
+      {GetExternalViewResp{2, 42, {0.0, -0.0, nan, -inf}},
+       "020400000002000000000000002a0000000400000000000000008000000000000000"
+       "7ff8000000000000fff0000000000000"},
+      {GetPolicyReq{}, "0205"},
+      {GetPolicyResp{{0.7, 0.9}, {{1, 8, 18, 0.5}, {-3, 0, 23, 0.25}}},
+       "02063fe66666666666663feccccccccccccd000000020000000108123fe000000000"
+       "0000fffffffd00173fd0000000000000"},
+      {GetCapabilityReq{core::CapabilityType::kCache, "cid"}, "0207000003636964"},
+      {capability, "020800000001000000000441cdcd650000000000056361636865"},
+      {GetPidMapReq{"10.0.0.1"}, "0209000831302e302e302e31"},
+      {GetPidMapResp{true, 5, 65001}, "020a01000000050000fde9"},
+      {NotModifiedResp{0xdeadbeefULL}, "020b00000000deadbeef"},
+      {UnavailableResp{1234}, "020c000004d2"},
+  };
+  ASSERT_EQ(cases.size(), std::variant_size_v<Message>);
+  for (const auto& [message, hex] : cases) {
+    EXPECT_EQ(Hex(Encode(message)), hex);
+    std::visit([&hex](const auto& body) { EXPECT_EQ(Hex(Encode(body)), hex); }, message);
+    EXPECT_EQ(TypeOf(message), static_cast<MsgType>(message.index()));
+  }
+}
+
+// The snapshot-side view encoder writes the frame Encode() writes, special
+// doubles included, into a buffer of exactly the frame's size.
+TEST(Messages, ViewFrameEncoderMatchesEncode) {
+  const std::vector<double> specials = {
+      -0.0,
+      0.0,
+      std::numeric_limits<double>::quiet_NaN(),
+      std::bit_cast<double>(0xfff0000000000123ULL),  // negative NaN with a payload
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min(),
+      1.5};
+  EXPECT_EQ(EncodeViewFrame(0, 3, {}), Encode(GetExternalViewResp{0, 3, {}}));
+  for (const double x : specials) {
+    EXPECT_EQ(EncodeViewFrame(1, 3, std::span(&x, 1)), Encode(GetExternalViewResp{1, 3, {x}}));
+  }
+  std::vector<double> view(144 * 144);
+  for (std::size_t i = 0; i < view.size(); ++i) {
+    view[i] = i % 3 == 0 ? specials[i % specials.size()] : 0.25 * static_cast<double>(i);
+  }
+  const auto frame = EncodeViewFrame(144, ~0ULL, view);
+  EXPECT_EQ(frame, Encode(GetExternalViewResp{144, ~0ULL, view}));
+  EXPECT_EQ(frame.capacity(), frame.size());
 }
 
 TEST(Messages, RejectsUnknownType) {

@@ -5,8 +5,10 @@
 #include <linux/tcp.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
+#include <cerrno>
 #include <cstddef>
 #include <fstream>
 #include <sstream>
@@ -125,6 +127,19 @@ std::vector<std::uint8_t> Framed(std::span<const std::uint8_t> payload) {
                                    static_cast<std::uint8_t>(n)};
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
+}
+
+/// Writes all of `bytes` to the blocking socket `fd`.
+void SendAll(int fd, std::span<const std::uint8_t> bytes) {
+  while (!bytes.empty()) {
+    const ssize_t n = ::send(fd, bytes.data(), bytes.size(), MSG_NOSIGNAL);
+    if (n <= 0) throw std::runtime_error("SendAll: send failed");
+    bytes = bytes.subspan(static_cast<std::size_t>(n));
+  }
+}
+
+void Append(std::vector<std::uint8_t>& out, std::span<const std::uint8_t> bytes) {
+  out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
 std::vector<std::uint8_t> Joined(const std::array<std::span<const std::uint8_t>, 2>& parts) {
@@ -378,6 +393,126 @@ TEST(TcpTransport, InterleavedClientsOnOneWorker) {
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(a.Call(Bytes("aa")), Bytes("AA"));
     EXPECT_EQ(b.Call(Bytes("bb")), Bytes("BB"));
+  }
+}
+
+TEST(TcpTransport, PipelinedFramesInOneWriteAreAnsweredInOrder) {
+  TcpServer server(0, EchoUpper, 1);
+  const int fd = Dial(server.port());
+  // Larger than the first receive buffer, so the run also grows it.
+  const std::vector<std::vector<std::uint8_t>> requests = {
+      Bytes("one"), {}, Bytes("three"), Pattern(9000, 3), Bytes("tail")};
+  std::vector<std::uint8_t> stream;
+  std::vector<std::uint8_t> answers;
+  for (const auto& request : requests) {
+    Append(stream, Framed(request));
+    Append(answers, Framed(EchoUpper(request)));
+  }
+  // One write carries every frame but the last one's final bytes.
+  const std::size_t held_back = 3;
+  const std::size_t last_answer = 4 + requests.back().size();
+  SendAll(fd, std::span(stream).first(stream.size() - held_back));
+  EXPECT_EQ(RecvExactly(fd, answers.size() - last_answer, 4096),
+            std::vector<std::uint8_t>(answers.begin(), answers.end() - last_answer));
+  SendAll(fd, std::span(stream).last(held_back));
+  EXPECT_EQ(RecvExactly(fd, last_answer, 4096),
+            std::vector<std::uint8_t>(answers.end() - last_answer, answers.end()));
+  ::close(fd);
+}
+
+TEST(TcpTransport, LargeFrameArrivesAFewBytesPerWrite) {
+  TcpServer server(0, EchoUpper, 1);
+  const int fd = Dial(server.port());
+  const auto request = Pattern((64u << 10) + 700, 4);
+  const auto stream = Framed(request);
+  std::size_t step = 1;
+  for (std::size_t at = 0; at < stream.size(); at += step, step = step % 13 + 1) {
+    SendAll(fd, std::span(stream).subspan(at, std::min(step, stream.size() - at)));
+  }
+  EXPECT_TRUE(RecvExactly(fd, stream.size(), 8192) == Framed(EchoUpper(request)));
+  ::close(fd);
+}
+
+TEST(TcpTransport, ServesPastSixtyFourKiBConsumedWithAPartialFrameBehind) {
+  TcpServer server(0, EchoUpper, 1);
+  const int fd = Dial(server.port());
+  std::vector<std::uint8_t> stream;
+  std::vector<std::uint8_t> answers;
+  for (int i = 0; i < 70; ++i) {
+    const auto request = Pattern(1000, static_cast<std::uint8_t>(i));
+    Append(stream, Framed(request));
+    Append(answers, Framed(EchoUpper(request)));
+  }
+  const auto last = Pattern(3000, 99);
+  const auto last_frame = Framed(last);
+  Append(stream, std::span(last_frame).first(1500));
+  std::vector<std::uint8_t> got;
+  std::thread reader([&] { got = RecvExactly(fd, answers.size(), 65536); });
+  SendAll(fd, stream);
+  reader.join();
+  EXPECT_TRUE(got == answers);
+  SendAll(fd, std::span(last_frame).subspan(1500));
+  EXPECT_TRUE(RecvExactly(fd, last_frame.size(), 4096) == Framed(EchoUpper(last)));
+  ::close(fd);
+}
+
+TEST(TcpTransport, LengthPrefixAboveMaxFrameDropsTheConnection) {
+  TcpServer server(0, EchoUpper, 1);
+  for (const std::uint32_t len : {kMaxFrameBytes + 1, 0xFFFFFFFFu}) {
+    const int fd = Dial(server.port());
+    const timeval timeout{5, 0};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+    const std::uint8_t header[4] = {
+        static_cast<std::uint8_t>(len >> 24), static_cast<std::uint8_t>(len >> 16),
+        static_cast<std::uint8_t>(len >> 8), static_cast<std::uint8_t>(len)};
+    SendAll(fd, header);
+    std::uint8_t byte = 0;
+    const ssize_t r = ::recv(fd, &byte, 1, 0);
+    EXPECT_TRUE(r == 0 || (r < 0 && errno == ECONNRESET)) << "len " << len;
+    ::close(fd);
+  }
+  TcpClient client(server.port());
+  EXPECT_EQ(client.Call(Bytes("ok")), Bytes("OK"));
+}
+
+TEST(TcpTransport, DeclaredMaxFrameWithATrickleKeepsTheConnection) {
+  TcpServer server(0, EchoUpper, 1);
+  const int fd = Dial(server.port());
+  auto stream = Framed({});
+  stream[0] = static_cast<std::uint8_t>(kMaxFrameBytes >> 24);
+  stream[1] = static_cast<std::uint8_t>(kMaxFrameBytes >> 16);
+  Append(stream, Pattern(1000, 6));
+  for (std::size_t at = 0; at < stream.size(); at += 10) {
+    SendAll(fd, std::span(stream).subspan(at, std::min<std::size_t>(10, stream.size() - at)));
+  }
+  // A legal length keeps the connection open, waiting for the rest.
+  const timeval timeout{0, 200000};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
+  std::uint8_t byte = 0;
+  EXPECT_EQ(::recv(fd, &byte, 1, 0), -1);
+  EXPECT_TRUE(errno == EAGAIN || errno == EWOULDBLOCK);
+  ::close(fd);
+}
+
+TEST(TcpTransport, ReceiveBufferGrowsWithTheBytesReceived) {
+  EXPECT_EQ(GrownReceiveBufferSize(0, 0), kMinReceiveBuffer);
+  // A declared frame end only caps the doubling at what the frame needs.
+  EXPECT_EQ(GrownReceiveBufferSize(64u << 10, 100000), 100000u);
+  EXPECT_EQ(GrownReceiveBufferSize(4096, 4 + std::size_t{kMaxFrameBytes}), 8192u);
+  EXPECT_EQ(GrownReceiveBufferSize(100000, 100000), 200000u);
+
+  // A header declaring kMaxFrameBytes, then a trickle: the server grows the
+  // buffer only when a read has filled it, so it stays within twice the
+  // bytes that arrived.
+  const std::size_t frame_end = 4 + std::size_t{kMaxFrameBytes};
+  std::size_t size = 0;
+  std::size_t received = 0;
+  while (received < (3u << 20)) {
+    if (received == size) {
+      size = GrownReceiveBufferSize(size, received >= 4 ? frame_end : 0);
+      ASSERT_LE(size, std::max(kMinReceiveBuffer, 2 * received));
+    }
+    received += std::min<std::size_t>(997, size - received);
   }
 }
 

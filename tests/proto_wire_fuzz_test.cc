@@ -90,8 +90,8 @@ SnapshotFrameSet CorpusFrames() {
   f.view_version = 9;
   f.num_pids = 3;
   f.not_modified = Encode(NotModifiedResp{9});
-  f.external_view = Encode(
-      GetExternalViewResp{3, 9, {0.0, 1.0, 2.5, 1.0, 0.0, 4.0, 2.5, 4.0, 0.0}});
+  f.external_view = Share(Encode(
+      GetExternalViewResp{3, 9, {0.0, 1.0, 2.5, 1.0, 0.0, 4.0, 2.5, 4.0, 0.0}}));
   f.row_versions = {8, 9, 8};
   f.policy = Encode(GetPolicyResp{{0.7, 0.9}, {{1, 8, 18, 0.5}}});
   return f;
@@ -106,7 +106,7 @@ std::vector<Bytes> FederationCorpus() {
   delta.view_version = 9;
   delta.num_pids = 3;
   delta.not_modified = frames.not_modified;
-  delta.rows.push_back(DeltaRow{1, 9, RowFrameFromView(frames.external_view, 1, 9)});
+  delta.rows.push_back(DeltaRow{1, 9, RowFrameFromView(frames.view(), 1, 9)});
   delta.policy = frames.policy;
   delta.result_checksum = FrameSetChecksum(frames);
   auto no_policy = frames;
@@ -116,7 +116,7 @@ std::vector<Bytes> FederationCorpus() {
   empty.version = 9;
   empty.view_version = 9;
   empty.not_modified = frames.not_modified;
-  empty.external_view = Encode(GetExternalViewResp{0, 9, {}});
+  empty.external_view = Share(Encode(GetExternalViewResp{0, 9, {}}));
   return {EncodeFramePush(frames, kTestKey),
           EncodeFramePush(no_policy, kTestKey),
           EncodeFramePush(empty, kTestKey),

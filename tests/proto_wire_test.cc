@@ -80,6 +80,41 @@ TEST(Wire, VectorRoundTrip) {
   EXPECT_TRUE(r.done());
 }
 
+// Every integer width through put/get, pinned byte for byte.
+TEST(Wire, PutAndGetPinEveryWidth) {
+  Writer w;
+  w.u8(0xAB);
+  w.u16(0x1234);
+  w.u32(0xDEADBEEF);
+  w.u64(0x0123456789ABCDEFULL);
+  w.i32(-2);
+  w.f64(-0.0);
+  w.put(std::uint16_t{0xBEEF});
+  EXPECT_EQ(w.bytes(), (std::vector<std::uint8_t>{
+                           0xAB, 0x12, 0x34, 0xDE, 0xAD, 0xBE, 0xEF, 0x01, 0x23, 0x45,
+                           0x67, 0x89, 0xAB, 0xCD, 0xEF, 0xFF, 0xFF, 0xFF, 0xFE, 0x80,
+                           0, 0, 0, 0, 0, 0, 0, 0xBE, 0xEF}));
+  Reader r(w.bytes());
+  EXPECT_EQ(r.get<std::uint8_t>(), 0xAB);
+  EXPECT_EQ(r.get<std::uint16_t>(), 0x1234);
+  EXPECT_EQ(r.get<std::uint32_t>(), 0xDEADBEEFu);
+  EXPECT_EQ(r.get<std::uint64_t>(), 0x0123456789ABCDEFULL);
+  EXPECT_EQ(r.i32(), -2);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(r.f64()), 0x8000000000000000ULL);
+  EXPECT_EQ(r.u16(), 0xBEEF);
+  EXPECT_TRUE(r.done());
+}
+
+TEST(Wire, TruncatedU64FailsAtEveryCut) {
+  Writer w;
+  w.u64(~0ULL);
+  for (std::size_t cut = 0; cut < 8; ++cut) {
+    Reader r(std::span<const std::uint8_t>(w.bytes().data(), cut));
+    EXPECT_EQ(r.u64(), 0u) << cut;
+    EXPECT_FALSE(r.ok());
+  }
+}
+
 TEST(Wire, TruncatedReadsFailCleanly) {
   Writer w;
   w.u32(12345);
@@ -267,7 +302,7 @@ SnapshotFrameSet GoldenFrames() {
   f.view_version = 6;
   f.num_pids = 2;
   f.not_modified = Encode(NotModifiedResp{7});
-  f.external_view = Encode(GoldenView());
+  f.external_view = Share(Encode(GoldenView()));
   f.row_versions = {5, 7};
   f.policy = Encode(GetPolicyResp{{0.5, 0.75}, {}});
   return f;
@@ -325,7 +360,7 @@ TEST(WireGolden, FramePushShipsTheViewOnce) {
                 Encode(GetPDistancesResp{0, 5, {v[0], v[4]}}),
                 Encode(GetPDistancesResp{1, 7, {v[7], v[9]}})}));
   EXPECT_EQ(decoded->row_versions, frames.row_versions);
-  EXPECT_EQ(decoded->external_view, frames.external_view);
+  EXPECT_EQ(*decoded->external_view, *frames.external_view);
 }
 
 TEST(Wire, TruncatedF64VecRejected) {

@@ -15,8 +15,8 @@ inline std::vector<std::vector<std::uint8_t>> RowFrames(
   std::vector<std::vector<std::uint8_t>> rows;
   rows.reserve(frames.row_versions.size());
   for (std::size_t i = 0; i < frames.row_versions.size(); ++i) {
-    rows.push_back(proto::RowFrameFromView(
-        frames.external_view, static_cast<std::int32_t>(i), frames.row_versions[i]));
+    rows.push_back(proto::RowFrameFromView(frames.view(), static_cast<std::int32_t>(i),
+                                           frames.row_versions[i]));
   }
   return rows;
 }

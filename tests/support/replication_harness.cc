@@ -54,7 +54,7 @@ void CompareFrameSets(const proto::SnapshotFrameSet& got,
   if (got.view_version != want.view_version) fail("view_version mismatch");
   if (got.num_pids != want.num_pids) fail("num_pids mismatch");
   if (got.not_modified != want.not_modified) fail("not_modified bytes differ");
-  if (got.external_view != want.external_view) fail("external_view bytes differ");
+  if (*got.external_view != *want.external_view) fail("external_view bytes differ");
   if (got.policy != want.policy) fail("policy bytes differ");
   if (got.row_versions.size() != want.row_versions.size()) {
     fail("row count mismatch");
@@ -253,7 +253,7 @@ ReplicationScenarioResult RunReplicationScenario(
       if (!held) {
         fail("served a view with no installed frames");
       } else {
-        if (response != held->external_view) {
+        if (response != *held->external_view) {
           fail("served view bytes differ from the installed frames");
         }
         if (view->version != held->view_version) {
@@ -271,7 +271,7 @@ ReplicationScenarioResult RunReplicationScenario(
         }
         const auto pid = static_cast<core::Pid>(round % held->row_versions.size());
         if (serve_d.Handle(proto::Encode(proto::GetPDistancesReq{pid})) !=
-            proto::RowFrameFromView(held->external_view, pid,
+            proto::RowFrameFromView(held->view(), pid,
                                     held->row_versions[static_cast<std::size_t>(pid)])) {
           fail("served row bytes differ from the installed frames");
         }
@@ -705,7 +705,7 @@ FailoverScenarioResult RunFailoverScenario(const FailoverScenarioConfig& config)
         if (!held) {
           fail(label + ": served a view with no installed frames");
         } else {
-          if (response != held->external_view) {
+          if (response != *held->external_view) {
             fail(label + ": served view bytes differ from the installed frames");
           }
           const auto conditional = proto::Decode(replica.serve.Handle(

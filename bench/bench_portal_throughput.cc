@@ -547,71 +547,8 @@ int Run() {
   std::printf("  federation publisher-kill:         NotModified from follower %s in %.2f ms\n",
               fed_kill_notmodified > 0 ? "yes" : "NO", fed_kill_latency_ms);
 
-  // --- delta replication: a single-link reprice ships only the rows routed
-  // across that link, so the per-version wire cost is a small fraction of
-  // the full frame set the pre-delta publisher re-sent every version.
-  double delta_bytes_per_version = 0.0;
-  double delta_full_frame_bytes = 0.0;
-  double delta_vs_full_ratio = 0.0;
-  {
-    // Probe a spread of links and reprice the one touching the fewest
-    // rows — the paper's steady-state workload, where one intradomain
-    // link's price moves per update interval.
-    prices.assign(prices.size(), 1.0);
-    tracker.SetStaticPrices(prices);
-    auto baseline_frames = cached.ExportFrames();
-    net::LinkId best_link = 0;
-    std::size_t best_changed = std::numeric_limits<std::size_t>::max();
-    for (std::size_t l = 0; l < graph.link_count(); ++l) {
-      prices[l] = 2.0;
-      tracker.SetStaticPrices(prices);
-      const auto probed = cached.ExportFrames();
-      std::size_t changed = 0;
-      for (std::size_t i = 0; i < probed.row_versions.size(); ++i) {
-        if (probed.row_versions[i] == probed.version) ++changed;
-      }
-      if (changed > 0 && changed < best_changed) {
-        best_changed = changed;
-        best_link = static_cast<net::LinkId>(l);
-        // A leaf PoP's directed uplink touches exactly its own row; no
-        // smaller delta exists, so stop probing.
-        if (best_changed == 1) break;
-      }
-    }
-
-    proto::ReplicatedSnapshotStore delta_store;
-    proto::SnapshotFollower delta_follower(&delta_store);
-    proto::SnapshotPublisher delta_pub(&cached);
-    delta_pub.AddFollower("delta-replica", 1,
-                          std::make_unique<proto::InProcessTransport>(
-                              delta_follower.replication_handler()));
-    delta_pub.PublishOnce();  // bootstrap full push establishes the base
-    const int delta_rounds = Scaled(30);
-    for (int round = 0; round < delta_rounds; ++round) {
-      prices[best_link] = 2.0 + 0.5 * static_cast<double>(round % 2 + 1);
-      tracker.SetStaticPrices(prices);
-      if (delta_pub.PublishOnce() != 1) {
-        throw std::runtime_error("delta bench: follower failed to confirm");
-      }
-    }
-    if (delta_pub.delta_frames_sent() == 0) {
-      throw std::runtime_error("delta bench: no deltas were shipped");
-    }
-    delta_bytes_per_version =
-        static_cast<double>(delta_pub.delta_bytes_sent()) /
-        static_cast<double>(delta_pub.delta_frames_sent());
-    delta_full_frame_bytes =
-        static_cast<double>(proto::EncodeFramePush(cached.ExportFrames()).size());
-    delta_vs_full_ratio = delta_full_frame_bytes > 0
-                              ? delta_bytes_per_version / delta_full_frame_bytes
-                              : 0.0;
-    std::printf("  delta replication:                 %10.0f B/version vs %.0f B full (%.1f%%, %zu/%d rows)\n",
-                delta_bytes_per_version, delta_full_frame_bytes,
-                100.0 * delta_vs_full_ratio, best_changed, tracker.num_pids());
-  }
-
   // --- control loop lag: a utilization report enters the telemetry plane
-  // over TCP, the tick drains + reprices + delta-pushes over TCP, and the
+  // over TCP, the tick drains + reprices + pushes over TCP, and the
   // follower serves the new version — the live end of the p-distance loop.
   double control_loop_lag_ms = 0.0;
   {
@@ -815,8 +752,6 @@ int Run() {
       {"publisher kill: follower honors the version token", "NotModified",
        fed_kill_notmodified > 0 ? "NotModified" : "full refetch",
        fed_kill_notmodified > 0},
-      {"delta bytes per version vs full frame set", "<= 25%",
-       Fmt("%.1f%%", 100.0 * delta_vs_full_ratio), delta_vs_full_ratio <= 0.25},
       {"publisher failover: successor serving a fresh term", "<= 1500 ms",
        Fmt("%.0f ms", fed_failover_promote_ms), fed_failover_promote_ms <= 1500.0},
       {"publisher failover: stale-term republish fenced", ">= 1 reject",
@@ -852,13 +787,10 @@ int Run() {
                                           {"fed_frame_install_ns", fed_install_ns},
                                           {"fed_publisher_kill_notmodified", fed_kill_notmodified},
                                           {"fed_publisher_kill_latency_ms", fed_kill_latency_ms},
-                                          {"delta_full_frame_bytes", delta_full_frame_bytes},
-                                          {"delta_vs_full_ratio", delta_vs_full_ratio},
                                       });
   // Replication-plane metrics live in BENCH_scalability.json only —
   // committing them under two names invited the two copies to drift.
   MergeBenchJson("BENCH_scalability.json", {
-                                               {"delta_bytes_per_version", delta_bytes_per_version},
                                                {"control_loop_lag_ms", control_loop_lag_ms},
                                                {"fed_failover_promote_ms", fed_failover_promote_ms},
                                                {"fed_fenced_rejects_total", fed_fenced_rejects_total},

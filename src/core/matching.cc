@@ -1,5 +1,6 @@
 #include "core/matching.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -117,6 +118,21 @@ MatchingResult SolveMatching(const MatchingInput& input) {
   }
 
   // Stage 2: minimize network cost subject to the efficiency floor (eq. 5-6).
+  // Only relative p-distances matter, and a tracker's duals can sit far
+  // below the solver's absolute tolerance, so the costs are divided by the
+  // largest finite distance (an all-zero matrix stays as it is).
+  const auto distance = [&](std::size_t i, std::size_t j) {
+    return input.distances->at(static_cast<Pid>(i), static_cast<Pid>(j));
+  };
+  double scale = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      if (i != j && std::isfinite(distance(i, j))) {
+        scale = std::max(scale, std::abs(distance(i, j)));
+      }
+    }
+  }
+  if (scale == 0.0) scale = 1.0;
   {
     lp::Model model;
     std::vector<std::vector<lp::VarId>> var;
@@ -126,9 +142,7 @@ MatchingResult SolveMatching(const MatchingInput& input) {
     for (std::size_t i = 0; i < n; ++i) {
       for (std::size_t j = 0; j < n; ++j) {
         if (i == j) continue;
-        model.set_objective_coeff(var[i][j],
-                                  input.distances->at(static_cast<Pid>(i),
-                                                      static_cast<Pid>(j)));
+        model.set_objective_coeff(var[i][j], distance(i, j) / scale);
         total.push_back({var[i][j], 1.0});
       }
     }
@@ -137,7 +151,7 @@ MatchingResult SolveMatching(const MatchingInput& input) {
     const auto sol = solver.Solve(model);
     result.status = sol.status;
     if (sol.status != lp::SolveStatus::kOptimal) return result;
-    result.network_cost = sol.objective;
+    result.network_cost = sol.objective * scale;
 
     result.traffic.assign(n, std::vector<double>(n, 0.0));
     result.achieved_total = 0.0;

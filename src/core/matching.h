@@ -35,7 +35,9 @@ struct MatchingResult {
   lp::SolveStatus status = lp::SolveStatus::kInfeasible;
   /// Optimal total matched traffic of stage 1.
   double opt_total = 0.0;
-  /// Network cost sum p_ij t_ij at the stage-2 optimum.
+  /// Network cost sum p_ij t_ij at the stage-2 optimum, in the units of
+  /// `distances`. The answer is scale-free: stage 2 solves on the distances
+  /// divided by their largest finite entry.
   double network_cost = 0.0;
   /// Achieved total traffic at stage 2 (>= beta * opt_total).
   double achieved_total = 0.0;

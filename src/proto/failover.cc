@@ -169,7 +169,6 @@ void FailoverCoordinator::PromoteLocked(double now) {
 
   if (!publisher_) {
     PublisherOptions pub_options;
-    pub_options.enable_delta = options_.enable_delta;
     pub_options.term = new_term;
     pub_options.key = follower_->key();
     if (options_.update_directory_epochs) {

@@ -62,8 +62,6 @@ struct FailoverOptions {
   /// Record (term, version) epochs in the directory while publishing, so
   /// prefer_fresh_replicas clients steer to confirmed replicas.
   bool update_directory_epochs = true;
-  /// Ship deltas when publishing (PublisherOptions::enable_delta).
-  bool enable_delta = true;
 };
 
 /// Per-replica failover state machine binding the replica's tracker,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -14,11 +13,9 @@ namespace p4p::proto {
 
 namespace {
 
-/// Smallest encoded rows: a push row is its u64 content stamp; a delta row
-/// is a u32 pid, a u64 stamp and a u32 blob length. Decoders reject a wire
-/// row count the remaining bytes cannot hold before it sizes a reserve().
+/// A push row is its u64 content stamp. The decoder rejects a wire row
+/// count the remaining bytes cannot hold before it sizes a reserve().
 constexpr std::size_t kPushRowBytes = 8;
-constexpr std::size_t kMinDeltaRowBytes = 4 + 8 + 4;
 
 Writer BeginFrame(FederationTag tag, std::size_t payload_bytes) {
   return BeginSealed(kFederationMagic, static_cast<std::uint8_t>(tag), payload_bytes);
@@ -37,43 +34,10 @@ std::optional<Reader> OpenFrame(std::span<const std::uint8_t> bytes,
 std::optional<FederationTag> PeekFederationTag(std::span<const std::uint8_t> bytes) {
   const auto tag = PeekSealedTag(bytes, kFederationMagic);
   if (!tag || *tag < static_cast<std::uint8_t>(FederationTag::kFramePush) ||
-      *tag > static_cast<std::uint8_t>(FederationTag::kDeltaPush)) {
+      *tag > static_cast<std::uint8_t>(FederationTag::kBeacon)) {
     return std::nullopt;
   }
   return static_cast<FederationTag>(*tag);
-}
-
-std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames) {
-  SipHasher hasher(kPublicSealKey);
-  const auto u64 = [&hasher](std::uint64_t v) {
-    std::uint8_t word[8];
-    StoreBig(v, word);
-    hasher.update(word);
-  };
-  // Length-prefixed, so adjacent variable-size fields cannot alias.
-  const auto blob = [&](std::span<const std::uint8_t> bytes) {
-    u64(bytes.size());
-    hasher.update(bytes);
-  };
-  u64(frames.term);
-  u64(frames.version);
-  u64(frames.view_version);
-  u64(static_cast<std::uint32_t>(frames.num_pids));
-  // Row i is hashed as the frame a replica serves for it, streamed from its
-  // two parts rather than materialized.
-  u64(frames.row_versions.size());
-  for (std::size_t i = 0; i < frames.row_versions.size(); ++i) {
-    const auto row = SliceViewRow(frames.view(), static_cast<std::int32_t>(i),
-                                  frames.row_versions[i]);
-    u64(frames.row_versions[i]);
-    u64(row.header.size() + row.doubles.size());
-    hasher.update(row.header);
-    hasher.update(row.doubles);
-  }
-  blob(frames.not_modified);
-  blob(frames.view());
-  blob(frames.policy);
-  return hasher.finish();
 }
 
 std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
@@ -132,77 +96,6 @@ std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> by
   return frames;
 }
 
-std::vector<std::uint8_t> EncodeDeltaPush(const DeltaPush& delta, const SealKey& key) {
-  std::size_t payload = 8 + 8 + 8 + 8 + 4 + 4 + delta.not_modified.size() + 4 +
-                        1 + 4 + delta.policy.size() + 8;
-  for (const auto& row : delta.rows) payload += 4 + 8 + 4 + row.bytes.size();
-  Writer w = BeginFrame(FederationTag::kDeltaPush, payload);
-  w.u64(delta.term);
-  w.u64(delta.base_version);
-  w.u64(delta.version);
-  w.u64(delta.view_version);
-  w.i32(delta.num_pids);
-  w.blob(delta.not_modified);
-  w.u32(static_cast<std::uint32_t>(delta.rows.size()));
-  for (const auto& row : delta.rows) {
-    w.u32(static_cast<std::uint32_t>(row.pid));
-    w.u64(row.row_version);
-    w.blob(row.bytes);
-  }
-  w.u8(delta.policy.empty() ? 0 : 1);
-  if (!delta.policy.empty()) w.blob(delta.policy);
-  w.u64(delta.result_checksum);
-  return Seal(w, key);
-}
-
-std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes,
-                                         const SealKey& key) {
-  auto opened = OpenFrame(bytes, FederationTag::kDeltaPush, key);
-  if (!opened) return std::nullopt;
-  Reader& r = *opened;
-  DeltaPush delta;
-  delta.term = r.u64();
-  delta.base_version = r.u64();
-  delta.version = r.u64();
-  delta.view_version = r.u64();
-  delta.num_pids = r.i32();
-  delta.not_modified = r.blob();
-  const std::uint32_t num_rows = r.u32();
-  // Protocol-meaningful relations are validated here (not just by the
-  // MAC): a delta that violates them could never have been produced by a
-  // correct publisher, so it is rejected before touching any store.
-  if (!r.ok() || delta.term > kMaxTerm || delta.num_pids < 0 ||
-      delta.base_version >= delta.version ||
-      delta.view_version > delta.version ||
-      num_rows > static_cast<std::uint32_t>(delta.num_pids) ||
-      num_rows > r.remaining() / kMinDeltaRowBytes) {
-    return std::nullopt;
-  }
-  delta.rows.reserve(num_rows);
-  std::int64_t prev_pid = -1;
-  for (std::uint32_t i = 0; i < num_rows && r.ok(); ++i) {
-    DeltaRow row;
-    row.pid = static_cast<std::int32_t>(r.u32());
-    row.row_version = r.u64();
-    row.bytes = r.blob();
-    // Canonical strictly-increasing pid order; row stamps must lie in
-    // (base, version] or the delta is incoherent.
-    if (row.pid <= prev_pid || row.pid >= delta.num_pids ||
-        row.row_version <= delta.base_version ||
-        row.row_version > delta.version) {
-      return std::nullopt;
-    }
-    prev_pid = row.pid;
-    delta.rows.push_back(std::move(row));
-  }
-  const std::uint8_t has_policy = r.u8();
-  if (has_policy > 1) return std::nullopt;
-  if (has_policy == 1) delta.policy = r.blob();
-  delta.result_checksum = r.u64();
-  if (!r.done()) return std::nullopt;
-  return delta;
-}
-
 std::vector<std::uint8_t> EncodeFrameAck(const FrameAck& ack, const SealKey& key) {
   Writer w = BeginFrame(FederationTag::kFrameAck, 1 + 8 + 8);
   w.u8(static_cast<std::uint8_t>(ack.status));
@@ -221,19 +114,24 @@ std::optional<FrameAck> DecodeFrameAck(std::span<const std::uint8_t> bytes,
   ack.version = r.u64();
   ack.term = r.u64();
   if (!r.done() || ack.term > kMaxTerm) return std::nullopt;
-  if (status < static_cast<std::uint8_t>(AckStatus::kInstalled) ||
-      status > static_cast<std::uint8_t>(AckStatus::kStaleTerm)) {
-    return std::nullopt;
+  // Status 4 belonged to the retired delta push.
+  switch (static_cast<AckStatus>(status)) {
+    case AckStatus::kInstalled:
+    case AckStatus::kAlreadyCurrent:
+    case AckStatus::kRejected:
+    case AckStatus::kStaleTerm:
+      ack.status = static_cast<AckStatus>(status);
+      break;
+    default:
+      return std::nullopt;
   }
-  ack.status = static_cast<AckStatus>(status);
   return ack;
 }
 
 std::vector<std::uint8_t> EncodeFramePull(const FramePull& pull, const SealKey& key) {
-  Writer w = BeginFrame(FederationTag::kFramePull, 8 + 8 + 1);
+  Writer w = BeginFrame(FederationTag::kFramePull, 8 + 8);
   w.u64(pull.have_version);
   w.u64(pull.have_term);
-  w.u8(pull.want_full ? 1 : 0);
   return Seal(w, key);
 }
 
@@ -245,9 +143,7 @@ std::optional<FramePull> DecodeFramePull(std::span<const std::uint8_t> bytes,
   FramePull pull;
   pull.have_version = r.u64();
   pull.have_term = r.u64();
-  const std::uint8_t want_full = r.u8();
-  if (!r.done() || want_full > 1 || pull.have_term > kMaxTerm) return std::nullopt;
-  pull.want_full = want_full == 1;
+  if (!r.done() || pull.have_term > kMaxTerm) return std::nullopt;
   return pull;
 }
 
@@ -285,73 +181,6 @@ bool ReplicatedSnapshotStore::Install(SnapshotFrameSet frames) {
                  std::memory_order_release);
   installs_.fetch_add(1, std::memory_order_relaxed);
   return true;
-}
-
-ReplicatedSnapshotStore::DeltaResult ReplicatedSnapshotStore::InstallDelta(
-    const DeltaPush& delta) {
-  std::lock_guard<std::mutex> lock(install_mu_);
-  const auto held = current_.load(std::memory_order_acquire);
-  // Fencing first: a delta from a term below the held one is a fenced
-  // ex-publisher's, whatever its version claims.
-  if (held && delta.term < held->term) {
-    stale_installs_.fetch_add(1, std::memory_order_relaxed);
-    return DeltaResult::kStaleTerm;
-  }
-  if (held && std::pair(delta.term, delta.version) <=
-                  std::pair(held->term, held->version)) {
-    stale_installs_.fetch_add(1, std::memory_order_relaxed);
-    return DeltaResult::kStale;
-  }
-  // Exact-base rule: a delta applies to precisely the (term, version) it
-  // was computed against, never to "close enough" — deltas never span
-  // terms (the publisher's first export after promotion re-stamps every
-  // row, so a cross-term delta could not exist anyway).
-  if (!held || held->term != delta.term || held->version != delta.base_version ||
-      held->num_pids != delta.num_pids ||
-      held->row_versions.size() != static_cast<std::size_t>(delta.num_pids) ||
-      ViewFramePids(held->view()) != delta.num_pids) {
-    return DeltaResult::kBaseMismatch;
-  }
-  const std::size_t n = held->row_versions.size();
-
-  // Splice into a private copy; readers only ever see the held set or the
-  // fully-verified result. The held view buffer is shared with readers and
-  // answers in flight, so the splice writes into a copy of it (never into
-  // the held bytes).
-  auto next = std::make_shared<SnapshotFrameSet>(*held);
-  next->version = delta.version;
-  next->view_version = delta.view_version;
-  next->not_modified = delta.not_modified;
-  next->policy = delta.policy;
-  std::vector<std::uint8_t> view = *held->external_view;
-  for (const auto& row : delta.rows) {
-    const auto i = static_cast<std::size_t>(row.pid);
-    if (row.bytes.size() !=
-        kDistanceFrameDoublesOffset + n * sizeof(double)) {
-      return DeltaResult::kBaseMismatch;
-    }
-    std::memcpy(view.data() + kDistanceFrameDoublesOffset + i * n * sizeof(double),
-                row.bytes.data() + kDistanceFrameDoublesOffset,
-                n * sizeof(double));
-    // Only the doubles and the stamp are taken, so the set stays one matrix
-    // whatever the delta row's header said; the checksum below then proves
-    // it equals the publisher's.
-    next->row_versions[i] = row.row_version;
-  }
-  // The view frame's embedded version is its content stamp; unchanged rows
-  // keep their doubles, so only this field differs from a re-encode.
-  PatchVersionField(view, delta.view_version);
-  next->external_view = Share(std::move(view));
-
-  // Checksum chain: the spliced result must digest to exactly what the
-  // publisher computed over its own frame set, or the delta is discarded
-  // with the held frames untouched.
-  if (FrameSetChecksum(*next) != delta.result_checksum) {
-    return DeltaResult::kChecksumMismatch;
-  }
-  current_.store(std::move(next), std::memory_order_release);
-  installs_.fetch_add(1, std::memory_order_relaxed);
-  return DeltaResult::kInstalled;
 }
 
 std::uint64_t ReplicatedSnapshotStore::version() const {
@@ -453,39 +282,9 @@ std::vector<std::uint8_t> SnapshotFollower::HandleReplication(
         FrameAck{status, store_->version(), term.value_or(store_->term())}, key_);
   };
   const auto tag = PeekFederationTag(request);
-  if (tag == FederationTag::kDeltaPush) {
-    const auto delta = DecodeDeltaPush(request, key_);
-    if (!delta) {
-      push_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return ack(AckStatus::kRejected);
-    }
-    const std::uint64_t fence = ObserveTerm(delta->term);
-    if (delta->term < fence) {
-      stale_term_rejects_.fetch_add(1, std::memory_order_relaxed);
-      return ack(AckStatus::kStaleTerm, fence);
-    }
-    switch (store_->InstallDelta(*delta)) {
-      case ReplicatedSnapshotStore::DeltaResult::kInstalled:
-        delta_installs_.fetch_add(1, std::memory_order_relaxed);
-        return ack(AckStatus::kInstalled);
-      case ReplicatedSnapshotStore::DeltaResult::kStale:
-        delta_stales_.fetch_add(1, std::memory_order_relaxed);
-        return ack(AckStatus::kAlreadyCurrent);
-      case ReplicatedSnapshotStore::DeltaResult::kStaleTerm:
-        stale_term_rejects_.fetch_add(1, std::memory_order_relaxed);
-        return ack(AckStatus::kStaleTerm);
-      case ReplicatedSnapshotStore::DeltaResult::kBaseMismatch:
-      case ReplicatedSnapshotStore::DeltaResult::kChecksumMismatch:
-        delta_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-        return ack(AckStatus::kNeedFullSet);
-    }
-    // Unreachable, but keeps -Wswitch honest without a default case.
-    return ack(AckStatus::kRejected);
-  }
   if (tag == FederationTag::kFramePull) {
     // Promotion-time anti-entropy: a candidate collects the freshest held
-    // set from its peers before its first republish. Full set only — peers
-    // never compute deltas for each other.
+    // set from its peers before its first republish.
     const auto pull = DecodeFramePull(request, key_);
     if (!pull) {
       push_rejects_.fetch_add(1, std::memory_order_relaxed);
@@ -561,60 +360,16 @@ bool SnapshotFollower::behind() const {
 bool SnapshotFollower::PullOnce(Transport& publisher) {
   pulls_.fetch_add(1, std::memory_order_relaxed);
   const auto held = store_->current();
-  const FramePull have{held ? held->version : 0, held ? held->term : 0, false};
-  const auto response = publisher.Call(EncodeFramePull(have, key_));
-  const auto tag = PeekFederationTag(response);
-  if (tag == FederationTag::kFramePush) {
-    auto frames = DecodeFramePush(response, key_);
-    if (!frames) return false;
-    // Pull answers are fenced like pushes: a stale-term publisher's set is
-    // never installed, however fresh its version claims to be.
-    if (frames->term < ObserveTerm(frames->term)) return false;
-    if (store_->Install(std::move(*frames))) {
-      pull_installs_.fetch_add(1, std::memory_order_relaxed);
-      return true;
-    }
-    return false;
-  }
-  if (tag == FederationTag::kDeltaPush) {
-    if (const auto delta = DecodeDeltaPush(response, key_)) {
-      if (delta->term < ObserveTerm(delta->term)) return false;
-      switch (store_->InstallDelta(*delta)) {
-        case ReplicatedSnapshotStore::DeltaResult::kInstalled:
-          delta_installs_.fetch_add(1, std::memory_order_relaxed);
-          pull_installs_.fetch_add(1, std::memory_order_relaxed);
-          return true;
-        case ReplicatedSnapshotStore::DeltaResult::kStale:
-          delta_stales_.fetch_add(1, std::memory_order_relaxed);
-          return false;
-        case ReplicatedSnapshotStore::DeltaResult::kStaleTerm:
-          stale_term_rejects_.fetch_add(1, std::memory_order_relaxed);
-          return false;
-        case ReplicatedSnapshotStore::DeltaResult::kBaseMismatch:
-        case ReplicatedSnapshotStore::DeltaResult::kChecksumMismatch:
-          delta_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-          break;  // unusable delta: escalate to a full pull below
-      }
-    }
-    // The delta answer could not advance us (our base moved between the
-    // pull and the answer, or the chain broke): demand the full set once.
-    pull_full_retries_.fetch_add(1, std::memory_order_relaxed);
-    const auto now_held = store_->current();
-    const FramePull full_pull{now_held ? now_held->version : 0,
-                              now_held ? now_held->term : 0, true};
-    const auto full = publisher.Call(EncodeFramePull(full_pull, key_));
-    if (PeekFederationTag(full) == FederationTag::kFramePush) {
-      auto frames = DecodeFramePush(full, key_);
-      if (frames && frames->term >= ObserveTerm(frames->term) &&
-          store_->Install(std::move(*frames))) {
-        pull_installs_.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    return false;
-  }
-  // kFrameAck (kAlreadyCurrent) or malformed: nothing newer installed.
-  return false;
+  const FramePull have{held ? held->version : 0, held ? held->term : 0};
+  // A kFrameAck (kAlreadyCurrent) or a malformed answer decodes to nothing.
+  auto frames = DecodeFramePush(publisher.Call(EncodeFramePull(have, key_)), key_);
+  if (!frames) return false;
+  // Pull answers are fenced like pushes: a stale-term publisher's set is
+  // never installed, however fresh its version claims to be.
+  if (frames->term < ObserveTerm(frames->term)) return false;
+  if (!store_->Install(std::move(*frames))) return false;
+  pull_installs_.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 void SnapshotFollower::ConfigurePullRetry(PullRetryOptions options,
@@ -720,14 +475,9 @@ void SnapshotPublisher::SetTerm(std::uint64_t term) {
   // publish re-exports and re-encodes under the new one.
   frames_.reset();
   push_frame_.reset();
-  delta_cache_.clear();
   encoded_version_ = 0;
-  // Followers' held sets belong to the old term; deltas never span terms,
-  // so every follower starts over from a full push.
-  for (auto& follower : followers_) {
-    follower.acked_version = 0;
-    follower.needs_full = false;
-  }
+  // Followers' held sets belong to the old term: push to every one again.
+  for (auto& follower : followers_) follower.acked_version = 0;
   // A promotion supersedes whatever fenced us before.
   fenced_.store(false, std::memory_order_release);
   observed_fence_term_.store(0, std::memory_order_release);
@@ -759,20 +509,17 @@ std::size_t SnapshotPublisher::follower_count() const {
   return followers_.size();
 }
 
-void SnapshotPublisher::RefreshLocked() {
+std::shared_ptr<const std::vector<std::uint8_t>>
+SnapshotPublisher::CurrentPushFrameLocked() {
   const std::uint64_t version = service_->price_version();
-  if (frames_ && push_frame_ && encoded_version_ == version) return;
+  if (frames_ && push_frame_ && encoded_version_ == version) return push_frame_;
   // One export+encode per version regardless of follower count;
-  // ExportFrames reads the service's already-encoded response cache. The
-  // per-base delta cache is valid only for one target version, so it drops
-  // here too.
+  // ExportFrames reads the service's already-encoded response cache.
   auto exported = service_->ExportFrames();
-  // ExportFrames is term-agnostic; the publisher stamps its term here, so
-  // the frames, their checksum, and every delta derived from them carry it.
+  // ExportFrames is term-agnostic; the publisher stamps its term here.
   exported.term = term_.load(std::memory_order_relaxed);
   frames_ = std::make_shared<const SnapshotFrameSet>(std::move(exported));
   push_frame_ = Share(EncodeFramePush(*frames_, options_.key));
-  delta_cache_.clear();
   encoded_version_ = version;
   if (options_.directory != nullptr) {
     options_.directory->UpdateReplicaEpoch(options_.domain, options_.self_target,
@@ -780,48 +527,7 @@ void SnapshotPublisher::RefreshLocked() {
                                            term_.load(std::memory_order_relaxed),
                                            version);
   }
-}
-
-std::shared_ptr<const std::vector<std::uint8_t>>
-SnapshotPublisher::CurrentPushFrameLocked() {
-  RefreshLocked();
   return push_frame_;
-}
-
-std::shared_ptr<const std::vector<std::uint8_t>>
-SnapshotPublisher::DeltaFrameLocked(std::uint64_t base) {
-  RefreshLocked();
-  if (base == 0 || base >= encoded_version_) return nullptr;
-  if (const auto it = delta_cache_.find(base); it != delta_cache_.end()) {
-    return it->second;
-  }
-  // Changed rows relative to base are exactly the ones stamped newer: the
-  // follower's held set at `base` is a faithful copy of what was published
-  // at `base` (monotone installs guarantee it), so no history is needed.
-  const auto& stamps = frames_->row_versions;
-  const std::size_t n = stamps.size();
-  const auto changed = static_cast<std::size_t>(std::count_if(
-      stamps.begin(), stamps.end(), [base](std::uint64_t v) { return v > base; }));
-  if (changed == n && n > 0) return nullptr;  // full set is no bigger
-  DeltaPush delta;
-  delta.term = frames_->term;
-  delta.base_version = base;
-  delta.version = frames_->version;
-  delta.view_version = frames_->view_version;
-  delta.num_pids = frames_->num_pids;
-  delta.not_modified = frames_->not_modified;
-  delta.policy = frames_->policy;
-  delta.result_checksum = FrameSetChecksum(*frames_);
-  delta.rows.reserve(changed);
-  for (std::size_t i = 0; i < n; ++i) {
-    if (stamps[i] <= base) continue;
-    const auto pid = static_cast<std::int32_t>(i);
-    delta.rows.push_back(
-        DeltaRow{pid, stamps[i], RowFrameFromView(frames_->view(), pid, stamps[i])});
-  }
-  auto encoded = Share(EncodeDeltaPush(delta, options_.key));
-  delta_cache_.emplace(base, encoded);
-  return encoded;
 }
 
 std::size_t SnapshotPublisher::PublishOnce() {
@@ -837,37 +543,11 @@ std::size_t SnapshotPublisher::PublishOnce() {
       ++confirmed;
       continue;
     }
-    auto wire = frame;
-    bool is_delta = false;
-    if (options_.enable_delta && !follower.needs_full) {
-      if (const auto delta = DeltaFrameLocked(follower.acked_version)) {
-        wire = delta;
-        is_delta = true;
-      }
-    }
-    ++pushes_;
-    if (is_delta) {
-      ++delta_frames_sent_;
-      delta_bytes_sent_ += wire->size();
-    } else {
-      ++full_frames_sent_;
-      full_bytes_sent_ += wire->size();
-    }
+    pushes_.fetch_add(1, std::memory_order_relaxed);
+    full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
+    full_bytes_sent_.fetch_add(frame->size(), std::memory_order_relaxed);
     try {
-      auto response = follower.channel->Call(*wire);
-      auto ack = DecodeFrameAck(response, options_.key);
-      if (ack && ack->status == AckStatus::kNeedFullSet && is_delta) {
-        // The follower's base diverged from its acked version (restart,
-        // reset) or the chain broke: fall back to the full set in the same
-        // round, and keep sending full until an ack re-establishes a base.
-        follower.needs_full = true;
-        ++delta_fallbacks_;
-        ++pushes_;
-        ++full_frames_sent_;
-        full_bytes_sent_ += frame->size();
-        response = follower.channel->Call(*frame);
-        ack = DecodeFrameAck(response, options_.key);
-      }
+      const auto ack = DecodeFrameAck(follower.channel->Call(*frame), options_.key);
       if (ack && ack->status == AckStatus::kStaleTerm) {
         // Fenced: a higher-term publisher superseded us. Record the term we
         // lost to and stop pushing — including to the remaining followers
@@ -883,7 +563,6 @@ std::size_t SnapshotPublisher::PublishOnce() {
       if (ack && (ack->status == AckStatus::kInstalled ||
                   ack->status == AckStatus::kAlreadyCurrent)) {
         follower.acked_version = std::max(follower.acked_version, ack->version);
-        follower.needs_full = false;
         if (options_.directory != nullptr) {
           options_.directory->UpdateReplicaEpoch(
               options_.domain, follower.target, follower.port,
@@ -892,11 +571,11 @@ std::size_t SnapshotPublisher::PublishOnce() {
         if (follower.acked_version >= version) ++confirmed;
         continue;
       }
-      ++push_failures_;
+      push_failures_.fetch_add(1, std::memory_order_relaxed);
     } catch (const std::exception&) {
       // Dead or lossy channel: the follower keeps its last good frames and
       // the next PublishOnce (or its own pull) retries.
-      ++push_failures_;
+      push_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return confirmed;
@@ -933,57 +612,9 @@ std::vector<std::uint8_t> SnapshotPublisher::HandleReplication(
                           options_.key);
   }
   pulls_served_.fetch_add(1, std::memory_order_relaxed);
-  // Deltas are only meaningful within one term: a puller holding an older
-  // term's set gets the full frame set, whatever its version.
-  if (options_.enable_delta && !pull->want_full && pull->have_term == own_term) {
-    if (const auto delta = DeltaFrameLocked(pull->have_version)) {
-      ++delta_frames_sent_;
-      delta_bytes_sent_ += delta->size();
-      return *delta;
-    }
-  }
-  ++full_frames_sent_;
-  full_bytes_sent_ += frame->size();
+  full_frames_sent_.fetch_add(1, std::memory_order_relaxed);
+  full_bytes_sent_.fetch_add(frame->size(), std::memory_order_relaxed);
   return *frame;
-}
-
-std::uint64_t SnapshotPublisher::push_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return pushes_;
-}
-
-std::uint64_t SnapshotPublisher::push_failure_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return push_failures_;
-}
-
-std::uint64_t SnapshotPublisher::pull_served_count() const {
-  return pulls_served_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t SnapshotPublisher::delta_frames_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delta_frames_sent_;
-}
-
-std::uint64_t SnapshotPublisher::full_frames_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return full_frames_sent_;
-}
-
-std::uint64_t SnapshotPublisher::delta_bytes_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delta_bytes_sent_;
-}
-
-std::uint64_t SnapshotPublisher::full_bytes_sent() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return full_bytes_sent_;
-}
-
-std::uint64_t SnapshotPublisher::delta_fallback_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return delta_fallbacks_;
 }
 
 // --- publisher election -----------------------------------------------------

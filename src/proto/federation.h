@@ -13,8 +13,7 @@
 // does (ServeDistances, service.h). The view frame is one immutable buffer
 // per version: on the publisher the response cache, every ExportFrames, the
 // term-stamped set pushes are encoded from and every full-view answer share
-// it; a follower holds the one copy it reads out of the push, and a delta
-// splices into a fresh copy, never into bytes a reader holds. Consequences:
+// it; a follower holds the one copy it reads out of the push. Consequences:
 //
 //   * Version tokens are portal-wide, not per-replica: a client that
 //     fetched from replica A gets NotModified from replica B after
@@ -38,11 +37,13 @@
 //   kFramePush (publisher -> follower, TCP): the full SnapshotFrameSet,
 //              with the matrix on the wire once (layout below).
 //   kFrameAck  (follower -> publisher, TCP): install outcome + version.
-//   kFramePull (follower -> publisher, TCP): anti-entropy catch-up.
+//   kFramePull (follower -> publisher, TCP): anti-entropy catch-up,
+//              payload u64 have_version | u64 have_term; answered with
+//              the full push or an ack.
 //   kBeacon    (publisher -> followers, UDP): current version, 30 bytes.
-//   kDeltaPush (publisher -> follower, TCP): only the rows whose content
-//              changed since the follower's acked version.
-// Every decoder refuses a term above kMaxTerm.
+// Tag 5, ack status 4 and a 17-byte pull belonged to a retired row-diff
+// delta push; all three are refused. Every decoder refuses a term above
+// kMaxTerm.
 //
 // kFramePush payload:
 //   u64 term | u64 version | u64 view_version | i32 num_pids |
@@ -62,33 +63,12 @@
 // fire-and-forget datagram — loss only delays gap detection until the next
 // beacon or push.
 //
-// Delta replication (the content-version stamps on SnapshotFrameSet make
-// this possible — see service.h): a super-gradient tick that reprices a few
-// links changes a few per-PID rows, so shipping the whole frame set every
-// version wastes bytes proportional to the matrix. A kDeltaPush carries:
-//   base_version — the exact version the delta applies on top of;
-//   the changed rows (frame bytes + new content stamps);
-//   the new NotModified/policy frames (always small, always shipped);
-//   result_checksum — FrameSetChecksum of the *target* frame set.
-// Base-version rules (enforced by ReplicatedSnapshotStore::InstallDelta,
-// all under the same install mutex as full installs, so monotonicity is a
-// single invariant):
-//   * held version == base_version exactly, else the delta is refused with
-//     AckStatus::kNeedFullSet (never applied to a mismatched base);
-//   * delta version <= held version is a stale duplicate — ignored
-//     (kAlreadyCurrent), so duplicated/reordered deltas can never roll a
-//     follower back;
-//   * after splicing, the rebuilt set's FrameSetChecksum must equal
-//     result_checksum, else the delta is discarded (held frames untouched)
-//     and the follower asks for a full set.
-// Because the publisher needs no history — changed rows relative to base A
-// are exactly {i : row_versions[i] > A} in the *current* set — any acked
-// base can be served a delta, and the full-set push remains the fallback
-// for new, reset, or diverged followers.
+// Every publish, and every answered pull, ships the one kFramePush the
+// publisher encodes per version (DESIGN.md §12 says why there is no
+// row-diff delta).
 #pragma once
 
 #include <atomic>
-#include <map>
 #include <mutex>
 #include <random>
 
@@ -118,16 +98,12 @@ enum class FederationTag : std::uint8_t {
   kFrameAck = 2,
   kFramePull = 3,
   kBeacon = 4,
-  kDeltaPush = 5,
 };
 
 enum class AckStatus : std::uint8_t {
   kInstalled = 1,      ///< frames newer than the held version: installed
   kAlreadyCurrent = 2, ///< the follower already holds this (or a newer) version
   kRejected = 3,       ///< malformed push, or a pull the endpoint cannot serve
-  /// A delta could not apply (base mismatch or checksum-chain break): the
-  /// held frames are untouched and the publisher should send the full set.
-  kNeedFullSet = 4,
   /// The push carried a term below the follower's fence (a newer publisher
   /// exists): nothing installed, and the ack's `term` tells the fenced
   /// ex-publisher what term superseded it, so it can demote itself.
@@ -149,12 +125,8 @@ struct FramePull {
   std::uint64_t have_version = 0;
   /// Term of the held set (0 = nothing / pre-federation). The responder
   /// compares (have_term, have_version) lexicographically against its own
-  /// pair; deltas are only offered within the responder's own term.
+  /// pair.
   std::uint64_t have_term = 0;
-  /// Demand the full frame set (after a delta answer failed to apply);
-  /// otherwise the publisher may answer with a delta on top of
-  /// have_version.
-  bool want_full = false;
 };
 
 /// Decoded kBeacon payload: the publisher's (term, version) heartbeat.
@@ -162,47 +134,6 @@ struct BeaconInfo {
   std::uint64_t term = 0;
   std::uint64_t version = 0;
 };
-
-/// One changed row inside a delta: the complete replacement frame bytes
-/// plus the row's new content version.
-struct DeltaRow {
-  std::int32_t pid = 0;
-  std::uint64_t row_version = 0;
-  std::vector<std::uint8_t> bytes;  // GetPDistancesResp frame
-};
-
-/// A kDeltaPush payload: everything needed to advance a follower holding
-/// exactly `base_version` to `version` without resending unchanged rows.
-struct DeltaPush {
-  /// Publisher term producing the target set; the spliced result installs
-  /// at this term (lexicographic (term, version) ordering, same as full
-  /// pushes).
-  std::uint64_t term = 0;
-  std::uint64_t base_version = 0;
-  std::uint64_t version = 0;
-  std::uint64_t view_version = 0;
-  std::int32_t num_pids = 0;
-  std::vector<std::uint8_t> not_modified;  // NotModifiedResp{version}
-  /// Changed rows, strictly increasing by pid (canonical — the encoder
-  /// emits them sorted, the decoder rejects anything else).
-  std::vector<DeltaRow> rows;
-  /// Current policy frame state, always shipped (policy frames are tiny
-  /// and not content-stamped); empty = publisher offers no policy.
-  std::vector<std::uint8_t> policy;
-  /// FrameSetChecksum of the target frame set — the checksum chain that
-  /// catches any splice divergence before the result is ever served.
-  std::uint64_t result_checksum = 0;
-};
-
-/// Order-sensitive digest of an entire frame set (versions, stamps, and
-/// every frame's bytes, each row frame included as a replica would serve
-/// it): streaming SipHash-2-4 under kPublicSealKey. Row frames are hashed
-/// from their header and view slice (SliceViewRow), never built. The
-/// publisher stamps it into each delta; the follower recomputes it over the
-/// spliced result before install. It checks the splice, not the sender —
-/// the delta's own seal does that. Throws as SliceViewRow does when the
-/// view does not hold one row per stamp.
-std::uint64_t FrameSetChecksum(const SnapshotFrameSet& frames);
 
 // --- frame codec ------------------------------------------------------------
 // Total like the message codec: malformed bytes (bad magic/tag/MAC, a
@@ -216,11 +147,6 @@ std::vector<std::uint8_t> EncodeFramePush(const SnapshotFrameSet& frames,
                                           const SealKey& key = kPublicSealKey);
 std::optional<SnapshotFrameSet> DecodeFramePush(std::span<const std::uint8_t> bytes,
                                                 const SealKey& key = kPublicSealKey);
-
-std::vector<std::uint8_t> EncodeDeltaPush(const DeltaPush& delta,
-                                          const SealKey& key = kPublicSealKey);
-std::optional<DeltaPush> DecodeDeltaPush(std::span<const std::uint8_t> bytes,
-                                         const SealKey& key = kPublicSealKey);
 
 std::vector<std::uint8_t> EncodeFrameAck(const FrameAck& ack,
                                          const SealKey& key = kPublicSealKey);
@@ -254,25 +180,9 @@ std::optional<FederationTag> PeekFederationTag(std::span<const std::uint8_t> byt
 /// token invariant.)
 class ReplicatedSnapshotStore {
  public:
-  /// Outcome of a delta application attempt.
-  enum class DeltaResult : std::uint8_t {
-    kInstalled = 1,         ///< base matched, checksum verified, swapped in
-    kStale = 2,             ///< (term, version) not newer: duplicate/reorder
-    kBaseMismatch = 3,      ///< held version != base (or shape mismatch)
-    kChecksumMismatch = 4,  ///< splice result failed the checksum chain
-    kStaleTerm = 5,         ///< delta.term below the held term: fenced
-  };
-
   /// Installs `frames` if (frames.term, frames.version) lexicographically
   /// exceeds the held pair. Returns true when installed.
   bool Install(SnapshotFrameSet frames);
-
-  /// Applies a delta on top of the held frame set. The held frames are
-  /// replaced only on kInstalled; every other outcome leaves them untouched
-  /// (no rollback, no partial splice ever visible to readers). Runs under
-  /// the same mutex as Install, so full and delta installs serialize into
-  /// one monotone history.
-  DeltaResult InstallDelta(const DeltaPush& delta);
 
   /// The installed frame set (null before the first install). One acquire
   /// load; the returned pointer stays valid for as long as the caller
@@ -359,7 +269,7 @@ struct PullRetryOptions {
 /// with TryPull/PullOnce.
 ///
 /// Term fencing: the follower tracks the highest term it has ever observed
-/// (beacons, pushes, installs). A push or delta whose term is below that
+/// (beacons, pushes, installs). A push whose term is below that
 /// fence is answered AckStatus::kStaleTerm without touching the store —
 /// the fenced ex-publisher learns the superseding term from the ack.
 class SnapshotFollower {
@@ -370,13 +280,11 @@ class SnapshotFollower {
                             SealKey key = kPublicSealKey);
 
   /// Handler for the replication endpoint (a TcpServer or any request/
-  /// response transport): installs FramePush or DeltaPush, answers
-  /// FrameAck, and serves FramePull from the held set (so a promoting
-  /// candidate can collect the freshest frames from its peers). Malformed
-  /// frames get AckStatus::kRejected — never silence, so the publisher can
-  /// tell a corrupt channel from a dead one. A delta that cannot apply
-  /// (wrong base, broken checksum chain) gets AckStatus::kNeedFullSet and
-  /// leaves the held frames untouched; a push below the term fence gets
+  /// response transport): installs FramePush, answers FrameAck, and
+  /// serves FramePull from the held set (so a promoting candidate can
+  /// collect the freshest frames from its peers). Malformed frames get
+  /// AckStatus::kRejected — never silence, so the publisher can tell a
+  /// corrupt channel from a dead one; a push below the term fence gets
   /// AckStatus::kStaleTerm.
   std::vector<std::uint8_t> HandleReplication(std::span<const std::uint8_t> request);
   Handler replication_handler() {
@@ -417,10 +325,8 @@ class SnapshotFollower {
 
   /// Anti-entropy catch-up: asks `publisher` (its replication endpoint) for
   /// anything newer than the installed (term, version) and installs the
-  /// answer. The publisher may answer with a delta; if that delta cannot
-  /// apply (the follower's base moved, or the chain broke) the follower
-  /// immediately re-pulls with want_full set. Returns true when a newer
-  /// version was installed. Throws what the transport throws; a malformed
+  /// full frame set it answers with. Returns true when a newer version was
+  /// installed. Throws what the transport throws; a malformed
   /// answer returns false. Does NOT consult the retry schedule — use
   /// TryPull for backoff-gated pulling.
   bool PullOnce(Transport& publisher);
@@ -441,7 +347,7 @@ class SnapshotFollower {
   std::uint64_t push_install_count() const { return push_installs_.load(); }
   std::uint64_t push_stale_count() const { return push_stales_.load(); }
   std::uint64_t push_rejected_count() const { return push_rejects_.load(); }
-  /// Pushes/deltas refused because their term was below the fence.
+  /// Pushes refused because their term was below the fence.
   std::uint64_t stale_term_reject_count() const { return stale_term_rejects_.load(); }
   std::uint64_t beacon_count() const { return beacons_.load(); }
   std::uint64_t pull_count() const { return pulls_.load(); }
@@ -454,14 +360,6 @@ class SnapshotFollower {
   std::uint64_t pull_retry_exhausted_count() const {
     return pull_retry_exhaustions_.load();
   }
-  /// Deltas applied cleanly on top of the held base.
-  std::uint64_t delta_install_count() const { return delta_installs_.load(); }
-  /// Duplicate/reordered deltas ignored by monotonicity.
-  std::uint64_t delta_stale_count() const { return delta_stales_.load(); }
-  /// Deltas answered with kNeedFullSet (base mismatch or checksum break).
-  std::uint64_t delta_fallback_count() const { return delta_fallbacks_.load(); }
-  /// Pull answers that failed as deltas and were retried as full pulls.
-  std::uint64_t pull_full_retry_count() const { return pull_full_retries_.load(); }
 
  private:
   /// Raises the fence from any observation; returns the resulting fence.
@@ -495,10 +393,6 @@ class SnapshotFollower {
   std::atomic<std::uint64_t> pulls_served_{0};
   std::atomic<std::uint64_t> pull_backoff_skips_{0};
   std::atomic<std::uint64_t> pull_retry_exhaustions_{0};
-  std::atomic<std::uint64_t> delta_installs_{0};
-  std::atomic<std::uint64_t> delta_stales_{0};
-  std::atomic<std::uint64_t> delta_fallbacks_{0};
-  std::atomic<std::uint64_t> pull_full_retries_{0};
 };
 
 struct PublisherOptions {
@@ -511,11 +405,7 @@ struct PublisherOptions {
   /// The publisher's own SRV identity, epoch-stamped on every republish.
   std::string self_target;
   std::uint16_t self_port = 0;
-  /// Ship kDeltaPush frames to followers with an acked base (full-set
-  /// fallback stays automatic). Disable to get a full-push-only publisher —
-  /// the conformance suite's oracle.
-  bool enable_delta = true;
-  /// The publisher's term, stamped into every push, delta, and beacon.
+  /// The publisher's term, stamped into every push and beacon.
   /// 0 keeps the pre-failover single-publisher behaviour; the failover
   /// coordinator sets a real term via SetTerm on promotion. At most
   /// kMaxTerm.
@@ -528,11 +418,8 @@ struct PublisherOptions {
 /// The publisher's replication half, layered on an ITrackerService: encodes
 /// the current version's frames into one push frame (cached per version —
 /// republishing to N followers encodes once) and pushes it to every
-/// follower lagging the current version. Followers with an acked base get a
-/// kDeltaPush carrying only the rows stamped newer than that base; a delta
-/// the follower cannot apply is answered kNeedFullSet and retried with the
-/// full set in the same round. Also answers follower pulls, with a delta
-/// when the pull's have_version permits one.
+/// follower lagging the current version. Also answers follower pulls with
+/// the same push frame.
 ///
 /// Thread safety: PublishOnce, HandleReplication, and BeaconFrame may be
 /// called concurrently (the TSan hammer does); AddFollower is setup-time.
@@ -548,16 +435,15 @@ class SnapshotPublisher {
                    std::unique_ptr<Transport> channel);
   std::size_t follower_count() const;
 
-  /// The term this publisher stamps into pushes, deltas, and beacons.
+  /// The term this publisher stamps into pushes and beacons.
   std::uint64_t term() const;
   /// The key this publisher seals and opens frames with (PublisherOptions::key).
   const SealKey& key() const { return options_.key; }
   /// Adopts a (new, higher) term: invalidates the per-version frame caches
   /// so the next publish re-stamps everything, clears every follower's
-  /// acked base (their held sets belong to an older term — deltas across
-  /// terms are never offered), and un-fences the publisher. The failover
-  /// coordinator calls this on promotion. Throws std::invalid_argument
-  /// above kMaxTerm.
+  /// acked version (their held sets belong to an older term), and
+  /// un-fences the publisher. The failover coordinator calls this on
+  /// promotion. Throws std::invalid_argument above kMaxTerm.
   void SetTerm(std::uint64_t term);
 
   /// True once any follower acked kStaleTerm: a higher-term publisher
@@ -587,28 +473,34 @@ class SnapshotPublisher {
   /// it over any datagram channel(s) after a publish.
   std::vector<std::uint8_t> BeaconFrame() const;
 
-  /// Replication endpoint: answers FramePull with a delta on top of the
-  /// puller's have_version when profitable (unless the pull demands the
-  /// full set), the cached full push frame otherwise, kAlreadyCurrent when
-  /// nothing newer exists, kRejected for anything malformed. Lets
-  /// followers catch up through the same TcpServer machinery the portal
-  /// uses.
+  /// Replication endpoint: answers FramePull with the cached push frame,
+  /// kAlreadyCurrent when nothing newer exists, kRejected for anything
+  /// malformed. Lets followers catch up through the same TcpServer
+  /// machinery the portal uses.
   std::vector<std::uint8_t> HandleReplication(std::span<const std::uint8_t> request);
   Handler replication_handler() {
     return [this](std::span<const std::uint8_t> req) { return HandleReplication(req); };
   }
 
-  std::uint64_t push_count() const;
-  std::uint64_t push_failure_count() const;
-  std::uint64_t pull_served_count() const;
-  /// Wire accounting, split by frame kind (pushes and served pulls): the
-  /// bench's delta_bytes_per_version reads these.
-  std::uint64_t delta_frames_sent() const;
-  std::uint64_t full_frames_sent() const;
-  std::uint64_t delta_bytes_sent() const;
-  std::uint64_t full_bytes_sent() const;
-  /// kNeedFullSet acks received (each triggers an immediate full retry).
-  std::uint64_t delta_fallback_count() const;
+  // Counters are relaxed atomics: a read never waits for a publish round.
+  std::uint64_t push_count() const { return pushes_.load(std::memory_order_relaxed); }
+  std::uint64_t push_failure_count() const {
+    return push_failures_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t pull_served_count() const {
+    return pulls_served_.load(std::memory_order_relaxed);
+  }
+  /// Wire accounting over pushes and served pulls.
+  std::uint64_t full_frames_sent() const {
+    return full_frames_sent_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t full_bytes_sent() const {
+    return full_bytes_sent_.load(std::memory_order_relaxed);
+  }
+  /// Always 0, since every frame is a full push; kept for perfbench's
+  /// `federation.delta_frac` and removed together with that metric.
+  std::uint64_t delta_frames_sent() const { return 0; }
+  std::uint64_t delta_bytes_sent() const { return 0; }
 
  private:
   struct FollowerChannel {
@@ -616,20 +508,12 @@ class SnapshotPublisher {
     std::uint16_t port = 0;
     std::unique_ptr<Transport> channel;
     std::uint64_t acked_version = 0;
-    /// Set when the follower answered kNeedFullSet: the next frame it gets
-    /// is the full set, cleared on any successful ack.
-    bool needs_full = false;
   };
 
   /// Refreshes frames_/push_frame_ for the service's current version,
-  /// re-encoding only when the version moved since the last call (which
-  /// also drops the per-base delta cache). Caller must hold mu_.
-  void RefreshLocked();
+  /// re-encoding only when the version moved since the last call, and
+  /// returns the push frame. Caller must hold mu_.
   std::shared_ptr<const std::vector<std::uint8_t>> CurrentPushFrameLocked();
-  /// Encoded delta from `base` to the current version, cached per base.
-  /// Null when a delta is impossible or unprofitable (base 0, base not
-  /// older than current, or every row changed). Caller must hold mu_.
-  std::shared_ptr<const std::vector<std::uint8_t>> DeltaFrameLocked(std::uint64_t base);
 
   const ITrackerService* service_;
   PublisherOptions options_;
@@ -641,19 +525,14 @@ class SnapshotPublisher {
   std::atomic<std::uint64_t> observed_fence_term_{0};
   std::atomic<std::uint64_t> stale_term_acks_{0};
   std::uint64_t encoded_version_ = 0;
-  /// The current version's exported frame set (delta source material).
+  /// The current version's term-stamped frame set and its push frame.
   std::shared_ptr<const SnapshotFrameSet> frames_;
   std::shared_ptr<const std::vector<std::uint8_t>> push_frame_;
-  /// base version -> encoded kDeltaPush, valid for encoded_version_ only.
-  std::map<std::uint64_t, std::shared_ptr<const std::vector<std::uint8_t>>> delta_cache_;
   std::vector<FollowerChannel> followers_;
-  std::uint64_t pushes_ = 0;
-  std::uint64_t push_failures_ = 0;
-  std::uint64_t delta_frames_sent_ = 0;
-  std::uint64_t full_frames_sent_ = 0;
-  std::uint64_t delta_bytes_sent_ = 0;
-  std::uint64_t full_bytes_sent_ = 0;
-  std::uint64_t delta_fallbacks_ = 0;
+  std::atomic<std::uint64_t> pushes_{0};
+  std::atomic<std::uint64_t> push_failures_{0};
+  std::atomic<std::uint64_t> full_frames_sent_{0};
+  std::atomic<std::uint64_t> full_bytes_sent_{0};
   std::atomic<std::uint64_t> pulls_served_{0};
 };
 

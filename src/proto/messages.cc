@@ -267,10 +267,6 @@ std::vector<std::uint8_t> EncodeViewFrame(std::int32_t num_pids, std::uint64_t v
   return w.take();
 }
 
-void PatchVersionField(std::vector<std::uint8_t>& frame, std::uint64_t version) {
-  StoreBig(version, frame.data() + kDistanceFrameVersionOffset);
-}
-
 std::optional<std::int32_t> ViewFramePids(std::span<const std::uint8_t> view) {
   Reader r(view);
   const std::uint8_t version = r.u8();
@@ -288,32 +284,25 @@ std::optional<std::int32_t> ViewFramePids(std::span<const std::uint8_t> view) {
   return n;
 }
 
-ViewRow SliceViewRow(std::span<const std::uint8_t> view, std::int32_t from,
-                     std::uint64_t version) {
+std::vector<std::uint8_t> RowFrameFromView(std::span<const std::uint8_t> view,
+                                           std::int32_t from, std::uint64_t version) {
   const auto pids = ViewFramePids(view);
-  if (!pids) throw std::invalid_argument("SliceViewRow: not a view frame");
-  if (from < 0 || from >= *pids) throw std::out_of_range("SliceViewRow: PID out of range");
+  if (!pids) throw std::invalid_argument("RowFrameFromView: not a view frame");
+  if (from < 0 || from >= *pids) {
+    throw std::out_of_range("RowFrameFromView: PID out of range");
+  }
   const auto n = static_cast<std::size_t>(*pids);
-  ViewRow row;
-  auto* p = row.header.data();
+  const std::size_t row_bytes = n * sizeof(double);
+  std::vector<std::uint8_t> frame(kDistanceFrameDoublesOffset + row_bytes);
+  auto* p = frame.data();
   p[0] = kProtocolVersion;
   p[1] = static_cast<std::uint8_t>(MsgType::kGetPDistancesResp);
   StoreBig(static_cast<std::uint32_t>(from), p + 2);
   StoreBig(version, p + kDistanceFrameVersionOffset);
   StoreBig(static_cast<std::uint32_t>(n), p + kDistanceFrameVersionOffset + 8);
-  const std::size_t row_bytes = n * sizeof(double);
-  row.doubles = view.subspan(
+  const auto doubles = view.subspan(
       kDistanceFrameDoublesOffset + static_cast<std::size_t>(from) * row_bytes, row_bytes);
-  return row;
-}
-
-std::vector<std::uint8_t> RowFrameFromView(std::span<const std::uint8_t> view,
-                                           std::int32_t from, std::uint64_t version) {
-  const auto row = SliceViewRow(view, from, version);
-  std::vector<std::uint8_t> frame(row.header.size() + row.doubles.size());
-  std::copy(row.header.begin(), row.header.end(), frame.begin());
-  std::copy(row.doubles.begin(), row.doubles.end(),
-            frame.begin() + static_cast<std::ptrdiff_t>(row.header.size()));
+  std::copy(doubles.begin(), doubles.end(), p + kDistanceFrameDoublesOffset);
   return frame;
 }
 

@@ -6,7 +6,6 @@
 // to std::nullopt, never UB or exceptions.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <variant>
 
@@ -147,8 +146,7 @@ MsgType TypeOf(const Message& message);
 // so row i of an n-PID view frame occupies bytes [18 + i*n*8, 18 + (i+1)*n*8),
 // and the row frame for PID i is those bytes behind a row header. Replicas
 // hold only the view frame and cut a row frame out of it when a client asks
-// for one; the federation push ships only the view, and the delta splice
-// writes changed rows into a held view.
+// for one; the federation push ships only the view.
 
 inline constexpr std::size_t kDistanceFrameVersionOffset = 6;
 inline constexpr std::size_t kDistanceFrameDoublesOffset = 18;
@@ -159,32 +157,17 @@ inline constexpr std::size_t kDistanceFrameDoublesOffset = 18;
 std::vector<std::uint8_t> EncodeViewFrame(std::int32_t num_pids, std::uint64_t version,
                                           std::span<const double> distances);
 
-/// Overwrites the u64 version field of an encoded distance frame, which
-/// must be at least kDistanceFrameDoublesOffset bytes long.
-void PatchVersionField(std::vector<std::uint8_t>& frame, std::uint64_t version);
-
 /// The PID count n of an encoded GetExternalViewResp frame, or std::nullopt
 /// unless it is one: current protocol version, view type byte, n >= 0, a
 /// count of exactly n*n (checked without overflow) and exactly that many
 /// doubles. Reads the header only; never allocates.
 std::optional<std::int32_t> ViewFramePids(std::span<const std::uint8_t> view);
 
-/// Row `from` of a view frame as the two parts of its GetPDistancesResp
-/// frame: the row header carrying (from, version, n) and the view bytes
-/// holding the row's doubles.
-struct ViewRow {
-  std::array<std::uint8_t, kDistanceFrameDoublesOffset> header;
-  std::span<const std::uint8_t> doubles;  ///< aliases the view
-};
-
-/// Throws std::invalid_argument unless ViewFramePids accepts `view`, and
-/// std::out_of_range for a `from` outside [0, n).
-ViewRow SliceViewRow(std::span<const std::uint8_t> view, std::int32_t from,
-                     std::uint64_t version);
-
 /// The GetPDistancesResp frame {from, version, row `from` of the view},
-/// byte-equal to Encode() of that message: SliceViewRow's two parts joined.
-/// Throws as SliceViewRow does.
+/// byte-equal to Encode() of that message: a row header carrying
+/// (from, version, n) and the view bytes holding the row's doubles. Throws
+/// std::invalid_argument unless ViewFramePids accepts `view`, and
+/// std::out_of_range for a `from` outside [0, n).
 std::vector<std::uint8_t> RowFrameFromView(std::span<const std::uint8_t> view,
                                            std::int32_t from, std::uint64_t version);
 

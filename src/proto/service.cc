@@ -78,9 +78,9 @@ ITrackerService::encoded_state() const {
   // Content stamping: diff each row's raw doubles against the previous
   // state's snapshot (byte compare — tolerant of NaN, and exact, since the
   // encoder is a bit-faithful function of these bytes). Unchanged rows keep
-  // their previous content version, and so their frame bytes: the federation
-  // layer can ship deltas and conditional clients holding a row's content
-  // token still earn NotModified across no-op version bumps.
+  // their previous content version, and so their frame bytes: conditional
+  // clients holding a row's content token still earn NotModified across
+  // no-op version bumps.
   const auto prev = state;
   const bool diffable = prev && prev->snap && prev->snap->view.size() == n &&
                         prev->frames.row_versions.size() == static_cast<std::size_t>(n);

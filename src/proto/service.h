@@ -46,13 +46,10 @@ struct ServiceOptions {
 /// Every frame carries a *content version*: the price version at which its
 /// bytes last changed. A super-gradient tick that moves only a few link
 /// prices re-stamps only the per-PID rows whose paths cross those links;
-/// untouched rows keep their old stamp and their old bytes. Consequences:
-///   * Delta replication: the publisher can ship a follower acked at
-///     version A just the rows with row_versions[i] > A (kDeltaPush) —
-///     the unchanged rows are bit-identical between A and the current set.
-///   * Conditional serving: a client token equal to a frame's content
-///     version earns NotModified even when the portal's version counter has
-///     moved past it, so no-op version bumps never re-send the matrix.
+/// untouched rows keep their old stamp and their old bytes. So a client
+/// token equal to a frame's content version earns NotModified even when the
+/// portal's version counter has moved past it, and no-op version bumps
+/// never re-send the matrix.
 struct SnapshotFrameSet {
   /// Publisher term that produced this set (0 until a federation publisher
   /// stamps it — ExportFrames itself is term-agnostic). Followers order
@@ -160,7 +157,8 @@ class ITrackerService {
   /// stamps minted before promotion live in the replica's private version
   /// space and could collide with tokens the old term published, which
   /// would turn into silently-wrong NotModified answers. Not for the
-  /// steady-state path (it forfeits the row-diff delta economy once).
+  /// steady-state path: it invalidates every old row token once, so
+  /// clients refetch rows that did not change.
   void ResetEncodedState() const;
 
  private:

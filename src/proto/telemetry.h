@@ -12,7 +12,7 @@
 //
 //   probe -> LinkLoadReport over any Transport -> LinkLoadCollector
 //         -> Drain() per-link averages -> ITracker::Update (reprice)
-//         -> SnapshotPublisher::PublishOnce (delta push) -> followers
+//         -> SnapshotPublisher::PublishOnce (full push) -> followers
 //
 // Wire format: sealed envelopes (wire.h) under the deployment's SealKey,
 // shared by each reporter/collector pair:

@@ -3,6 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
+
+#include "core/itracker.h"
+#include "net/routing.h"
+#include "net/synth.h"
+#include "net/topology.h"
 
 namespace p4p::core {
 namespace {
@@ -168,6 +174,90 @@ TEST(Matching, RhoRowSumMustStayBelowOne) {
   in.distances = &dist;
   in.rho.assign(3, std::vector<double>(3, 0.5));  // off-diag row sum = 1.0
   EXPECT_THROW(SolveMatching(in), std::invalid_argument);
+}
+
+/// Capacities of the topology tests: seeded per-PID upload and download
+/// drawn from [0.05, 0.25] Gbps.
+MatchingInput SeededCapacities(int n, const PDistanceMatrix* dist) {
+  std::mt19937_64 rng(7);
+  std::uniform_real_distribution<double> cap(0.05e9, 0.25e9);
+  MatchingInput in;
+  in.distances = dist;
+  in.beta = 0.8;
+  for (int i = 0; i < n; ++i) {
+    in.upload_bps.push_back(cap(rng));
+    in.download_bps.push_back(cap(rng));
+  }
+  return in;
+}
+
+/// sum_ij d_ij t_ij of an answer under `dist`.
+double CostUnder(const PDistanceMatrix& dist, const MatchingResult& out) {
+  double cost = 0.0;
+  for (Pid i = 0; i < dist.size(); ++i) {
+    for (Pid j = 0; j < dist.size(); ++j) {
+      cost += dist.at(i, j) * out.traffic[static_cast<std::size_t>(i)]
+                                         [static_cast<std::size_t>(j)];
+    }
+  }
+  return cost;
+}
+
+/// The raw p-distance view of a default tracker on `graph`: its entries
+/// are about 1e-12 to 1e-11, far below the simplex's absolute tolerance.
+PDistanceMatrix TrackerView(const net::Graph& graph) {
+  net::RoutingTable routing(graph);
+  ITracker tracker(graph, routing);
+  return tracker.external_view();
+}
+
+TEST(Matching, AnswerIsScaleFree) {
+  // p-distances are unit-free: k*d must give the answer d gives. The view
+  // has many tied distances, so the optimum is not unique; the check is
+  // that every scaled answer is optimal for d, and that the cost comes
+  // back in the caller's units.
+  const auto base = TrackerView(net::MakeAbilene());
+  const auto reference_in = SeededCapacities(base.size(), &base);
+  const auto reference = SolveMatching(reference_in);
+  ASSERT_EQ(reference.status, lp::SolveStatus::kOptimal);
+  for (const double k : {1e-12, 1.0, 1e9}) {
+    PDistanceMatrix scaled(base.size());
+    for (Pid i = 0; i < base.size(); ++i) {
+      for (Pid j = 0; j < base.size(); ++j) scaled.set(i, j, k * base.at(i, j));
+    }
+    auto in = reference_in;
+    in.distances = &scaled;
+    const auto out = SolveMatching(in);
+    ASSERT_EQ(out.status, lp::SolveStatus::kOptimal) << "k = " << k;
+    EXPECT_NEAR(out.achieved_total, reference.achieved_total,
+                1e-9 * reference.achieved_total)
+        << "k = " << k;
+    EXPECT_NEAR(CostUnder(base, out), reference.network_cost,
+                1e-9 * reference.network_cost)
+        << "k = " << k;
+    EXPECT_NEAR(out.network_cost, k * reference.network_cost,
+                1e-9 * k * reference.network_cost)
+        << "k = " << k;
+  }
+}
+
+TEST(Matching, TrackerViewSteersTheAnswer) {
+  for (const auto& [name, graph] :
+       {std::pair{"Abilene", net::MakeAbilene()}, std::pair{"ISP-A", net::MakeIspA()},
+        std::pair{"ISP-B", net::MakeIspB()}}) {
+    const auto view = TrackerView(graph);
+    const PDistanceMatrix zero(view.size(), 0.0);
+    const auto priced = SolveMatching(SeededCapacities(view.size(), &view));
+    const auto blind = SolveMatching(SeededCapacities(view.size(), &zero));
+    ASSERT_EQ(priced.status, lp::SolveStatus::kOptimal) << name;
+    ASSERT_EQ(blind.status, lp::SolveStatus::kOptimal) << name;
+    EXPECT_NE(priced.traffic, blind.traffic) << name;
+    // The priced answer is strictly cheaper under the tracker's own prices.
+    EXPECT_LT(CostUnder(view, priced), 0.99 * CostUnder(view, blind)) << name;
+    EXPECT_NEAR(priced.network_cost, CostUnder(view, priced),
+                1e-9 * CostUnder(view, priced))
+        << name;
+  }
 }
 
 class MatchingSweep : public ::testing::TestWithParam<int> {};

@@ -450,22 +450,11 @@ std::vector<std::vector<std::uint8_t>> TermCarryingFrames() {
   frames.external_view = Share(Encode(GetExternalViewResp{2, 9, {0.0, 1.5, 2.5, 0.0}}));
   frames.row_versions = {7, 9};
 
-  DeltaPush delta;
-  delta.term = 3;
-  delta.base_version = 8;
-  delta.version = 9;
-  delta.view_version = 9;
-  delta.num_pids = 2;
-  delta.not_modified = frames.not_modified;
-  delta.rows.push_back(DeltaRow{1, 9, RowFrameFromView(frames.view(), 1, 9)});
-  delta.result_checksum = FrameSetChecksum(frames);
-
   return {
       EncodeBeacon(/*term=*/3, /*version=*/9, kTestKey),
       EncodeFrameAck(FrameAck{AckStatus::kStaleTerm, 9, 3}, kTestKey),
-      EncodeFramePull(FramePull{8, /*have_term=*/3, false}, kTestKey),
+      EncodeFramePull(FramePull{8, /*have_term=*/3}, kTestKey),
       EncodeFramePush(frames, kTestKey),
-      EncodeDeltaPush(delta, kTestKey),
   };
 }
 
@@ -473,8 +462,7 @@ bool DecodesToAnything(std::span<const std::uint8_t> bytes) {
   return DecodeBeacon(bytes, kTestKey).has_value() ||
          DecodeFrameAck(bytes, kTestKey).has_value() ||
          DecodeFramePull(bytes, kTestKey).has_value() ||
-         DecodeFramePush(bytes, kTestKey).has_value() ||
-         DecodeDeltaPush(bytes, kTestKey).has_value();
+         DecodeFramePush(bytes, kTestKey).has_value();
 }
 
 TEST(FailoverCodecTest, EveryBitFlipAndTruncationIsRejectedNotMisread) {
@@ -513,7 +501,8 @@ TEST(FailoverCodecTest, UnknownAckStatusIsRejectedEvenWithValidChecksum) {
   constexpr std::size_t kStatusOffset = 6;
   ASSERT_EQ(pristine[kStatusOffset],
             static_cast<std::uint8_t>(AckStatus::kStaleTerm));
-  for (const std::uint8_t status : {0, 6, 7, 42, 255}) {
+  // 4 was the retired delta push's kNeedFullSet.
+  for (const std::uint8_t status : {0, 4, 6, 7, 42, 255}) {
     auto patched = pristine;
     patched[kStatusOffset] = status;
     Reseal(patched);
@@ -522,7 +511,7 @@ TEST(FailoverCodecTest, UnknownAckStatusIsRejectedEvenWithValidChecksum) {
   }
   // Sanity: the same patch path yields every defined status, so the
   // rejections above are the range check, not a resealing artifact.
-  for (const std::uint8_t status : {1, 2, 3, 4, 5}) {
+  for (const std::uint8_t status : {1, 2, 3, 5}) {
     auto patched = pristine;
     patched[kStatusOffset] = status;
     Reseal(patched);

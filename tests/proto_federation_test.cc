@@ -10,8 +10,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
+#include <future>
 #include <limits>
+#include <mutex>
 #include <optional>
 #include <random>
 #include <string>
@@ -36,7 +39,7 @@ class FederationCodecTest : public ::testing::Test {
  protected:
   /// A coherent frame set: an n-PID view whose embedded version is its
   /// content stamp and one stamp per row — exactly what ITrackerService
-  /// exports and what the delta splice/checksum chain depends on.
+  /// exports and what the push encoder requires.
   SnapshotFrameSet MakeFrames(std::uint64_t version, int num_pids,
                               double fill = 1.5) {
     const auto n = static_cast<std::size_t>(num_pids);
@@ -76,26 +79,6 @@ class FederationCodecTest : public ::testing::Test {
     return next;
   }
 
-  /// The delta a correct publisher would ship to advance `base` to
-  /// `target`: rows stamped newer than base, target checksum sealed in.
-  DeltaPush MakeDelta(const SnapshotFrameSet& base, const SnapshotFrameSet& target) {
-    DeltaPush delta;
-    delta.base_version = base.version;
-    delta.version = target.version;
-    delta.view_version = target.view_version;
-    delta.num_pids = target.num_pids;
-    delta.not_modified = target.not_modified;
-    delta.policy = target.policy;
-    delta.result_checksum = FrameSetChecksum(target);
-    const auto rows = testsupport::RowFrames(target);
-    for (std::size_t i = 0; i < rows.size(); ++i) {
-      if (target.row_versions[i] > base.version) {
-        delta.rows.push_back(
-            DeltaRow{static_cast<std::int32_t>(i), target.row_versions[i], rows[i]});
-      }
-    }
-    return delta;
-  }
 };
 
 TEST_F(FederationCodecTest, PushRoundTrip) {
@@ -191,17 +174,11 @@ TEST_F(FederationCodecTest, AckPullBeaconRoundTrip) {
   const auto pull = DecodeFramePull(pull_bytes);
   ASSERT_TRUE(pull.has_value());
   EXPECT_EQ(pull->have_version, 4u);
-  EXPECT_FALSE(pull->want_full);
-  const auto full_pull =
-      DecodeFramePull(EncodeFramePull(FramePull{4, /*have_term=*/2, true}));
-  ASSERT_TRUE(full_pull.has_value());
-  EXPECT_TRUE(full_pull->want_full);
+  const auto termed_pull =
+      DecodeFramePull(EncodeFramePull(FramePull{4, /*have_term=*/2}));
+  ASSERT_TRUE(termed_pull.has_value());
+  EXPECT_EQ(termed_pull->have_term, 2u);
 
-  // The newer ack statuses decode; anything past kStaleTerm stays rejected.
-  const auto need_full =
-      DecodeFrameAck(EncodeFrameAck(FrameAck{AckStatus::kNeedFullSet, 3}));
-  ASSERT_TRUE(need_full.has_value());
-  EXPECT_EQ(need_full->status, AckStatus::kNeedFullSet);
   const auto stale_term =
       DecodeFrameAck(EncodeFrameAck(FrameAck{AckStatus::kStaleTerm, 3, 7}));
   ASSERT_TRUE(stale_term.has_value());
@@ -229,7 +206,6 @@ TEST_F(FederationCodecTest, DecodersTotalOnRandomBytes) {
     // Random bytes must never decode (the 1-in-2^32 checksum fluke aside,
     // these seeds don't hit it) and must never crash.
     EXPECT_FALSE(DecodeFramePush(noise).has_value());
-    EXPECT_FALSE(DecodeDeltaPush(noise).has_value());
     EXPECT_FALSE(DecodeFrameAck(noise).has_value());
     EXPECT_FALSE(DecodeFramePull(noise).has_value());
     EXPECT_FALSE(DecodeBeacon(noise).has_value());
@@ -374,20 +350,61 @@ TEST_F(FederationCodecTest, PushRejectsTheRowCarryingLayout) {
   EXPECT_FALSE(decoded.has_value());
 }
 
-TEST_F(FederationCodecTest, DeltaRejectsRowCountBeyondPayload) {
-  constexpr std::int32_t kHuge = std::numeric_limits<std::int32_t>::max();
-  const auto bytes = SealForged(FederationTag::kDeltaPush, [](Writer& w) {
-    w.u64(1);      // term
-    w.u64(1);      // base_version
-    w.u64(2);      // version
-    w.u64(2);      // view_version
-    w.i32(kHuge);  // num_pids
-    w.blob({});    // not_modified
-    w.u32(static_cast<std::uint32_t>(kHuge));  // num_rows
+/// The three wire elements of the retired delta push, each sealed under
+/// kTestKey: a tag-5 frame (the old delta layout, with a row count no
+/// payload backs), an ack with status 4 (the old kNeedFullSet), and a pull
+/// in the old 17-byte layout with its trailing want_full byte.
+std::vector<std::uint8_t> ForgedDeltaFrame() {
+  return SealForged(static_cast<FederationTag>(5), [](Writer& w) {
+    w.u64(1);  // term
+    w.u64(1);  // base_version
+    w.u64(2);  // version
+    w.u64(2);  // view_version
+    w.i32(std::numeric_limits<std::int32_t>::max());  // num_pids
+    w.blob({});                                       // not_modified
+    w.u32(std::numeric_limits<std::uint32_t>::max()); // num_rows
   });
-  std::optional<DeltaPush> decoded;
-  EXPECT_NO_THROW(decoded = DecodeDeltaPush(bytes, kTestKey));
-  EXPECT_FALSE(decoded.has_value());
+}
+std::vector<std::uint8_t> ForgedNeedFullSetAck() {
+  return SealForged(FederationTag::kFrameAck, [](Writer& w) {
+    w.u8(4);   // status
+    w.u64(2);  // version
+    w.u64(1);  // term
+  });
+}
+std::vector<std::uint8_t> ForgedWantFullPull() {
+  return SealForged(FederationTag::kFramePull, [](Writer& w) {
+    w.u64(1);  // have_version
+    w.u64(1);  // have_term
+    w.u8(1);   // want_full
+  });
+}
+
+TEST_F(FederationCodecTest, RetiredWireElementsAreRefused) {
+  const auto delta = ForgedDeltaFrame();
+  EXPECT_EQ(PeekSealedTag(delta, kFederationMagic), 5);
+  EXPECT_EQ(PeekFederationTag(delta), std::nullopt);
+  const auto ack = ForgedNeedFullSetAck();
+  const auto pull = ForgedWantFullPull();
+  EXPECT_EQ(pull.size(), kSealHeaderBytes + 17 + kSealMacBytes);
+  for (const auto* bytes : {&delta, &ack, &pull}) {
+    EXPECT_NO_THROW({
+      EXPECT_FALSE(DecodeFramePush(*bytes, kTestKey).has_value());
+      EXPECT_FALSE(DecodeFrameAck(*bytes, kTestKey).has_value());
+      EXPECT_FALSE(DecodeFramePull(*bytes, kTestKey).has_value());
+      EXPECT_FALSE(DecodeBeacon(*bytes, kTestKey).has_value());
+    });
+  }
+  // The same elements in their kept layouts decode: the refusals above are
+  // the retirement, not a sealing artifact.
+  EXPECT_TRUE(DecodeFrameAck(SealForged(FederationTag::kFrameAck, [](Writer& w) {
+                               w.u8(5);
+                               w.u64(2);
+                               w.u64(1);
+                             }), kTestKey).has_value());
+  const auto pull16 = EncodeFramePull(FramePull{1, 1}, kTestKey);
+  EXPECT_EQ(pull16.size(), kSealHeaderBytes + 16 + kSealMacBytes);
+  EXPECT_TRUE(DecodeFramePull(pull16, kTestKey).has_value());
 }
 
 TEST_F(FederationCodecTest, FramesOpenOnlyUnderTheirOwnKey) {
@@ -413,15 +430,8 @@ TEST_F(FederationCodecTest, EveryDecoderRefusesTermsBeyondMaxTerm) {
   frames.term = kMaxTerm;
   EXPECT_TRUE(DecodeFramePush(EncodeFramePush(frames, kTestKey), kTestKey).has_value());
 
-  auto target = Advance(MakeFrames(4, 3), 6, {1}, 2.5);
-  auto delta = MakeDelta(MakeFrames(4, 3), target);
-  delta.term = kWrapping;
-  EXPECT_FALSE(DecodeDeltaPush(EncodeDeltaPush(delta, kTestKey), kTestKey).has_value());
-  delta.term = kMaxTerm;
-  EXPECT_TRUE(DecodeDeltaPush(EncodeDeltaPush(delta, kTestKey), kTestKey).has_value());
-
   for (const std::uint64_t term : {kWrapping, ~std::uint64_t{0}}) {
-    EXPECT_FALSE(DecodeFramePull(EncodeFramePull(FramePull{1, term, false}, kTestKey),
+    EXPECT_FALSE(DecodeFramePull(EncodeFramePull(FramePull{1, term}, kTestKey),
                                  kTestKey)
                      .has_value());
     EXPECT_FALSE(
@@ -430,322 +440,6 @@ TEST_F(FederationCodecTest, EveryDecoderRefusesTermsBeyondMaxTerm) {
             .has_value());
     EXPECT_FALSE(DecodeBeacon(EncodeBeacon(term, 1, kTestKey), kTestKey).has_value());
   }
-}
-
-// --- delta codec ------------------------------------------------------------
-
-TEST_F(FederationCodecTest, DeltaRoundTrip) {
-  const auto base = MakeFrames(5, 4);
-  auto target = Advance(base, 7, {1, 3}, 9.75);
-  target.policy = Encode(GetPolicyResp{});
-  const auto delta = MakeDelta(base, target);
-  ASSERT_EQ(delta.rows.size(), 2u);
-
-  const auto bytes = EncodeDeltaPush(delta);
-  EXPECT_EQ(PeekFederationTag(bytes), FederationTag::kDeltaPush);
-  const auto decoded = DecodeDeltaPush(bytes);
-  ASSERT_TRUE(decoded.has_value());
-  EXPECT_EQ(decoded->base_version, 5u);
-  EXPECT_EQ(decoded->version, 7u);
-  EXPECT_EQ(decoded->view_version, 7u);
-  EXPECT_EQ(decoded->num_pids, 4);
-  EXPECT_EQ(decoded->not_modified, target.not_modified);
-  EXPECT_EQ(decoded->policy, target.policy);
-  EXPECT_EQ(decoded->result_checksum, FrameSetChecksum(target));
-  ASSERT_EQ(decoded->rows.size(), 2u);
-  EXPECT_EQ(decoded->rows[0].pid, 1);
-  EXPECT_EQ(decoded->rows[0].row_version, 7u);
-  EXPECT_EQ(decoded->rows[0].bytes, RowFrameFromView(target.view(), 1, 7));
-  EXPECT_EQ(decoded->rows[1].pid, 3);
-
-  // A no-op version bump travels as an empty delta (stamps carried over).
-  const auto empty_delta = MakeDelta(base, Advance(base, 6, {}, 0.0));
-  EXPECT_TRUE(empty_delta.rows.empty());
-  const auto empty_decoded = DecodeDeltaPush(EncodeDeltaPush(empty_delta));
-  ASSERT_TRUE(empty_decoded.has_value());
-  EXPECT_TRUE(empty_decoded->rows.empty());
-  EXPECT_EQ(empty_decoded->view_version, 5u);
-}
-
-/// FrameSetChecksum over materialized row frames, in the field order the
-/// streaming digest must reproduce: each row frame built in full, then
-/// hashed behind its stamp and its length.
-std::uint64_t MaterializedRowsChecksum(const SnapshotFrameSet& frames) {
-  SipHasher hasher(kPublicSealKey);
-  const auto u64 = [&hasher](std::uint64_t v) {
-    std::uint8_t word[8];
-    for (int i = 0; i < 8; ++i) word[i] = static_cast<std::uint8_t>(v >> (56 - 8 * i));
-    hasher.update(word);
-  };
-  const auto blob = [&](std::span<const std::uint8_t> bytes) {
-    u64(bytes.size());
-    hasher.update(bytes);
-  };
-  const auto rows = testsupport::RowFrames(frames);
-  u64(frames.term);
-  u64(frames.version);
-  u64(frames.view_version);
-  u64(static_cast<std::uint32_t>(frames.num_pids));
-  u64(rows.size());
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    u64(frames.row_versions[i]);
-    blob(rows[i]);
-  }
-  blob(frames.not_modified);
-  blob(frames.view());
-  blob(frames.policy);
-  return hasher.finish();
-}
-
-TEST_F(FederationCodecTest, ChecksumStreamsTheMaterializedRows) {
-  std::mt19937_64 rng(0xC0FFEE);
-  std::uniform_real_distribution<double> price(0.0, 100.0);
-  for (int trial = 0; trial < 200; ++trial) {
-    const int n = static_cast<int>(rng() % 9);
-    SnapshotFrameSet f;
-    f.term = rng() % 5;
-    f.version = 1 + rng() % 1000;
-    f.num_pids = n;
-    f.view_version = 0;
-    for (int i = 0; i < n; ++i) {
-      f.row_versions.push_back(1 + rng() % f.version);
-      f.view_version = std::max(f.view_version, f.row_versions.back());
-    }
-    if (n == 0) f.view_version = f.version;
-    f.not_modified = Encode(NotModifiedResp{f.version});
-    GetExternalViewResp view{n, f.view_version, {}};
-    for (int k = 0; k < n * n; ++k) view.distances.push_back(price(rng));
-    f.external_view = Share(Encode(view));
-    if (rng() % 2 == 0) f.policy = Encode(GetPolicyResp{{0.5, 0.75}, {}});
-    EXPECT_EQ(FrameSetChecksum(f), MaterializedRowsChecksum(f)) << "trial " << trial;
-  }
-}
-
-TEST_F(FederationCodecTest, DeltaRejectsCorruptionAndTruncation) {
-  const auto base = MakeFrames(4, 3);
-  const auto bytes = EncodeDeltaPush(MakeDelta(base, Advance(base, 6, {0, 2}, 3.5)));
-  // Every single-bit flip dies on the trailing checksum (or header checks).
-  for (std::size_t pos = 0; pos < bytes.size(); ++pos) {
-    auto corrupt = bytes;
-    corrupt[pos] ^= 0x10;
-    EXPECT_FALSE(DecodeDeltaPush(corrupt).has_value()) << "bit flip at " << pos;
-  }
-  for (const std::size_t len : {std::size_t{0}, std::size_t{5}, std::size_t{9},
-                                bytes.size() - 7, bytes.size() - 1}) {
-    EXPECT_FALSE(DecodeDeltaPush(std::span(bytes).first(len)).has_value())
-        << "truncated to " << len;
-  }
-  auto extended = bytes;
-  extended.push_back(0);
-  EXPECT_FALSE(DecodeDeltaPush(extended).has_value());
-  // Cross-tag confusion: a full push never decodes as a delta.
-  EXPECT_FALSE(DecodeDeltaPush(EncodeFramePush(base)).has_value());
-}
-
-TEST_F(FederationCodecTest, DeltaRejectsIncoherentRelations) {
-  const auto base = MakeFrames(5, 4);
-  const auto target = Advance(base, 7, {1, 3}, 9.75);
-  const auto good = MakeDelta(base, target);
-
-  // Each mutation below could never come from a correct publisher; the
-  // decoder refuses them structurally, before any store is involved.
-  const auto expect_rejected = [](DeltaPush delta, const char* what) {
-    EXPECT_FALSE(DecodeDeltaPush(EncodeDeltaPush(delta)).has_value()) << what;
-  };
-  {
-    auto d = good;
-    d.base_version = 7;  // base == version
-    expect_rejected(d, "base not older than version");
-  }
-  {
-    auto d = good;
-    d.base_version = 9;  // base > version
-    expect_rejected(d, "base newer than version");
-  }
-  {
-    auto d = good;
-    d.view_version = 8;  // view stamped past the set version
-    expect_rejected(d, "view_version > version");
-  }
-  {
-    auto d = good;
-    std::swap(d.rows[0], d.rows[1]);  // pids 3, 1: not increasing
-    expect_rejected(d, "rows out of pid order");
-  }
-  {
-    auto d = good;
-    d.rows[1].pid = 1;  // duplicate pid
-    expect_rejected(d, "duplicate pid");
-  }
-  {
-    auto d = good;
-    d.rows[1].pid = 4;  // out of range
-    expect_rejected(d, "pid >= num_pids");
-  }
-  {
-    auto d = good;
-    d.rows[0].row_version = 5;  // stamp not newer than base
-    expect_rejected(d, "row stamp <= base");
-  }
-  {
-    auto d = good;
-    d.rows[0].row_version = 8;  // stamp newer than the set itself
-    expect_rejected(d, "row stamp > version");
-  }
-  {
-    auto d = good;
-    d.num_pids = 1;  // more changed rows than pids exist
-    expect_rejected(d, "row count exceeds num_pids");
-  }
-}
-
-// --- delta installs ---------------------------------------------------------
-
-class FederationDeltaStoreTest : public FederationCodecTest {
- protected:
-  /// Field-by-field equality — a checksum collision must not pass this.
-  static void ExpectSameFrames(const SnapshotFrameSet& got,
-                               const SnapshotFrameSet& want) {
-    EXPECT_EQ(got.version, want.version);
-    EXPECT_EQ(got.view_version, want.view_version);
-    EXPECT_EQ(got.num_pids, want.num_pids);
-    EXPECT_EQ(got.not_modified, want.not_modified);
-    EXPECT_EQ(*got.external_view, *want.external_view);
-    EXPECT_EQ(got.row_versions, want.row_versions);
-    EXPECT_EQ(testsupport::RowFrames(got), testsupport::RowFrames(want));
-    EXPECT_EQ(got.policy, want.policy);
-  }
-};
-
-TEST_F(FederationDeltaStoreTest, SplicesExactBaseDeltaByteForByte) {
-  const auto base = MakeFrames(5, 4);
-  const auto target = Advance(base, 7, {1, 3}, 9.75);
-  ReplicatedSnapshotStore store;
-  ASSERT_TRUE(store.Install(base));
-
-  ASSERT_EQ(store.InstallDelta(MakeDelta(base, target)),
-            ReplicatedSnapshotStore::DeltaResult::kInstalled);
-  EXPECT_EQ(store.version(), 7u);
-  // The spliced result — rows, view doubles, patched view version stamp —
-  // is byte-identical to what a full push of the target would install.
-  ExpectSameFrames(*store.current(), target);
-  EXPECT_EQ(store.install_count(), 2u);
-}
-
-// Readers may hold the installed view buffer (a full-view answer in
-// flight): the splice writes into a copy, so the held set keeps its bytes
-// and its checksum, and so does every set sharing its buffer.
-TEST_F(FederationDeltaStoreTest, SpliceNeverWritesIntoTheHeldView) {
-  const auto base = MakeFrames(5, 4);
-  const auto target = Advance(base, 7, {1, 3}, 9.75);
-  ReplicatedSnapshotStore store;
-  ASSERT_TRUE(store.Install(base));
-  const auto held = store.current();
-  ASSERT_EQ(held->external_view, base.external_view);  // the install shared it
-  const auto held_bytes = *held->external_view;
-  const auto held_checksum = FrameSetChecksum(*held);
-
-  ASSERT_EQ(store.InstallDelta(MakeDelta(base, target)),
-            ReplicatedSnapshotStore::DeltaResult::kInstalled);
-  EXPECT_NE(store.current()->external_view, held->external_view);
-  EXPECT_EQ(*store.current()->external_view, *target.external_view);
-  EXPECT_EQ(*held->external_view, held_bytes);
-  EXPECT_EQ(*base.external_view, held_bytes);
-  EXPECT_EQ(FrameSetChecksum(*held), held_checksum);
-}
-
-TEST_F(FederationDeltaStoreTest, EmptyDeltaAdvancesNoOpVersionBump) {
-  const auto base = MakeFrames(5, 4);
-  const auto target = Advance(base, 6, {}, 0.0);  // nothing repriced
-  ReplicatedSnapshotStore store;
-  ASSERT_TRUE(store.Install(base));
-  ASSERT_EQ(store.InstallDelta(MakeDelta(base, target)),
-            ReplicatedSnapshotStore::DeltaResult::kInstalled);
-  EXPECT_EQ(store.version(), 6u);
-  EXPECT_EQ(store.current()->view_version, 5u);  // stamps carried forward
-  ExpectSameFrames(*store.current(), target);
-}
-
-TEST_F(FederationDeltaStoreTest, DuplicateAndReorderedDeltasNeverRollBack) {
-  const auto v5 = MakeFrames(5, 4);
-  const auto v7 = Advance(v5, 7, {1}, 2.0);
-  const auto v9 = Advance(v7, 9, {2}, 3.0);
-  ReplicatedSnapshotStore store;
-  ASSERT_TRUE(store.Install(v5));
-  ASSERT_EQ(store.InstallDelta(MakeDelta(v5, v7)),
-            ReplicatedSnapshotStore::DeltaResult::kInstalled);
-  ASSERT_EQ(store.InstallDelta(MakeDelta(v7, v9)),
-            ReplicatedSnapshotStore::DeltaResult::kInstalled);
-
-  // Duplicate of the 5->7 delta, and a reordered re-delivery of 7->9:
-  // both stale, both ignored, held frames bit-identical afterwards.
-  EXPECT_EQ(store.InstallDelta(MakeDelta(v5, v7)),
-            ReplicatedSnapshotStore::DeltaResult::kStale);
-  EXPECT_EQ(store.InstallDelta(MakeDelta(v7, v9)),
-            ReplicatedSnapshotStore::DeltaResult::kStale);
-  EXPECT_EQ(store.version(), 9u);
-  ExpectSameFrames(*store.current(), v9);
-  EXPECT_EQ(store.stale_install_count(), 2u);
-}
-
-TEST_F(FederationDeltaStoreTest, RefusesMismatchedBaseWithoutRollback) {
-  const auto v5 = MakeFrames(5, 4);
-  const auto v7 = Advance(v5, 7, {1}, 2.0);
-  const auto v9 = Advance(v7, 9, {2}, 3.0);
-
-  // A store that never installed anything has no base at all.
-  ReplicatedSnapshotStore fresh;
-  EXPECT_EQ(fresh.InstallDelta(MakeDelta(v5, v7)),
-            ReplicatedSnapshotStore::DeltaResult::kBaseMismatch);
-  EXPECT_EQ(fresh.current(), nullptr);
-
-  // Held base 5, delta computed against 7: exact-base rule refuses it even
-  // though the version is newer — "close enough" does not exist.
-  ReplicatedSnapshotStore store;
-  ASSERT_TRUE(store.Install(v5));
-  EXPECT_EQ(store.InstallDelta(MakeDelta(v7, v9)),
-            ReplicatedSnapshotStore::DeltaResult::kBaseMismatch);
-  EXPECT_EQ(store.version(), 5u);
-  ExpectSameFrames(*store.current(), v5);
-
-  // Shape mismatch (different topology epoch) is a base mismatch too.
-  const auto other = MakeFrames(5, 3);
-  auto wrong_shape = MakeDelta(other, Advance(other, 7, {0}, 4.0));
-  EXPECT_EQ(store.InstallDelta(wrong_shape),
-            ReplicatedSnapshotStore::DeltaResult::kBaseMismatch);
-  EXPECT_EQ(store.version(), 5u);
-}
-
-TEST_F(FederationDeltaStoreTest, ChecksumChainCatchesDivergenceWithoutRollback) {
-  const auto v5 = MakeFrames(5, 4);
-  const auto v7 = Advance(v5, 7, {1, 3}, 9.75);
-  ReplicatedSnapshotStore store;
-  ASSERT_TRUE(store.Install(v5));
-
-  // Tampered target checksum: the splice succeeds mechanically but the
-  // chain refuses to publish it.
-  auto tampered = MakeDelta(v5, v7);
-  tampered.result_checksum ^= 0x1;
-  EXPECT_EQ(store.InstallDelta(tampered),
-            ReplicatedSnapshotStore::DeltaResult::kChecksumMismatch);
-  EXPECT_EQ(store.version(), 5u);
-  ExpectSameFrames(*store.current(), v5);
-
-  // A substituted row (right shape, wrong bytes) breaks the chain the
-  // same way — the forged doubles never become servable.
-  auto forged = MakeDelta(v5, v7);
-  forged.rows[0].bytes = RowFrameFromView(v5.view(), 1, v5.row_versions[1]);
-  EXPECT_EQ(store.InstallDelta(forged),
-            ReplicatedSnapshotStore::DeltaResult::kChecksumMismatch);
-  EXPECT_EQ(store.version(), 5u);
-
-  // A malformed row length cannot even reach the checksum.
-  auto short_row = MakeDelta(v5, v7);
-  short_row.rows[0].bytes.pop_back();
-  EXPECT_EQ(store.InstallDelta(short_row),
-            ReplicatedSnapshotStore::DeltaResult::kBaseMismatch);
-  EXPECT_EQ(store.version(), 5u);
-  EXPECT_EQ(store.install_count(), 1u);
 }
 
 // --- store ------------------------------------------------------------------
@@ -800,8 +494,8 @@ class FederationTest : public ::testing::Test {
   }
 
   /// Reprices exactly one directed link on an otherwise flat price map:
-  /// only the rows routed across it change, so the publisher can ship a
-  /// delta (the first call changes everything — bootstrap accordingly).
+  /// only the rows routed across it get new content stamps (the first call
+  /// changes everything).
   void BumpOneLink(int round) {
     std::vector<double> prices(graph_.link_count(), 1e-9);
     prices[0] = 1e-9 * (2.0 + static_cast<double>(round));
@@ -1011,8 +705,7 @@ TEST_F(FederationTest, PartialRepriceStampsOnlyTouchedRows) {
   const auto first = service_.ExportFrames();
 
   // Reprice exactly one directed link: only the rows whose routed paths
-  // cross it change. The rest keep their v1 bytes and stamps — the delta
-  // workload this PR exists for.
+  // cross it change. The rest keep their v1 bytes and stamps.
   std::vector<double> prices(graph_.link_count());
   for (std::size_t e = 0; e < prices.size(); ++e) {
     prices[e] = 1e-9 * (1.0 + static_cast<double>(e + 1));  // BumpVersion(0)
@@ -1045,8 +738,9 @@ TEST_F(FederationTest, PartialRepriceStampsOnlyTouchedRows) {
 }
 
 TEST_F(FederationTest, EveryReplicaCutsServedRowsFromItsView) {
-  // The publisher and two followers, checked after a full push (bootstrap)
-  // and again after a delta install (one link repriced).
+  // The publisher and two followers, checked after a push that restamps
+  // every row and again after one that restamps only some (one link
+  // repriced).
   ReplicatedSnapshotStore second_store;
   SnapshotFollower second_follower(&second_store);
   FollowerPortalService second_service(&second_store);
@@ -1097,187 +791,164 @@ TEST_F(FederationTest, EveryReplicaCutsServedRowsFromItsView) {
 
   BumpOneLink(1);
   ASSERT_EQ(publisher.PublishOnce(), 2u);
-  ASSERT_EQ(follower_.delta_install_count(), 1u);
-  ASSERT_EQ(second_follower.delta_install_count(), 1u);
+  ASSERT_EQ(follower_.push_install_count(), 2u);
+  ASSERT_EQ(second_follower.push_install_count(), 2u);
   // Some rows kept their old stamp, so old tokens are exercised above.
   const auto stamps = store_.current()->row_versions;
   ASSERT_LT(*std::min_element(stamps.begin(), stamps.end()), store_.current()->version);
-  check_every_row("after a delta install");
+  check_every_row("after a partial reprice");
 }
 
-// --- publisher delta path ---------------------------------------------------
+// --- publisher push and pull ----------------------------------------------
 
-TEST_F(FederationTest, PublishOnceShipsDeltasToAckedFollowers) {
+TEST_F(FederationTest, PublishOnceShipsTheFullSetEveryVersion) {
   SnapshotPublisher publisher(&service_);
   publisher.AddFollower("b.example", 1,
                         std::make_unique<InProcessTransport>(
                             follower_.replication_handler()));
 
-  // Bootstrap: no acked base exists, so the first push is the full set.
-  BumpOneLink(0);
-  EXPECT_EQ(publisher.PublishOnce(), 1u);
-  EXPECT_EQ(publisher.full_frames_sent(), 1u);
-  EXPECT_EQ(publisher.delta_frames_sent(), 0u);
-
-  // From then on every version rides a delta, and the installed result is
-  // byte-identical to the publisher's own frames.
-  BumpOneLink(1);
-  EXPECT_EQ(publisher.PublishOnce(), 1u);
-  EXPECT_EQ(publisher.delta_frames_sent(), 1u);
-  EXPECT_EQ(publisher.full_frames_sent(), 1u);
-  EXPECT_EQ(follower_.delta_install_count(), 1u);
-  EXPECT_EQ(store_.version(), tracker_.version());
-  const auto frames = service_.ExportFrames();
-  EXPECT_EQ(FrameSetChecksum(*store_.current()), FrameSetChecksum(frames));
-  EXPECT_EQ(*store_.current()->external_view, *frames.external_view);
-  EXPECT_EQ(store_.current()->row_versions, frames.row_versions);
-
-  // Deltas are strictly smaller than the full frames they replace.
-  EXPECT_LT(publisher.delta_bytes_sent(), publisher.full_bytes_sent());
-
-  // A delta-disabled publisher (the conformance oracle) never sends one.
-  PublisherOptions full_only;
-  full_only.enable_delta = false;
-  ReplicatedSnapshotStore oracle_store;
-  SnapshotFollower oracle_follower(&oracle_store);
-  SnapshotPublisher oracle(&service_, full_only);
-  oracle.AddFollower("c.example", 2,
-                     std::make_unique<InProcessTransport>(
-                         oracle_follower.replication_handler()));
-  EXPECT_EQ(oracle.PublishOnce(), 1u);
-  BumpOneLink(2);
-  EXPECT_EQ(oracle.PublishOnce(), 1u);
-  EXPECT_EQ(oracle.delta_frames_sent(), 0u);
-  EXPECT_EQ(oracle.full_frames_sent(), 2u);
-}
-
-TEST_F(FederationTest, NeedFullSetAckTriggersSameRoundFullRetry) {
-  SnapshotPublisher publisher(&service_);
-  publisher.AddFollower("b.example", 1,
-                        std::make_unique<InProcessTransport>(
-                            follower_.replication_handler()));
-  BumpOneLink(0);
-  ASSERT_EQ(publisher.PublishOnce(), 1u);  // acked base: v1
-
-  // The follower quietly advances past the publisher's book-keeping (a
-  // direct pull the publisher never saw), so the next delta is computed
-  // against a base the follower no longer holds.
-  BumpOneLink(1);
-  InProcessTransport to_publisher(publisher.replication_handler());
-  ASSERT_TRUE(follower_.PullOnce(to_publisher));
-  ASSERT_EQ(store_.version(), tracker_.version());
-
-  BumpOneLink(2);
-  EXPECT_EQ(publisher.PublishOnce(), 1u);  // recovered within the round
-  EXPECT_EQ(store_.version(), tracker_.version());
-  EXPECT_EQ(publisher.delta_fallback_count(), 1u);
-  EXPECT_EQ(follower_.delta_fallback_count(), 1u);
-  const auto frames = service_.ExportFrames();
-  EXPECT_EQ(*store_.current()->external_view, *frames.external_view);
-
-  // The fallback is sticky only until an ack: the next publish goes back
-  // to the delta path.
-  BumpOneLink(3);
-  const auto deltas_before = publisher.delta_frames_sent();
-  EXPECT_EQ(publisher.PublishOnce(), 1u);
-  EXPECT_EQ(publisher.delta_frames_sent(), deltas_before + 1);
-  EXPECT_EQ(follower_.delta_install_count(), 1u + 1u);
-}
-
-TEST_F(FederationTest, ReplicationEndpointAcksDeltaOutcomes) {
-  BumpOneLink(0);
-  const auto v1 = service_.ExportFrames();
-  BumpOneLink(1);
-  const auto v2 = service_.ExportFrames();
-
-  // Build the delta the publisher would ship for 1 -> 2.
-  DeltaPush delta;
-  delta.base_version = v1.version;
-  delta.version = v2.version;
-  delta.view_version = v2.view_version;
-  delta.num_pids = v2.num_pids;
-  delta.not_modified = v2.not_modified;
-  delta.policy = v2.policy;
-  delta.result_checksum = FrameSetChecksum(v2);
-  const auto v2_rows = testsupport::RowFrames(v2);
-  for (std::size_t i = 0; i < v2_rows.size(); ++i) {
-    if (v2.row_versions[i] > v1.version) {
-      delta.rows.push_back(DeltaRow{static_cast<std::int32_t>(i),
-                                    v2.row_versions[i], v2_rows[i]});
-    }
+  // Every version, a partial reprice included, ships the one push frame
+  // the publisher encoded for it, and the follower installs the
+  // publisher's own frames.
+  std::uint64_t bytes = 0;
+  for (int round = 0; round < 3; ++round) {
+    BumpOneLink(round);
+    EXPECT_EQ(publisher.PublishOnce(), 1u);
+    bytes += EncodeFramePush(*publisher.published_frames()).size();
+    const auto frames = service_.ExportFrames();
+    EXPECT_EQ(*store_.current()->external_view, *frames.external_view);
+    EXPECT_EQ(store_.current()->row_versions, frames.row_versions);
   }
-  const auto delta_bytes = EncodeDeltaPush(delta);
-
-  // Against an empty store: kNeedFullSet (no base), store untouched.
-  const auto no_base = DecodeFrameAck(follower_.HandleReplication(delta_bytes));
-  ASSERT_TRUE(no_base.has_value());
-  EXPECT_EQ(no_base->status, AckStatus::kNeedFullSet);
-  EXPECT_EQ(store_.version(), 0u);
-
-  // With the base installed: kInstalled.
-  ASSERT_TRUE(store_.Install(v1));
-  const auto installed = DecodeFrameAck(follower_.HandleReplication(delta_bytes));
-  ASSERT_TRUE(installed.has_value());
-  EXPECT_EQ(installed->status, AckStatus::kInstalled);
-  EXPECT_EQ(installed->version, v2.version);
-  EXPECT_EQ(*store_.current()->external_view, *v2.external_view);
-
-  // Re-delivered (duplicate) delta: kAlreadyCurrent, no rollback.
-  const auto duplicate = DecodeFrameAck(follower_.HandleReplication(delta_bytes));
-  ASSERT_TRUE(duplicate.has_value());
-  EXPECT_EQ(duplicate->status, AckStatus::kAlreadyCurrent);
-  EXPECT_EQ(store_.version(), v2.version);
-  EXPECT_EQ(follower_.delta_stale_count(), 1u);
-
-  // Corrupt delta frames get kRejected — never silence, never a crash.
-  auto corrupt = delta_bytes;
-  corrupt[corrupt.size() / 2] ^= 0x04;
-  const auto rejected = DecodeFrameAck(follower_.HandleReplication(corrupt));
-  ASSERT_TRUE(rejected.has_value());
-  EXPECT_EQ(rejected->status, AckStatus::kRejected);
-  EXPECT_EQ(store_.version(), v2.version);
-  EXPECT_EQ(follower_.push_rejected_count(), 1u);
+  EXPECT_EQ(publisher.full_frames_sent(), 3u);
+  EXPECT_EQ(publisher.full_bytes_sent(), bytes);
+  EXPECT_EQ(follower_.push_install_count(), 3u);
+  EXPECT_EQ(publisher.delta_frames_sent(), 0u);
+  EXPECT_EQ(publisher.delta_bytes_sent(), 0u);
 }
 
-TEST_F(FederationTest, PullsAreAnsweredWithDeltasWhenPossible) {
+/// A follower channel that parks inside Call until released, the way a
+/// dead follower holds PublishOnce until its timeout.
+class BlockingChannel final : public Transport {
+ public:
+  std::vector<std::uint8_t> Call(std::span<const std::uint8_t>) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    entered_ = true;
+    cv_.notify_all();
+    cv_.wait(lock, [this] { return released_; });
+    throw std::runtime_error("follower timed out");
+  }
+  void WaitEntered() {
+    std::unique_lock<std::mutex> lock(mu_);
+    cv_.wait(lock, [this] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool entered_ = false;
+  bool released_ = false;
+};
+
+TEST_F(FederationTest, CountersAnswerWhileAPushIsInFlight) {
   SnapshotPublisher publisher(&service_);
-  BumpOneLink(0);  // restamps every row (prices leave the constructor's map)
+  auto channel = std::make_unique<BlockingChannel>();
+  auto* blocking = channel.get();
+  publisher.AddFollower("dead.example", 1, std::move(channel));
+  BumpVersion(0);
+  std::thread publish([&] { publisher.PublishOnce(); });
+  blocking->WaitEntered();
+
+  // PublishOnce holds its lock across the follower call; every counter
+  // must answer anyway.
+  auto read = std::async(std::launch::async, [&] {
+    return std::vector<std::uint64_t>{
+        publisher.push_count(),       publisher.push_failure_count(),
+        publisher.full_frames_sent(), publisher.full_bytes_sent(),
+        publisher.pull_served_count(), publisher.stale_term_ack_count()};
+  });
+  const bool answered =
+      read.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  blocking->Release();
+  publish.join();
+  ASSERT_TRUE(answered) << "a counter read waited for the publish round";
+  const auto counters = read.get();
+  EXPECT_EQ(counters[0], 1u);  // the push in flight is already counted
+  EXPECT_EQ(counters[1], 0u);
+  EXPECT_EQ(counters[2], 1u);
+  EXPECT_GT(counters[3], 0u);
+  EXPECT_EQ(publisher.push_failure_count(), 1u);
+}
+
+TEST_F(FederationTest, ReplicationEndpointsRejectRetiredFrames) {
+  ReplicatedSnapshotStore keyed_store;
+  SnapshotFollower keyed(&keyed_store, kTestKey);
+  PublisherOptions options;
+  options.key = kTestKey;
+  SnapshotPublisher publisher(&service_, options);
+  BumpVersion(0);
+  InProcessTransport to_publisher(publisher.replication_handler());
+  ASSERT_TRUE(keyed.PullOnce(to_publisher));
+  const auto held = keyed_store.current();
+
+  // MAC-valid frames in the retired layouts: both endpoints answer
+  // kRejected, and nothing moves.
+  for (const auto& bytes : {ForgedDeltaFrame(), ForgedNeedFullSetAck(),
+                            ForgedWantFullPull()}) {
+    const auto follower_ack = DecodeFrameAck(keyed.HandleReplication(bytes), kTestKey);
+    ASSERT_TRUE(follower_ack.has_value());
+    EXPECT_EQ(follower_ack->status, AckStatus::kRejected);
+    const auto publisher_ack = DecodeFrameAck(publisher.HandleReplication(bytes), kTestKey);
+    ASSERT_TRUE(publisher_ack.has_value());
+    EXPECT_EQ(publisher_ack->status, AckStatus::kRejected);
+  }
+  EXPECT_EQ(keyed.push_rejected_count(), 3u);
+  EXPECT_EQ(keyed.fence_term(), 0u);
+  EXPECT_EQ(keyed_store.current(), held);
+  EXPECT_EQ(publisher.pull_served_count(), 1u);
+}
+
+TEST_F(FederationTest, PullsAreAnsweredWithTheFullSet) {
+  SnapshotPublisher publisher(&service_);
+  BumpOneLink(0);
   const auto base_version = tracker_.version();
-  // Content stamps are diff-based, so the service must see the base
-  // version before the next bump for the head's stamps to stay partial.
   ASSERT_EQ(service_.ExportFrames().version, base_version);
   BumpOneLink(1);  // restamps only the rows routed across link 0
   const auto head_version = tracker_.version();
 
-  // A puller at the base gets a delta; want_full forces the full frame
-  // set; a current puller gets kAlreadyCurrent either way.
-  const auto delta_answer = publisher.HandleReplication(
-      EncodeFramePull(FramePull{base_version, 0, false}));
-  EXPECT_EQ(PeekFederationTag(delta_answer), FederationTag::kDeltaPush);
-  const auto full_answer = publisher.HandleReplication(
-      EncodeFramePull(FramePull{base_version, 0, true}));
-  EXPECT_EQ(PeekFederationTag(full_answer), FederationTag::kFramePush);
-  const auto current_answer = publisher.HandleReplication(
-      EncodeFramePull(FramePull{head_version, 0, false}));
-  const auto ack = DecodeFrameAck(current_answer);
+  // A puller at the base, a brand-new one and one holding an older term's
+  // set all get the same push frame the publisher ships to followers; a
+  // current puller gets kAlreadyCurrent.
+  const auto answer = publisher.HandleReplication(
+      EncodeFramePull(FramePull{base_version, 0}));
+  EXPECT_EQ(answer, EncodeFramePush(*publisher.published_frames()));
+  EXPECT_EQ(publisher.HandleReplication(EncodeFramePull(FramePull{0, 0})), answer);
+  publisher.SetTerm(2);
+  const auto new_term = publisher.HandleReplication(
+      EncodeFramePull(FramePull{head_version, 1}));
+  const auto new_term_set = DecodeFramePush(new_term);
+  ASSERT_TRUE(new_term_set.has_value());
+  EXPECT_EQ(new_term_set->term, 2u);
+  const auto ack = DecodeFrameAck(
+      publisher.HandleReplication(EncodeFramePull(FramePull{head_version, 2})));
   ASSERT_TRUE(ack.has_value());
   EXPECT_EQ(ack->status, AckStatus::kAlreadyCurrent);
-  // A brand-new puller (version 0) can only be served the full set.
-  EXPECT_EQ(PeekFederationTag(
-                publisher.HandleReplication(EncodeFramePull(FramePull{0, 0, false}))),
-            FederationTag::kFramePush);
+  EXPECT_EQ(publisher.pull_served_count(), 3u);
+  EXPECT_EQ(publisher.full_frames_sent(), 3u);
 
-  // PullOnce rides the delta path end to end: install the current full
-  // set, advance one link, and the follow-up pull travels as a delta.
-  ASSERT_TRUE(DecodeFramePush(full_answer).has_value());
-  ASSERT_TRUE(store_.Install(*DecodeFramePush(
-      publisher.HandleReplication(EncodeFramePull(FramePull{0, 0, true})))));
-  BumpOneLink(2);
+  // PullOnce installs the answer end to end, one pull per call.
   InProcessTransport to_publisher(publisher.replication_handler());
   ASSERT_TRUE(follower_.PullOnce(to_publisher));
+  BumpOneLink(2);
+  ASSERT_TRUE(follower_.PullOnce(to_publisher));
+  EXPECT_FALSE(follower_.PullOnce(to_publisher));
   EXPECT_EQ(store_.version(), tracker_.version());
-  EXPECT_EQ(follower_.delta_install_count(), 1u);
-  EXPECT_EQ(follower_.pull_install_count(), 1u);
+  EXPECT_EQ(follower_.pull_count(), 3u);
+  EXPECT_EQ(follower_.pull_install_count(), 2u);
   const auto frames = service_.ExportFrames();
   EXPECT_EQ(*store_.current()->external_view, *frames.external_view);
   EXPECT_EQ(store_.current()->row_versions, frames.row_versions);

@@ -469,10 +469,6 @@ TEST(RowFrameFromView, EqualsTheEncodedRow) {
       row.distances.assign(view.distances.begin() + 3 * i,
                            view.distances.begin() + 3 * (i + 1));
       EXPECT_EQ(RowFrameFromView(frame, i, stamp), Encode(row)) << i << " @ " << stamp;
-      const auto parts = SliceViewRow(frame, i, stamp);
-      std::vector<std::uint8_t> joined(parts.header.begin(), parts.header.end());
-      joined.insert(joined.end(), parts.doubles.begin(), parts.doubles.end());
-      EXPECT_EQ(joined, Encode(row));
     }
   }
 }
@@ -482,7 +478,6 @@ TEST(RowFrameFromView, RejectsPidsOutsideTheView) {
   for (const std::int32_t pid : {-1, 3, 4, std::numeric_limits<std::int32_t>::max(),
                                  std::numeric_limits<std::int32_t>::min()}) {
     EXPECT_THROW(RowFrameFromView(frame, pid, 1), std::out_of_range) << pid;
-    EXPECT_THROW(SliceViewRow(frame, pid, 1), std::out_of_range) << pid;
   }
   // An empty view has no PIDs at all.
   EXPECT_THROW(RowFrameFromView(Encode(GetExternalViewResp{0, 1, {}}), 0, 1),
@@ -514,7 +509,6 @@ TEST(RowFrameFromView, RejectsBuffersThatAreNotViewFrames) {
   };
   for (const auto& [what, bytes] : bad) {
     EXPECT_THROW(RowFrameFromView(bytes, 0, 1), std::invalid_argument) << what;
-    EXPECT_THROW(SliceViewRow(bytes, 0, 1), std::invalid_argument) << what;
   }
 }
 

@@ -57,8 +57,6 @@ std::vector<Codec> AllCodecs() {
   return {
       MakeCodec("FramePush", [&](auto b) { return DecodeFramePush(b, key); },
                 [&](const auto& v) { return EncodeFramePush(v, key); }),
-      MakeCodec("DeltaPush", [&](auto b) { return DecodeDeltaPush(b, key); },
-                [&](const auto& v) { return EncodeDeltaPush(v, key); }),
       MakeCodec("FrameAck", [&](auto b) { return DecodeFrameAck(b, key); },
                 [&](const auto& v) { return EncodeFrameAck(v, key); }),
       MakeCodec("FramePull", [&](auto b) { return DecodeFramePull(b, key); },
@@ -99,16 +97,6 @@ SnapshotFrameSet CorpusFrames() {
 
 std::vector<Bytes> FederationCorpus() {
   const auto frames = CorpusFrames();
-  DeltaPush delta;
-  delta.term = 2;
-  delta.base_version = 8;
-  delta.version = 9;
-  delta.view_version = 9;
-  delta.num_pids = 3;
-  delta.not_modified = frames.not_modified;
-  delta.rows.push_back(DeltaRow{1, 9, RowFrameFromView(frames.view(), 1, 9)});
-  delta.policy = frames.policy;
-  delta.result_checksum = FrameSetChecksum(frames);
   auto no_policy = frames;
   no_policy.policy.clear();
   SnapshotFrameSet empty;
@@ -120,10 +108,9 @@ std::vector<Bytes> FederationCorpus() {
   return {EncodeFramePush(frames, kTestKey),
           EncodeFramePush(no_policy, kTestKey),
           EncodeFramePush(empty, kTestKey),
-          EncodeDeltaPush(delta, kTestKey),
           EncodeFrameAck(FrameAck{AckStatus::kInstalled, 9, 2}, kTestKey),
           EncodeFrameAck(FrameAck{AckStatus::kStaleTerm, 4, kMaxTerm}, kTestKey),
-          EncodeFramePull(FramePull{8, 2, true}, kTestKey),
+          EncodeFramePull(FramePull{8, 2}, kTestKey),
           EncodeBeacon(2, 9, kTestKey)};
 }
 

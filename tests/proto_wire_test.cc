@@ -286,6 +286,14 @@ const std::vector<std::uint8_t> kGoldenPush = {
     0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00,
     0x8F, 0xFA, 0x90, 0x57, 0xD2, 0x78, 0x7D, 0xB8};  // SealMac
 
+/// kFramePull {have_version 0x0102030405060708, have_term 3}, sealed under
+/// kPublicSealKey: 16 payload bytes, with no trailing want_full byte.
+const std::vector<std::uint8_t> kGoldenPull = {
+    0x50, 0x34, 0x50, 0x46, 0x02, 0x03,              // "P4PF" | v2 | kFramePull
+    0x01, 0x02, 0x03, 0x04, 0x05, 0x06, 0x07, 0x08,  // have_version
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x03,  // have_term
+    0xBF, 0x50, 0xE8, 0xA3, 0x31, 0x5A, 0x85, 0x2D};  // SealMac
+
 GetExternalViewResp GoldenView() {
   const auto v = SpecialDoubles();
   GetExternalViewResp view;
@@ -361,6 +369,14 @@ TEST(WireGolden, FramePushShipsTheViewOnce) {
                 Encode(GetPDistancesResp{1, 7, {v[7], v[9]}})}));
   EXPECT_EQ(decoded->row_versions, frames.row_versions);
   EXPECT_EQ(*decoded->external_view, *frames.external_view);
+}
+
+TEST(WireGolden, FramePullCarriesVersionAndTerm) {
+  EXPECT_EQ(EncodeFramePull(FramePull{0x0102030405060708ULL, 3}), kGoldenPull);
+  const auto decoded = DecodeFramePull(kGoldenPull);
+  ASSERT_TRUE(decoded.has_value());
+  EXPECT_EQ(decoded->have_version, 0x0102030405060708ULL);
+  EXPECT_EQ(decoded->have_term, 3u);
 }
 
 TEST(Wire, TruncatedF64VecRejected) {

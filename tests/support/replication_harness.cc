@@ -42,6 +42,16 @@ class Digest {
   std::uint64_t hash_ = 14695981039346656037ULL;
 };
 
+/// Key of the truth-map digests. Any fixed key works: the digest checks
+/// that a held set is byte-equal to a published one, not who sent it.
+constexpr proto::SealKey kDigestKey{0x7E57D16E57ULL, 0xD16E57D16E57ULL};
+
+/// Digest of a frame set: SipHash-2-4 over its push frame, which carries
+/// every field a replica serves from.
+std::uint64_t FrameSetDigest(const proto::SnapshotFrameSet& frames) {
+  return proto::SipHash24(kDigestKey, proto::EncodeFramePush(frames, kDigestKey));
+}
+
 /// Byte-for-byte frame-set comparison; every differing field becomes one
 /// violation so a conformance failure names exactly what diverged.
 void CompareFrameSets(const proto::SnapshotFrameSet& got,
@@ -125,7 +135,7 @@ ReplicationScenarioResult RunReplicationScenario(
 
   // --- publisher side: tracker in protected-link mode (Fig. 6), so the
   // scripted loads reprice only the protected links and most versions touch
-  // a handful of p-distance rows — the workload deltas exist for.
+  // a handful of p-distance rows, so old row stamps stay in play.
   net::Graph graph = net::MakeAbilene();
   net::RoutingTable routing(graph);
   core::ITrackerConfig tracker_config;
@@ -138,38 +148,26 @@ ReplicationScenarioResult RunReplicationScenario(
   proto::ITrackerService service(&tracker);
 
   // --- telemetry plane: a probe feeding the collector over a (possibly
-  // lossy) channel; the control loop drives reprice + delta publish.
+  // lossy) channel; the control loop drives reprice + publish.
   proto::LinkLoadCollector collector(graph.link_count());
   LossyCallChannel telemetry_channel(collector.handler(),
                                      config.telemetry_drop_rate,
                                      /*corrupt_rate=*/0.0, config.seed ^ 0x7E1EULL);
   proto::LinkLoadReporter reporter(/*reporter_id=*/7, &telemetry_channel);
 
-  // --- follower under test: delta replication over lossy channels.
-  proto::ReplicatedSnapshotStore store_d;
-  proto::FollowerPortalService serve_d(&store_d);
-  proto::SnapshotFollower follower_d(&store_d);
-  proto::SnapshotPublisher delta_pub(&service);
-  delta_pub.AddFollower("delta.example", 1,
+  // --- follower under test: pushes and pulls over lossy channels.
+  proto::ReplicatedSnapshotStore store;
+  proto::FollowerPortalService serve(&store);
+  proto::SnapshotFollower follower(&store);
+  proto::SnapshotPublisher publisher(&service);
+  publisher.AddFollower("follower.example", 1,
                         std::make_unique<LossyCallChannel>(
-                            follower_d.replication_handler(), config.drop_rate,
+                            follower.replication_handler(), config.drop_rate,
                             config.corrupt_rate, config.seed ^ 0xD317AULL));
-  LossyCallChannel pull_channel(delta_pub.replication_handler(), config.drop_rate,
+  LossyCallChannel pull_channel(publisher.replication_handler(), config.drop_rate,
                                 config.corrupt_rate, config.seed ^ 0x9D11ULL);
 
-  // --- oracle follower: full pushes only, clean channel — what the lossy
-  // delta follower must converge to byte for byte.
-  proto::ReplicatedSnapshotStore store_f;
-  proto::FollowerPortalService serve_f(&store_f);
-  proto::SnapshotFollower follower_f(&store_f);
-  proto::PublisherOptions full_only;
-  full_only.enable_delta = false;
-  proto::SnapshotPublisher oracle_pub(&service, full_only);
-  oracle_pub.AddFollower("oracle.example", 2,
-                         std::make_unique<proto::InProcessTransport>(
-                             follower_f.replication_handler()));
-
-  proto::PDistanceControlLoop loop(&tracker, &collector, &delta_pub);
+  proto::PDistanceControlLoop loop(&tracker, &collector, &publisher);
 
   // Beacons ride a faulty datagram link (drop/reorder/corrupt/delay).
   std::mt19937_64 beacon_rng(config.seed ^ 0xB34C04ULL);
@@ -180,12 +178,12 @@ ReplicationScenarioResult RunReplicationScenario(
   beacon_faults.delay_rate = 0.25;
   FaultyDatagramLink beacon_link(beacon_faults, &beacon_rng);
 
-  // Truth map: version -> checksum of the frames published at it. Whatever
-  // the follower serves must checksum-match an entry, which is exactly the
+  // Truth map: version -> digest of the frames published at it. Whatever
+  // the follower serves must match an entry, which is exactly the
   // "complete set of one published version, never mixed" invariant.
   std::map<std::uint64_t, std::uint64_t> truth;
   Digest digest;
-  std::uint64_t last_version_d = 0;
+  std::uint64_t last_version = 0;
   int stale_streak = 0;
 
   const auto view_request = proto::Encode(proto::GetExternalViewReq{});
@@ -203,46 +201,38 @@ ReplicationScenarioResult RunReplicationScenario(
     reporter.Record(2, 0.6 * graph.link(2).capacity_bps);
     reporter.Flush();  // a lost flush keeps the batch for the next round
 
-    if (loop.Tick()) ++result.updates;  // reprice + delta publish
-    delta_pub.PublishOnce();            // same-round retry of failed pushes
-    oracle_pub.PublishOnce();
+    if (loop.Tick()) ++result.updates;  // reprice + publish
+    publisher.PublishOnce();            // same-round retry of failed pushes
 
-    {
-      const auto frames = service.ExportFrames();
-      truth.emplace(frames.version, proto::FrameSetChecksum(frames));
-    }
-
-    // Oracle lockstep: a clean full-push channel never lags the tracker.
-    if (store_f.version() != tracker.version()) {
-      fail("oracle follower lagged a clean channel");
-    }
+    const auto published = publisher.published_frames();
+    truth.emplace(published->version, FrameSetDigest(*published));
 
     // Beacon gap detection + anti-entropy pull over the lossy channel.
-    beacon_link.Push(delta_pub.BeaconFrame());
+    beacon_link.Push(publisher.BeaconFrame());
     beacon_link.Tick();
-    while (auto datagram = beacon_link.Pop()) follower_d.HandleBeacon(*datagram);
-    if (follower_d.behind()) {
+    while (auto datagram = beacon_link.Pop()) follower.HandleBeacon(*datagram);
+    if (follower.behind()) {
       try {
-        follower_d.PullOnce(pull_channel);
+        follower.PullOnce(pull_channel);
       } catch (const std::exception&) {
       }
     }
 
     // --- per-round invariants on the lossy follower ---
-    const auto held = store_d.current();
-    if (store_d.version() < last_version_d) fail("installed version rolled back");
-    last_version_d = store_d.version();
+    const auto held = store.current();
+    if (store.version() < last_version) fail("installed version rolled back");
+    last_version = store.version();
 
     if (held) {
       const auto it = truth.find(held->version);
       if (it == truth.end()) {
         fail("follower holds a version the publisher never published");
-      } else if (proto::FrameSetChecksum(*held) != it->second) {
+      } else if (FrameSetDigest(*held) != it->second) {
         fail("held frames diverge from the published bytes (mixed set?)");
       }
     }
 
-    const auto response = serve_d.Handle(view_request);
+    const auto response = serve.Handle(view_request);
     const auto decoded = proto::Decode(response);
     if (!decoded.has_value()) {
       fail("follower served undecodable bytes");
@@ -263,14 +253,14 @@ ReplicationScenarioResult RunReplicationScenario(
         // content-version conditional path), and a row fetch comes from
         // the same installed set — no torn reads across frames.
         const auto conditional = proto::Decode(
-            serve_d.Handle(proto::Encode(proto::GetExternalViewReq{view->version})));
+            serve.Handle(proto::Encode(proto::GetExternalViewReq{view->version})));
         const auto* nm =
             conditional ? std::get_if<proto::NotModifiedResp>(&*conditional) : nullptr;
         if (nm == nullptr || nm->version != view->version) {
           fail("view version token did not earn NotModified");
         }
         const auto pid = static_cast<core::Pid>(round % held->row_versions.size());
-        if (serve_d.Handle(proto::Encode(proto::GetPDistancesReq{pid})) !=
+        if (serve.Handle(proto::Encode(proto::GetPDistancesReq{pid})) !=
             proto::RowFrameFromView(held->view(), pid,
                                     held->row_versions[static_cast<std::size_t>(pid)])) {
           fail("served row bytes differ from the installed frames");
@@ -280,51 +270,38 @@ ReplicationScenarioResult RunReplicationScenario(
       fail("unexpected response type from follower");
     }
 
-    if (store_d.version() < tracker.version()) {
+    if (store.version() < tracker.version()) {
       ++stale_streak;
       result.max_staleness_rounds = std::max(result.max_staleness_rounds, stale_streak);
     } else {
       stale_streak = 0;
     }
 
-    digest.Fold(store_d.version());
-    digest.Fold(store_f.version());
+    digest.Fold(store.version());
     digest.Fold(response);
-    digest.Fold(serve_f.Handle(view_request));
   }
   round = -1;
 
-  // --- healing: once the channel is clean, anti-entropy converges and the
-  // delta-synced store is byte-for-byte the full-push oracle's.
-  proto::InProcessTransport clean_pull(delta_pub.replication_handler());
-  for (int attempt = 0; attempt < 64 && store_d.version() < tracker.version();
-       ++attempt) {
-    follower_d.PullOnce(clean_pull);
-  }
-  if (store_d.version() != tracker.version()) {
+  // --- healing: once the channel is clean, one pull converges the follower
+  // to byte-for-byte the publisher's frame set.
+  proto::InProcessTransport clean_pull(publisher.replication_handler());
+  follower.PullOnce(clean_pull);
+  if (store.version() != tracker.version()) {
     fail("anti-entropy over a clean channel did not converge");
   }
-
-  const auto final_d = store_d.current();
-  const auto final_f = store_f.current();
-  if (!final_d || !final_f) {
-    fail("a follower ended the scenario with no installed frames");
+  const auto final_set = store.current();
+  if (!final_set) {
+    fail("the follower ended the scenario with no installed frames");
   } else {
-    CompareFrameSets(*final_d, *final_f, "delta follower vs full-push oracle",
-                     result.violations);
-    CompareFrameSets(*final_d, service.ExportFrames(),
-                     "delta follower vs publisher export", result.violations);
+    CompareFrameSets(*final_set, service.ExportFrames(),
+                     "follower vs publisher export", result.violations);
   }
 
-  digest.Fold(store_d.version());
+  digest.Fold(store.version());
   result.digest = digest.value();
-  result.final_version = store_d.version();
-  result.delta_installs = follower_d.delta_install_count();
-  result.delta_fallbacks = delta_pub.delta_fallback_count();
-  result.delta_frames_sent = delta_pub.delta_frames_sent();
-  result.full_frames_sent = delta_pub.full_frames_sent();
-  result.delta_bytes_sent = delta_pub.delta_bytes_sent();
-  result.full_bytes_sent = delta_pub.full_bytes_sent();
+  result.final_version = store.version();
+  result.full_frames_sent = publisher.full_frames_sent();
+  result.full_bytes_sent = publisher.full_bytes_sent();
   return result;
 }
 
@@ -514,7 +491,7 @@ FailoverScenarioResult RunFailoverScenario(const FailoverScenarioConfig& config)
   }
   for (int i = 0; i < n; ++i) WireCoordinator(cluster, i);
 
-  // Truth map: (term, version) -> checksum of the frames published at it.
+  // Truth map: (term, version) -> digest of the frames published at it.
   // Both split-brain publishers record truth; the fence decides whose
   // frames survive, but neither ever counts as "never published".
   std::map<std::pair<std::uint64_t, std::uint64_t>, std::uint64_t> truth;
@@ -526,8 +503,7 @@ FailoverScenarioResult RunFailoverScenario(const FailoverScenarioConfig& config)
   const auto record_truth = [&](FailoverReplica& replica) {
     auto frames = replica.service.ExportFrames();
     frames.term = replica.coordinator->term();
-    truth.emplace(std::pair(frames.term, frames.version),
-                  proto::FrameSetChecksum(frames));
+    truth.emplace(std::pair(frames.term, frames.version), FrameSetDigest(frames));
   };
   const auto current_publishers = [&] {
     std::vector<int> publishers;
@@ -689,7 +665,7 @@ FailoverScenarioResult RunFailoverScenario(const FailoverScenarioConfig& config)
         const auto it = truth.find(std::pair(held->term, held->version));
         if (it == truth.end()) {
           fail(label + ": holds a (term, version) no publisher produced");
-        } else if (proto::FrameSetChecksum(*held) != it->second) {
+        } else if (FrameSetDigest(*held) != it->second) {
           fail(label + ": held frames diverge from the published bytes");
         }
       }
@@ -801,7 +777,7 @@ FailoverScenarioResult RunFailoverScenario(const FailoverScenarioConfig& config)
         continue;
       }
       const auto it = truth.find(std::pair(held->term, held->version));
-      if (it == truth.end() || proto::FrameSetChecksum(*held) != it->second) {
+      if (it == truth.end() || FrameSetDigest(*held) != it->second) {
         fail("replica " + std::to_string(i) + " ended on unpublished frames");
       }
       if (!reference) {

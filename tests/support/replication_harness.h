@@ -1,21 +1,19 @@
 // Deterministic end-to-end replication conformance harness.
 //
-// RunReplicationScenario wires the full control loop the delta-replication
-// design promises — scripted telemetry -> LinkLoadCollector ->
-// PDistanceControlLoop -> ITracker reprice -> SnapshotPublisher delta push
-// -> follower install -> follower serving — across lossy channels, and
-// checks the safety invariants every round:
+// RunReplicationScenario wires the full control loop — scripted telemetry
+// -> LinkLoadCollector -> PDistanceControlLoop -> ITracker reprice ->
+// SnapshotPublisher push -> follower install -> follower serving — across
+// lossy channels, and checks the safety invariants every round:
 //
 //   * the follower's served bytes always form one complete published frame
-//     set (checksum-matched against a truth map recorded at publish time):
+//     set (digest-matched against a truth map recorded at publish time):
 //     never a mixed set, never a version the publisher never produced;
 //   * installed versions are monotone — duplicated, reordered, or corrupt
 //     frames can delay convergence but never roll the follower back;
 //   * before the first install the follower sheds with UnavailableResp and
 //     nothing else;
-//   * a full-push-only oracle follower on a clean channel tracks the
-//     publisher in lockstep, and once the lossy channel heals the
-//     delta-sync follower converges to byte-for-byte the same frame set.
+//   * once the channel heals, one clean pull converges the follower to
+//     byte-for-byte the publisher's frame set.
 //
 // Everything — fault decisions, telemetry, prices — is a pure function of
 // ReplicationScenarioConfig, so a scenario replays bit-for-bit (the result
@@ -67,7 +65,7 @@ class LossyCallChannel final : public proto::Transport {
 
 struct ReplicationScenarioConfig {
   std::uint64_t seed = 1;
-  /// Drop rate of the delta push/pull channels to the follower under test.
+  /// Drop rate of the push/pull channels to the follower under test.
   double drop_rate = 0.0;
   /// Single-bit corruption rate of the same channels (and the beacons).
   double corrupt_rate = 0.0;
@@ -86,19 +84,15 @@ struct ReplicationScenarioResult {
   /// FNV-1a fold of every served byte and installed version across the
   /// run — two runs of the same config must produce the same digest.
   std::uint64_t digest = 0;
-  /// Publisher version after the final tick (== both stores after healing).
+  /// Publisher version after the final tick (== the store after healing).
   std::uint64_t final_version = 0;
   /// Longest run of consecutive rounds the lossy follower lagged the
   /// publisher (its staleness bound under this fault profile).
   int max_staleness_rounds = 0;
   /// Ticks that actually repriced (empty telemetry ticks don't).
   std::uint64_t updates = 0;
-  // Replication accounting for the scenario's delta publisher.
-  std::uint64_t delta_installs = 0;
-  std::uint64_t delta_fallbacks = 0;
-  std::uint64_t delta_frames_sent = 0;
+  // Replication accounting for the scenario's publisher.
   std::uint64_t full_frames_sent = 0;
-  std::uint64_t delta_bytes_sent = 0;
   std::uint64_t full_bytes_sent = 0;
 };
 
@@ -118,7 +112,7 @@ ReplicationScenarioResult RunReplicationScenario(
 //     store lifetime, and the raw version token never regresses either
 //     (the kTermVersionStride floor at promotion);
 //   * a replica only ever holds/serves a frame set some publisher actually
-//     published (checksum-matched against a truth map keyed by
+//     published (digest-matched against a truth map keyed by
 //     (term, version) — split-brain publishers both record truth, and the
 //     fence decides whose frames survive);
 //   * after every fault heals, exactly one publisher remains and every

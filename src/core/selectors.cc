@@ -21,8 +21,9 @@ std::vector<sim::PeerId> TakeRandom(std::vector<sim::PeerId>& pool, int m,
 }
 
 /// The per-thread workspace behind the bucket-aware selector entry points.
-/// Scratch only — no state survives a call, so sharing one instance across
-/// selector objects on the same thread is safe.
+/// Sharing one instance across selector objects on the same thread is safe:
+/// scratch does not survive a call, and the weight cache is keyed by
+/// snapshot and gamma.
 SelectionWorkspace& ThreadWorkspace() {
   thread_local SelectionWorkspace ws;
   return ws;
@@ -47,7 +48,39 @@ void FloydSample(std::uint64_t n, int k, std::mt19937_64& rng,
   }
 }
 
+/// The cached weight of a PID at p-distance `p`: (1/p)^gamma when that is
+/// finite and positive, else 0 (the PID is then read through PDistanceRow).
+double ConcaveWeight(double p, double gamma) {
+  if (!(p > 0) || std::isinf(p)) return 0.0;
+  const double w = std::pow(1.0 / p, gamma);
+  return std::isfinite(w) ? w : 0.0;
+}
+
 }  // namespace
+
+double* SelectionWorkspace::WeightRow(const std::shared_ptr<const PriceSnapshot>& snap,
+                                      double gamma, Pid i) {
+  const Pid n = snap->view.size();
+  if (i < 0 || i >= n) return nullptr;
+  // The key compares owners: the weak reference keeps the control block, so
+  // no later snapshot can share it, while the matrix is freed with the
+  // snapshot.
+  if (weight_gamma_ != gamma || weight_snap_.owner_before(snap) ||
+      snap.owner_before(weight_snap_)) {
+    weight_snap_ = snap;
+    weight_gamma_ = gamma;
+    ++weight_epoch_;
+  }
+  if (weight_rows_.size() < static_cast<std::size_t>(n)) {
+    weight_rows_.resize(static_cast<std::size_t>(n));
+  }
+  auto& row = weight_rows_[static_cast<std::size_t>(i)];
+  if (row.key_epoch != weight_epoch_) {
+    row.weight.assign(static_cast<std::size_t>(n), -1.0);
+    row.key_epoch = weight_epoch_;
+  }
+  return row.weight.data();
+}
 
 std::vector<sim::PeerId> NativeRandomSelector::SelectPeers(
     const sim::PeerInfo& client, std::span<const sim::PeerInfo> candidates, int m,
@@ -143,6 +176,14 @@ std::vector<sim::PeerId> DelayLocalizedSelector::SelectPeers(
     out.push_back(id);
   }
   return out;
+}
+
+P4PSelector::P4PSelector(P4PSelectorConfig config) : config_(config) {
+  const double scale = std::pow(config_.zero_distance_factor, config_.concave_gamma);
+  if (config_.concave_gamma > 0 && std::isfinite(config_.concave_gamma) &&
+      scale > 0 && std::isfinite(scale)) {
+    zero_weight_scale_ = scale;
+  }
 }
 
 void P4PSelector::RegisterITracker(std::int32_t as_number, const ITracker* tracker) {
@@ -375,6 +416,12 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
     }
   }
 
+  // Cached concave weights of the client's row at this snapshot; null when
+  // the parameters or the client's PID keep every stage normalized.
+  double* const weight_row =
+      zero_weight_scale_ > 0 ? ws.WeightRow(snap, config_.concave_gamma, my_pid) : nullptr;
+  const Pid view_size = snap->view.size();
+
   // Weighted PID sampling shared by stages 2 and 3: weight per bucket, then
   // uniform picks inside the bucket. `same_as_stage` walks the client-AS
   // group (minus the client's own bucket); otherwise every other-AS bucket.
@@ -400,43 +447,84 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
       }
     }
     if (ws.entry_bucket_.empty()) return;
-    // Zero-distance PIDs are weighted relative to the smallest positive
-    // distance so they always dominate, regardless of the dual price scale.
-    double min_positive = std::numeric_limits<double>::infinity();
-    for (std::uint32_t b : ws.entry_bucket_) {
-      const double p = pdist(buckets[b].pid);
-      if (p > 0) min_positive = std::min(min_positive, p);
-    }
-    const double zero_weight = std::isfinite(min_positive)
-                                   ? config_.zero_distance_factor / min_positive
-                                   : 1.0;
-    // First pass honors the matching weights when present; if the matched
-    // PIDs have no available candidates (LP solutions are sparse), fall back
-    // to plain 1/p weighting so the quota can still be met inside the AS.
-    ws.entry_weight_.assign(ws.entry_bucket_.size(), 0.0);
-    bool any = false;
-    for (const bool use_match : {match_w != nullptr, false}) {
-      any = false;
-      for (std::size_t i = 0; i < ws.entry_bucket_.size(); ++i) {
-        const Pid pid = buckets[ws.entry_bucket_[i]].pid;
-        double w = 0.0;
-        if (use_match && my_pid < static_cast<Pid>(match_w->size()) &&
-            pid < static_cast<Pid>((*match_w)[static_cast<std::size_t>(my_pid)].size())) {
-          w = (*match_w)[static_cast<std::size_t>(my_pid)][static_cast<std::size_t>(pid)];
-        } else {
-          const double p = pdist(pid);
-          w = p > 0 ? 1.0 / p : zero_weight;
-        }
-        ws.entry_weight_[i] = w > 0 ? w : 0.0;
-        any = any || w > 0;
+    const std::size_t n = ws.entry_bucket_.size();
+    ws.entry_weight_.assign(n, 0.0);
+    // Cached weights, proportional to the normalized ones below. Only a
+    // stage that cannot run dry may sample them: one whose candidates
+    // outnumber its quota and all weigh more than zero. A stage with no
+    // more candidates than its quota, or one that follows matching weights,
+    // goes straight to the normalized pass and fills no cache entry; one
+    // that meets a PID at infinite distance goes there from that PID on. A
+    // PID without a positive cached weight is read through `pdist`, in
+    // entry order, so bad PIDs throw as in the normalized pass.
+    std::int64_t candidates = 0;
+    for (int a : ws.entry_avail_) candidates += a;
+    bool cached = weight_row != nullptr && match_w == nullptr && candidates > quota;
+    double max_w = 0.0;
+    for (std::size_t i = 0; cached && i < n; ++i) {
+      const Pid pid = buckets[ws.entry_bucket_[i]].pid;
+      double w = 0.0;
+      if (pid >= 0 && pid < view_size) {
+        double& c = weight_row[pid];
+        if (c < 0) c = ConcaveWeight(pdist(pid), config_.concave_gamma);
+        w = c;
       }
-      if (any) break;
+      if (w > 0) {
+        max_w = std::max(max_w, w);
+      } else if (pdist(pid) > 0) {
+        cached = false;  // infinite distance, or (1/p)^gamma over/underflowed
+      } else {
+        w = -1.0;  // zero distance
+      }
+      ws.entry_weight_[i] = w;
     }
-    if (!any) return;
-    // Normalize and apply the concave robustness transform.
-    double sum = std::accumulate(ws.entry_weight_.begin(), ws.entry_weight_.end(), 0.0);
-    for (double& w : ws.entry_weight_) {
-      if (w > 0) w = std::pow(w / sum, config_.concave_gamma);
+    if (cached) {
+      const double zero_w = max_w > 0 ? zero_weight_scale_ * max_w : 1.0;
+      cached = std::isfinite(zero_w);
+      for (double& w : ws.entry_weight_) {
+        if (w < 0) w = zero_w;
+      }
+    }
+
+    if (!cached) {
+      // Zero-distance PIDs are weighted relative to the smallest positive
+      // distance so they always dominate, regardless of the dual price scale.
+      double min_positive = std::numeric_limits<double>::infinity();
+      for (std::uint32_t b : ws.entry_bucket_) {
+        const double p = pdist(buckets[b].pid);
+        if (p > 0) min_positive = std::min(min_positive, p);
+      }
+      const double zero_weight = std::isfinite(min_positive)
+                                     ? config_.zero_distance_factor / min_positive
+                                     : 1.0;
+      // First pass honors the matching weights when present; if the matched
+      // PIDs have no available candidates (LP solutions are sparse), fall back
+      // to plain 1/p weighting so the quota can still be met inside the AS.
+      bool any = false;
+      for (const bool use_match : {match_w != nullptr, false}) {
+        any = false;
+        for (std::size_t i = 0; i < n; ++i) {
+          const Pid pid = buckets[ws.entry_bucket_[i]].pid;
+          double w = 0.0;
+          if (use_match && my_pid < static_cast<Pid>(match_w->size()) &&
+              pid < static_cast<Pid>((*match_w)[static_cast<std::size_t>(my_pid)].size())) {
+            w = (*match_w)[static_cast<std::size_t>(my_pid)][static_cast<std::size_t>(pid)];
+          } else {
+            const double p = pdist(pid);
+            w = p > 0 ? 1.0 / p : zero_weight;
+          }
+          ws.entry_weight_[i] = w > 0 ? w : 0.0;
+          any = any || w > 0;
+        }
+        if (any) break;
+      }
+      if (!any) return;
+      // Normalize and apply the concave robustness transform.
+      const double sum =
+          std::accumulate(ws.entry_weight_.begin(), ws.entry_weight_.end(), 0.0);
+      for (double& w : ws.entry_weight_) {
+        if (w > 0) w = std::pow(w / sum, config_.concave_gamma);
+      }
     }
     double wsum = std::accumulate(ws.entry_weight_.begin(), ws.entry_weight_.end(), 0.0);
 

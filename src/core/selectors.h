@@ -25,13 +25,24 @@
 
 namespace p4p::core {
 
-/// Reusable scratch state for bucket-driven selection, in the style of
+/// Reusable state for bucket-driven selection, in the style of
 /// MaxMinWorkspace: one workspace serves one caller at a time, and reusing
 /// it across announces keeps steady-state selection free of per-call
 /// allocations — no per-announce partition maps, no full-swarm copies, no
 /// distribution temporaries. NativeRandomSelector and P4PSelector keep one
 /// instance per thread; benches and tests may pass their own through
 /// P4PSelector::SelectWithWorkspace.
+///
+/// Besides scratch, the workspace caches P4PSelector's concave PID weights
+/// (1/p_ij)^gamma under one key, (PriceSnapshot, gamma), with one row per
+/// source PID. The key is a weak_ptr compared by owner: the control block
+/// it keeps cannot be reused by a later snapshot while cached, yet a
+/// superseded view's matrix is freed once the tracker and in-flight
+/// selections let go of it. A miss re-keys the cache, and each row is
+/// re-marked stale only when next touched (O(#PIDs) per row); an entry's
+/// pow() runs the first time a selection reads that PID. Entries are pure
+/// functions of the key, so a warm and a cold workspace return the same
+/// peer set for the same rng state.
 class SelectionWorkspace {
  public:
   SelectionWorkspace() = default;
@@ -41,6 +52,22 @@ class SelectionWorkspace {
  private:
   friend class NativeRandomSelector;
   friend class P4PSelector;
+
+  /// Row `i` of the weight cache for (`snap`, `gamma`), `snap->view.size()`
+  /// entries: below zero = not yet computed at this key, zero = read the
+  /// PID through PDistanceRow, positive = (1/p_ij)^gamma. Null when `i` is
+  /// outside the view. A new key re-keys the cache.
+  double* WeightRow(const std::shared_ptr<const PriceSnapshot>& snap, double gamma, Pid i);
+
+  struct CachedRow {
+    std::uint64_t key_epoch = 0;  // the key the values belong to
+    std::vector<double> weight;
+  };
+  std::weak_ptr<const PriceSnapshot> weight_snap_;
+  double weight_gamma_ = 0.0;
+  std::uint64_t weight_epoch_ = 0;     // bumped on every new key
+  std::vector<CachedRow> weight_rows_; // by source PID
+
   std::vector<int> take_;                   // per-bucket take count this call
   std::vector<std::uint32_t> entry_bucket_; // candidate buckets, current stage
   std::vector<double> entry_weight_;
@@ -110,9 +137,19 @@ struct P4PSelectorConfig {
   double zero_distance_factor = 10.0;
 };
 
+/// Stages 2 and 3 and the same-AS backfill weight each candidate bucket's
+/// PID by (w_ij / sum)^gamma with w_ij = 1/p_ij (or a matching weight). A
+/// stage whose live candidates outnumber its quota cannot run dry, and there
+/// the normalization cancels: it samples the workspace's cached
+/// (1/p_ij)^gamma directly, with a zero-distance PID at
+/// zero_distance_factor^gamma times the stage's heaviest cached weight. A
+/// stage that can run dry keeps the normalized arithmetic, because there
+/// the floating-point remainder of the weight sum decides whether one more
+/// RNG draw is spent (DESIGN.md §10, "Weight rows per snapshot"). A stage
+/// that follows matching weights is normalized too.
 class P4PSelector final : public sim::PeerSelector {
  public:
-  explicit P4PSelector(P4PSelectorConfig config = {}) : config_(config) {}
+  explicit P4PSelector(P4PSelectorConfig config = {});
 
   /// Registers the iTracker serving AS `as_number`. When a client of AS-n
   /// joins, selection uses AS-n's view (the paper's resolution of
@@ -147,6 +184,10 @@ class P4PSelector final : public sim::PeerSelector {
 
  private:
   P4PSelectorConfig config_;
+  /// zero_distance_factor^concave_gamma, or 0 when the parameters leave the
+  /// cached weights without the proportionality they rely on (gamma <= 0,
+  /// a factor <= 0, a non-finite value): then every stage is normalized.
+  double zero_weight_scale_ = 0.0;
   std::map<std::int32_t, const ITracker*> trackers_;
   std::map<std::int32_t, std::vector<std::vector<double>>> matching_weights_;
 };

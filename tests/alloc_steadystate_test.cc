@@ -97,6 +97,52 @@ TEST(AllocSteadyState, BucketSelectionAllocatesOnlyTheResult) {
                                 << per_call_x100 / 100.0 << " per call";
 }
 
+TEST(AllocSteadyState, BucketSelectionAllocatesOnlyTheResultUnderReprice) {
+  // The same audit while the tracker reprices every 100 calls: each new
+  // snapshot re-keys the weight cache, whose rows are re-marked in place.
+  // The tracker materializes each new view outside the counted window;
+  // only the selection calls are counted.
+  const net::Graph graph = net::MakeAbilene();
+  const net::RoutingTable routing(graph);
+  ITrackerConfig cfg;
+  cfg.mode = PriceMode::kStatic;
+  ITracker tracker(graph, routing, cfg);
+  P4PSelector selector;
+  selector.RegisterITracker(1, &tracker);
+  selector.RegisterITracker(2, &tracker);
+
+  sim::PeerBuckets store;
+  for (sim::PeerId id = 0; id < 20000; ++id) {
+    store.Insert(MakePeer(id, id % 11, 1 + id % 2));
+  }
+  const auto client = MakePeer(20001, 0, 1);
+  std::mt19937_64 rng(5);
+  SelectionWorkspace ws;
+  std::vector<double> prices(graph.link_count());
+  long long selection_allocs = 0;
+  const auto run = [&](int round, bool count) {
+    for (std::size_t e = 0; e < prices.size(); ++e) {
+      prices[e] = 0.01 * static_cast<double>(1 + (e + static_cast<std::size_t>(round)) % 7);
+    }
+    tracker.SetStaticPrices(prices);
+    (void)tracker.snapshot();
+    for (int i = 0; i < 100; ++i) {
+      const long long before = g_allocs.load();
+      (void)selector.SelectWithWorkspace(client, store, 20, rng, ws);
+      if (count) selection_allocs += g_allocs.load() - before;
+    }
+  };
+
+  // Warm the weight cache and every scratch buffer.
+  for (int round = 0; round < 10; ++round) run(round, false);
+
+  constexpr long long kRounds = 20;
+  for (int round = 0; round < kRounds; ++round) run(10 + round, true);
+  const long long per_call_x100 = selection_allocs * 100 / (kRounds * 100);
+  EXPECT_LE(per_call_x100, 100) << "selection allocates "
+                                << per_call_x100 / 100.0 << " per call";
+}
+
 TEST(AllocSteadyState, AnnounceChurnStaysFlat) {
   const net::Graph graph = net::MakeAbilene();
   const net::RoutingTable routing(graph);

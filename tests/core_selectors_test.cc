@@ -2,9 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <atomic>
 #include <set>
 #include <string>
+#include <thread>
 
+#include "net/synth.h"
 #include "net/topology.h"
 
 namespace p4p::core {
@@ -722,6 +726,260 @@ TEST_F(SelectorsErrorTest, LocalOnlySwarmNeverReadsADistance) {
   const auto store = MakeStore(candidates);
   EXPECT_EQ(sel_.SelectFromBuckets(candidates[0], store, 2, rng_).size(), 2u);
   EXPECT_EQ(sel_.SelectPeers(candidates[0], candidates, 2, rng_).size(), 2u);
+}
+
+// --- weight rows per snapshot --------------------------------------------
+//
+// SelectWithWorkspace caches each PID's concave weight per pinned snapshot
+// and gamma. The cache must leave every peer set as the normalized
+// arithmetic chose it, stay correct as prices, gammas and trackers change
+// under one workspace, and stay consistent while another thread reprices.
+
+constexpr int kDigestAses = 4;
+
+ITrackerConfig StaticConfig() {
+  ITrackerConfig cfg;
+  cfg.mode = PriceMode::kStatic;
+  return cfg;
+}
+
+/// Link prices for repricing round `round`, with a zero price on every
+/// fifth link so some PID pairs sit at zero distance.
+std::vector<double> RoundPrices(const net::Graph& graph, int round) {
+  std::vector<double> prices(graph.link_count());
+  for (std::size_t e = 0; e < prices.size(); ++e) {
+    const std::size_t k = e + static_cast<std::size_t>(round);
+    prices[e] = k % 5 == 0 ? 0.0 : 0.01 * static_cast<double>(1 + k % 7);
+  }
+  return prices;
+}
+
+/// A swarm of `size` peers on random PIDs of `num_pids` over kDigestAses
+/// ASes, with ids starting at `first_id`.
+std::vector<sim::PeerInfo> RandomSwarm(int size, int num_pids, sim::PeerId first_id,
+                                       std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<sim::PeerInfo> out;
+  for (int i = 0; i < size; ++i) {
+    sim::PeerInfo p;
+    p.id = first_id + i;
+    p.node = static_cast<net::NodeId>(rng() % static_cast<std::uint64_t>(num_pids));
+    p.as_number = static_cast<std::int32_t>(1 + rng() % kDigestAses);
+    p.up_bps = 1e6;
+    p.down_bps = 1e6;
+    out.push_back(p);
+  }
+  return out;
+}
+
+std::uint64_t Fnv1a(std::uint64_t h, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h ^= (v >> (8 * i)) & 0xFF;
+    h *= 0x100000001B3ULL;
+  }
+  return h;
+}
+
+/// ISP-B x 4 ASes: AS 1 and 2 are priced by OSPF weights, AS 3 and 4 by a
+/// second tracker that tests reprice.
+class SelectorsWeightRowTest : public ::testing::Test {
+ protected:
+  SelectorsWeightRowTest()
+      : graph_(net::MakeIspB()),
+        routing_(graph_),
+        ospf_(graph_, routing_, StaticConfig()),
+        moving_(graph_, routing_, StaticConfig()),
+        big_(RandomSwarm(2000, num_pids(), 0, 11)),
+        sparse_(RandomSwarm(200, num_pids(), 30000, 14)),
+        mid_(RandomSwarm(30, num_pids(), 10000, 12)),
+        tiny_(RandomSwarm(5, num_pids(), 20000, 13)),
+        big_store_(MakeStore(big_)),
+        sparse_store_(MakeStore(sparse_)),
+        mid_store_(MakeStore(mid_)),
+        tiny_store_(MakeStore(tiny_)) {
+    ospf_.SetPricesFromOspf();
+    moving_.SetStaticPrices(RoundPrices(graph_, 0));
+  }
+
+  int num_pids() const { return static_cast<int>(graph_.node_count()); }
+
+  void Register(P4PSelector& sel) {
+    sel.RegisterITracker(1, &ospf_);
+    sel.RegisterITracker(2, &ospf_);
+    sel.RegisterITracker(3, &moving_);
+    sel.RegisterITracker(4, &moving_);
+  }
+
+  /// Sparse matching weights for AS 1: each source PID matches three PIDs.
+  std::vector<std::vector<double>> SparseMatching() const {
+    const auto n = static_cast<std::size_t>(num_pids());
+    std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t k = 1; k <= 3; ++k) w[i][(i * 7 + k * 11) % n] = static_cast<double>(k);
+    }
+    return w;
+  }
+
+  /// Selects with `ws` and with a cold workspace from the same rng state,
+  /// expects the same set, and advances `rng` past the draw.
+  void ExpectWarmEqualsCold(P4PSelector& sel, const sim::PeerInfo& client,
+                            const sim::PeerBuckets& store, int m, std::mt19937_64& rng,
+                            SelectionWorkspace& ws) {
+    std::mt19937_64 cold_rng = rng;
+    const auto warm = sel.SelectWithWorkspace(client, store, m, rng, ws);
+    SelectionWorkspace cold;
+    EXPECT_EQ(warm, sel.SelectWithWorkspace(client, store, m, cold_rng, cold));
+    EXPECT_EQ(rng, cold_rng);
+  }
+
+  net::Graph graph_;
+  net::RoutingTable routing_;
+  ITracker ospf_;
+  ITracker moving_;
+  std::vector<sim::PeerInfo> big_;
+  std::vector<sim::PeerInfo> sparse_;
+  std::vector<sim::PeerInfo> mid_;
+  std::vector<sim::PeerInfo> tiny_;
+  sim::PeerBuckets big_store_;
+  sim::PeerBuckets sparse_store_;
+  sim::PeerBuckets mid_store_;
+  sim::PeerBuckets tiny_store_;
+};
+
+TEST_F(SelectorsWeightRowTest, PeerSetDigestMatchesNormalizedWeights) {
+  // 7000 peer sets over stages that cannot run dry (2000 peers at m=20)
+  // and stages that must (30 peers at m=20, 5 peers at m=10), with and
+  // without matching weights, while `moving_` reprices every 100 calls. In
+  // the 200-peer swarm a matched stage has more candidates than its quota
+  // but only a few on matched PIDs, so it runs dry by its weights.
+  // kDigest was recorded by running this test against the selector as it
+  // was before the weight cache, when every stage normalized and called
+  // pow() per bucket: a peer set the cache changed would change it.
+  constexpr std::uint64_t kDigest = 0xD49E4DF1DE51E40CULL;
+  P4PSelector sel;
+  Register(sel);
+  P4PSelector matched;
+  Register(matched);
+  matched.SetMatchingWeights(1, SparseMatching());
+
+  std::mt19937_64 rng(77);
+  std::mt19937_64 pick(78);
+  std::uint64_t digest = 0xCBF29CE484222325ULL;
+  int round = 0;
+  constexpr int kCalls = 7000;
+  for (int call = 0; call < kCalls; ++call) {
+    if (call % 100 == 99) moving_.SetStaticPrices(RoundPrices(graph_, ++round));
+    const int c = call % 7;
+    const auto& swarm = c == 2 || c == 5 ? mid_ : c == 3 ? tiny_ : c == 6 ? sparse_ : big_;
+    const auto& store = c == 2 || c == 5 ? mid_store_
+                        : c == 3         ? tiny_store_
+                        : c == 6         ? sparse_store_
+                                         : big_store_;
+    P4PSelector& s = c >= 4 ? matched : sel;
+    // Mostly members; every eighth client is a newcomer.
+    sim::PeerInfo client = swarm[pick() % swarm.size()];
+    if (call % 8 == 7) {
+      client.id = 90000 + call;
+      client.node = static_cast<net::NodeId>(pick() % static_cast<std::uint64_t>(num_pids()));
+    }
+    const auto set = s.SelectFromBuckets(client, store, c == 3 ? 10 : 20, rng);
+    digest = Fnv1a(digest, set.size());
+    for (sim::PeerId id : set) digest = Fnv1a(digest, static_cast<std::uint64_t>(id));
+  }
+  EXPECT_EQ(digest, kDigest) << std::hex << digest;
+}
+
+TEST_F(SelectorsWeightRowTest, RepricedViewMatchesColdWorkspace) {
+  P4PSelector sel;
+  Register(sel);
+  SelectionWorkspace ws;
+  std::mt19937_64 rng(5);
+  sim::PeerInfo client = big_[3];
+  client.as_number = 3;
+  for (int round = 1; round <= 4; ++round) {
+    for (int i = 0; i < 50; ++i) ExpectWarmEqualsCold(sel, client, big_store_, 20, rng, ws);
+    moving_.SetStaticPrices(RoundPrices(graph_, round));
+  }
+  for (int i = 0; i < 50; ++i) ExpectWarmEqualsCold(sel, client, big_store_, 20, rng, ws);
+}
+
+TEST_F(SelectorsWeightRowTest, GammasShareOneWorkspace) {
+  P4PSelector soft;
+  Register(soft);
+  P4PSelectorConfig cfg;
+  cfg.concave_gamma = 2.0;
+  P4PSelector sharp(cfg);
+  Register(sharp);
+  SelectionWorkspace ws;
+  std::mt19937_64 rng(6);
+  for (int i = 0; i < 200; ++i) {
+    ExpectWarmEqualsCold(i % 2 ? sharp : soft, big_[static_cast<std::size_t>(i)], big_store_,
+                         20, rng, ws);
+  }
+}
+
+TEST_F(SelectorsWeightRowTest, TrackersAlternateOnOneWorkspace) {
+  P4PSelector sel;
+  Register(sel);
+  moving_.SetStaticPrices(RoundPrices(graph_, 3));
+  sim::PeerInfo ospf_client = big_[0];
+  sim::PeerInfo moving_client = big_[0];
+  ospf_client.id = moving_client.id = 50000;
+  ospf_client.as_number = 1;
+  moving_client.as_number = 3;
+  SelectionWorkspace ws;
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 200; ++i) {
+    ExpectWarmEqualsCold(sel, i % 2 ? moving_client : ospf_client, big_store_, 20, rng, ws);
+  }
+}
+
+class SelectorsConcurrency : public SelectorsWeightRowTest {};
+
+TEST_F(SelectorsConcurrency, RepriceMatchesColdReplay) {
+  // Four announce threads select through their warm per-thread workspaces
+  // while a fifth thread reprices `moving_`. Each thread replays every
+  // selection on a cold workspace and compares whenever no reprice landed
+  // in between. The repricer waits for two more selections per thread
+  // after each reprice, so every round is compared at least once.
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 30;
+  P4PSelector sel;
+  Register(sel);
+  std::array<std::atomic<int>, kThreads> iterations{};
+  std::array<std::atomic<int>, kThreads> compared{};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(100 + static_cast<std::uint64_t>(t));
+      for (std::size_t i = 0; !stop.load(); ++i) {
+        sim::PeerInfo client = big_[(i * 37 + static_cast<std::size_t>(t)) % big_.size()];
+        client.as_number = 3 + t % 2;
+        const std::uint64_t before = moving_.version();
+        std::mt19937_64 cold_rng = rng;
+        const auto warm = sel.SelectFromBuckets(client, big_store_, 20, rng);
+        SelectionWorkspace cold;
+        const auto replay = sel.SelectWithWorkspace(client, big_store_, 20, cold_rng, cold);
+        if (moving_.version() == before) {
+          EXPECT_EQ(warm, replay);
+          compared[t].fetch_add(1);
+        }
+        iterations[t].fetch_add(1);
+      }
+    });
+  }
+  for (int round = 1; round <= kRounds; ++round) {
+    moving_.SetStaticPrices(RoundPrices(graph_, round));
+    std::array<int, kThreads> base{};
+    for (int t = 0; t < kThreads; ++t) base[t] = iterations[t].load();
+    for (int t = 0; t < kThreads; ++t) {
+      while (iterations[t].load() < base[t] + 2) std::this_thread::yield();
+    }
+  }
+  stop.store(true);
+  for (auto& th : threads) th.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_GE(compared[t].load(), kRounds);
 }
 
 }  // namespace

@@ -29,6 +29,7 @@
 #include "proto/wire.h"
 #include "support/fault_injection.h"
 #include "support/frame_rows.h"
+#include "support/replication_harness.h"
 
 namespace p4p::proto {
 namespace {
@@ -1000,48 +1001,15 @@ TEST_F(FederationTest, BeaconGapDetectionTriggersPull) {
   EXPECT_EQ(follower_.beacon_version(), tracker_.version());
 }
 
-// A request/response channel that drops (throws) or corrupts frames with
-// seeded randomness — the TCP-push analogue of FaultyDatagramLink.
-class LossyFrameChannel final : public Transport {
- public:
-  LossyFrameChannel(Handler backend, double drop_rate, double corrupt_rate,
-                    std::uint64_t seed)
-      : backend_(std::move(backend)), drop_rate_(drop_rate),
-        corrupt_rate_(corrupt_rate), rng_(seed) {}
-
-  std::vector<std::uint8_t> Call(std::span<const std::uint8_t> request) override {
-    std::uniform_real_distribution<double> u(0.0, 1.0);
-    if (u(rng_) < drop_rate_) throw std::runtime_error("request lost");
-    std::vector<std::uint8_t> delivered(request.begin(), request.end());
-    if (!delivered.empty() && u(rng_) < corrupt_rate_) FlipBit(delivered);
-    auto response = backend_(delivered);
-    if (u(rng_) < drop_rate_) throw std::runtime_error("response lost");
-    if (!response.empty() && u(rng_) < corrupt_rate_) FlipBit(response);
-    return response;
-  }
-
- private:
-  void FlipBit(std::vector<std::uint8_t>& bytes) {
-    std::uniform_int_distribution<std::size_t> pick(0, bytes.size() * 8 - 1);
-    const std::size_t bit = pick(rng_);
-    bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
-  }
-
-  Handler backend_;
-  double drop_rate_;
-  double corrupt_rate_;
-  std::mt19937_64 rng_;
-};
-
 TEST_F(FederationTest, LossyReplicationConvergesWithInvariants) {
   // Fresh replica state per run lives in the fixture; this test drives one
   // lossy scenario and checks the safety invariants every round.
   SnapshotPublisher publisher(&service_);
   publisher.AddFollower(
       "b.example", 1,
-      std::make_unique<LossyFrameChannel>(follower_.replication_handler(),
-                                          /*drop_rate=*/0.3, /*corrupt_rate=*/0.3,
-                                          /*seed=*/0xBADBEEF));
+      std::make_unique<testsupport::LossyCallChannel>(
+          follower_.replication_handler(), /*drop_rate=*/0.3, /*corrupt_rate=*/0.3,
+          /*seed=*/0xBADBEEF));
   InProcessTransport pull_channel(publisher.replication_handler());
 
   std::mt19937_64 beacon_rng(0xB34C04);
@@ -1115,8 +1083,8 @@ TEST(FederationReplayTest, LossySameSeedReplayIsBitIdentical) {
     SnapshotPublisher publisher(&service);
     publisher.AddFollower(
         "b.example", 1,
-        std::make_unique<LossyFrameChannel>(follower.replication_handler(), 0.35,
-                                            0.35, seed));
+        std::make_unique<testsupport::LossyCallChannel>(follower.replication_handler(),
+                                                        0.35, 0.35, seed));
 
     std::vector<std::uint64_t> versions;
     std::vector<std::uint8_t> served;

@@ -25,6 +25,7 @@
 #include "net/topology.h"
 #include "proto/messages.h"
 #include "sim/maxmin.h"
+#include "sim/maxmin_incremental.h"
 
 namespace {
 
@@ -220,7 +221,9 @@ void BM_PDistanceMemoized(benchmark::State& state) {
 }
 BENCHMARK(BM_PDistanceMemoized);
 
-void BM_MaxMinWorkspace(benchmark::State& state) {
+/// One dirty re-solve of a persistent store per iteration: the last flow is
+/// removed and re-added (same slot), as a stream close/open would do.
+void BM_MaxMinDirtySolve(benchmark::State& state) {
   const auto num_flows = static_cast<std::size_t>(state.range(0));
   std::mt19937_64 rng(6);
   const std::size_t num_links = 128;
@@ -228,18 +231,21 @@ void BM_MaxMinWorkspace(benchmark::State& state) {
   std::uniform_int_distribution<int> link(0, static_cast<int>(num_links) - 1);
   std::vector<double> caps(num_links);
   for (auto& c : caps) c = cap(rng);
-  std::vector<std::vector<int>> routes(num_flows);
-  std::vector<sim::FlowSpec> flows(num_flows);
+  sim::IncrementalMaxMin store(caps);
+  std::vector<int> route;
+  int last = -1;
   for (std::size_t f = 0; f < num_flows; ++f) {
-    for (int k = 0; k < 4; ++k) routes[f].push_back(link(rng));
-    flows[f] = sim::FlowSpec{routes[f], 1e8};
+    route.clear();
+    for (int k = 0; k < 4; ++k) route.push_back(link(rng));
+    last = store.AddFlow(route, 1e8);
   }
-  sim::MaxMinWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(ws.Compute(caps, flows));
+    store.RemoveFlow(last);
+    last = store.AddFlow(route, 1e8);
+    benchmark::DoNotOptimize(store.Rates());
   }
 }
-BENCHMARK(BM_MaxMinWorkspace)->Arg(100)->Arg(1000)->Arg(5000);
+BENCHMARK(BM_MaxMinDirtySolve)->Arg(100)->Arg(1000)->Arg(5000);
 
 void BM_MessageCodec(benchmark::State& state) {
   proto::GetPDistancesResp msg;
@@ -350,24 +356,28 @@ void WriteMicroJson() {
     });
   });
 
-  // Max-min: one round of 1000 four-link flows over 128 links, with the
-  // scratch workspace reused round to round as the simulators do.
+  // Max-min: one dirty re-solve of a persistent store of 1000 four-link
+  // flows over 128 links, dirtied by a stream close and open as in the
+  // simulators.
   std::mt19937_64 rng(6);
   const std::size_t num_links = 128;
   std::uniform_real_distribution<double> cap(1e8, 1e10);
   std::uniform_int_distribution<int> link(0, static_cast<int>(num_links) - 1);
   std::vector<double> caps(num_links);
   for (auto& c : caps) c = cap(rng);
-  std::vector<std::vector<int>> routes(1000);
-  std::vector<sim::FlowSpec> flows(1000);
-  for (std::size_t f = 0; f < flows.size(); ++f) {
-    for (int k = 0; k < 4; ++k) routes[f].push_back(link(rng));
-    flows[f] = sim::FlowSpec{routes[f], 1e8};
+  sim::IncrementalMaxMin store(caps);
+  std::vector<int> route;
+  int last = -1;
+  for (int f = 0; f < 1000; ++f) {
+    route.clear();
+    for (int k = 0; k < 4; ++k) route.push_back(link(rng));
+    last = store.AddFlow(route, 1e8);
   }
-  sim::MaxMinWorkspace ws;
   const int mm_iters = 2000;
   const double mm_sec = SecondsFor(mm_iters, [&] {
-    benchmark::DoNotOptimize(ws.Compute(caps, flows));
+    store.RemoveFlow(last);
+    last = store.AddFlow(route, 1e8);
+    benchmark::DoNotOptimize(store.Rates());
   });
 
   bench::WriteBenchJson(

@@ -74,7 +74,9 @@ class Engine {
         wpp_(static_cast<std::size_t>((num_blocks_ + 63) / 64)),
         rng_(cfg.rng_seed),
         alloc_(MakeCapacities(graph, specs)),
-        interval_rec_(num_graph_links_, cfg.charging_interval_sec) {
+        interval_rec_(num_graph_links_, cfg.charging_interval_sec),
+        sample_(cfg.maxmin_full_sample_every > 0 ? MakeCapacities(graph, specs)
+                                                 : std::vector<double>{}) {
     joined_.assign(num_peers_, 0);
     departed_.assign(num_peers_, 0);
     completed_.assign(num_peers_, 0);
@@ -577,7 +579,10 @@ class Engine {
 
   /// Full from-scratch solve over all live flows (slot order), checked
   /// bitwise against the incremental rates — the honest baseline for the
-  /// speedup metric.
+  /// speedup metric. The flows are loaded into an empty store in slot
+  /// order, so sample flow k is slot k; the timed part is the load plus
+  /// the solve, and the store is emptied again (last slot first, so the
+  /// next load reuses slots in ascending order).
   void SampleFullSolve(std::span<const double> rates) {
     sample_order_.clear();
     for (std::size_t si = 0; si < streams_.size(); ++si) {
@@ -587,23 +592,21 @@ class Engine {
       return streams_[static_cast<std::size_t>(a)].flow_slot <
              streams_[static_cast<std::size_t>(b)].flow_slot;
     });
-    sample_arena_.clear();
-    sample_spans_.clear();
-    for (int si : sample_order_) {
-      const StreamRec& s = streams_[static_cast<std::size_t>(si)];
-      const auto off = sample_arena_.size();
-      sample_arena_.push_back(UplinkOf(s.up));
-      sample_arena_.insert(sample_arena_.end(), s.route->links.begin(), s.route->links.end());
-      sample_arena_.push_back(DownlinkOf(s.down));
-      sample_spans_.push_back({off, sample_arena_.size() - off, s.route->rate_cap});
-    }
-    sample_flows_.clear();
-    for (const auto& [off, len, cap] : sample_spans_) {
-      sample_flows_.push_back(FlowSpec{
-          std::span<const int>(sample_arena_.data() + off, len), cap});
+    const auto capacities = alloc_.capacities();
+    for (std::size_t l = 0; l < capacities.size(); ++l) {
+      sample_.SetCapacity(static_cast<int>(l), capacities[l]);
     }
     const auto t0 = std::chrono::steady_clock::now();
-    const auto full = full_ws_.Compute(alloc_.capacities(), sample_flows_);
+    for (int si : sample_order_) {
+      const StreamRec& s = streams_[static_cast<std::size_t>(si)];
+      route_scratch_.clear();
+      route_scratch_.push_back(UplinkOf(s.up));
+      route_scratch_.insert(route_scratch_.end(), s.route->links.begin(),
+                            s.route->links.end());
+      route_scratch_.push_back(DownlinkOf(s.down));
+      sample_.AddFlow(route_scratch_, s.route->rate_cap);
+    }
+    const auto full = sample_.Rates();
     const auto t1 = std::chrono::steady_clock::now();
     full_ns_total_ +=
         static_cast<double>(std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
@@ -613,6 +616,9 @@ class Engine {
       if (full[k] != rates[static_cast<std::size_t>(s.flow_slot)]) {
         ++result_.maxmin_parity_mismatches;
       }
+    }
+    for (std::size_t k = sample_order_.size(); k-- > 0;) {
+      sample_.RemoveFlow(static_cast<int>(k));
     }
   }
 
@@ -669,10 +675,7 @@ class Engine {
   std::vector<PeerId> completed_this_step_;
   std::vector<double> step_bytes_, epoch_bytes_, sample_bytes_;
   std::vector<int> sample_order_;
-  std::vector<int> sample_arena_;
-  std::vector<std::tuple<std::size_t, std::size_t, double>> sample_spans_;
-  std::vector<FlowSpec> sample_flows_;
-  MaxMinWorkspace full_ws_;
+  IncrementalMaxMin sample_;
   double full_ns_total_ = 0.0;
 
   int num_leechers_ = 0;

@@ -69,7 +69,7 @@ double TimeSeries::time_above(double threshold) const {
 }
 
 IntervalVolumeRecorder::IntervalVolumeRecorder(std::size_t num_links, double interval_sec)
-    : interval_sec_(interval_sec), per_link_(num_links) {
+    : interval_sec_(interval_sec), num_links_(num_links), cells_(num_links, 0.0) {
   if (interval_sec <= 0.0) {
     throw std::invalid_argument("IntervalVolumeRecorder: interval must be positive");
   }
@@ -79,15 +79,24 @@ void IntervalVolumeRecorder::add(int link, double time_sec, double bytes) {
   if (time_sec < 0.0 || bytes < 0.0) {
     throw std::invalid_argument("IntervalVolumeRecorder: negative time or bytes");
   }
+  if (link < 0 || static_cast<std::size_t>(link) >= num_links_) {
+    throw std::out_of_range("IntervalVolumeRecorder: unknown link");
+  }
   const auto interval = static_cast<std::size_t>(time_sec / interval_sec_);
-  max_interval_seen_ = std::max(max_interval_seen_, interval);
-  per_link_.at(static_cast<std::size_t>(link))[interval] += bytes;
+  if ((interval + 1) * num_links_ > cells_.size()) {
+    cells_.resize((interval + 1) * num_links_, 0.0);
+  }
+  cells_[interval * num_links_ + static_cast<std::size_t>(link)] += bytes;
 }
 
 std::vector<double> IntervalVolumeRecorder::volumes(int link) const {
-  std::vector<double> out(max_interval_seen_ + 1, 0.0);
-  for (const auto& [interval, bytes] : per_link_.at(static_cast<std::size_t>(link))) {
-    out[interval] = bytes;
+  if (link < 0 || static_cast<std::size_t>(link) >= num_links_) {
+    throw std::out_of_range("IntervalVolumeRecorder: unknown link");
+  }
+  const std::size_t intervals = cells_.size() / num_links_;
+  std::vector<double> out(intervals);
+  for (std::size_t i = 0; i < intervals; ++i) {
+    out[i] = cells_[i * num_links_ + static_cast<std::size_t>(link)];
   }
   return out;
 }

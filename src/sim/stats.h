@@ -4,7 +4,6 @@
 // charging model.
 #pragma once
 
-#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -45,7 +44,8 @@ struct TimeSeries {
 
 /// Accumulates per-link traffic volumes into fixed-size intervals — the
 /// "5-minute traffic volumes" of the percentile charging model. Bytes added
-/// at time t land in interval floor(t / interval_sec).
+/// at time t land in interval floor(t / interval_sec). Volumes live in one
+/// dense [interval][link] buffer that grows with the interval index.
 class IntervalVolumeRecorder {
  public:
   IntervalVolumeRecorder(std::size_t num_links, double interval_sec);
@@ -60,8 +60,8 @@ class IntervalVolumeRecorder {
 
  private:
   double interval_sec_;
-  std::size_t max_interval_seen_ = 0;
-  std::vector<std::map<std::size_t, double>> per_link_;
+  std::size_t num_links_;
+  std::vector<double> cells_;  // [interval][link], at least one interval
 };
 
 }  // namespace p4p::sim

@@ -6,6 +6,8 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "sim/maxmin_incremental.h"
+
 namespace p4p::sim {
 
 namespace {
@@ -29,6 +31,7 @@ struct SStream {
   double remaining = 0.0;
   std::vector<int> route;
   int backbone_hops = 0;
+  int flow_slot = -1;  // slot in the max-min store
 };
 
 std::uint64_t PairKey(PeerId a, PeerId b) {
@@ -161,11 +164,8 @@ StreamingResult StreamingSimulator::Run(std::span<const PeerSpec> peer_specs,
   double last_rechoke = -1e18;
   double now = 0.0;
   int prev_newest = -1;
-  // Per-round flow views into each stream's route buffer; the workspace
-  // keeps the allocator's scratch storage alive across rounds.
-  std::vector<FlowSpec> flows;
-  std::vector<std::uint64_t> keys;
-  MaxMinWorkspace maxmin_ws;
+  // A stream holds one flow in the store from open to close.
+  IncrementalMaxMin alloc(capacities);
   while (now < config_.duration) {
     const int newest = static_cast<int>(now / block_duration);
     const int oldest = std::max(0, newest - window_blocks + 1);
@@ -229,6 +229,7 @@ StreamingResult StreamingSimulator::Run(std::span<const PeerSpec> peer_specs,
         auto [route, hops] = route_of(s.up, s.down);
         s.route = std::move(route);
         s.backbone_hops = hops;
+        s.flow_slot = alloc.AddFlow(s.route);
         d.pending.insert(block);
         ++d.active_downloads;
         streams.emplace(PairKey(s.up, s.down), std::move(s));
@@ -236,23 +237,12 @@ StreamingResult StreamingSimulator::Run(std::span<const PeerSpec> peer_specs,
     }
 
     // Rates and advancement.
-    flows.clear();
-    keys.clear();
-    flows.reserve(streams.size());
-    keys.reserve(streams.size());
-    for (const auto& [key, s] : streams) {
-      flows.push_back(FlowSpec{s.route, std::numeric_limits<double>::infinity()});
-      keys.push_back(key);
-    }
-    const auto rates = maxmin_ws.Compute(capacities, flows);
-
+    const auto rates = alloc.Rates();
     std::vector<std::uint64_t> to_erase;
-    for (std::size_t fi = 0; fi < keys.size(); ++fi) {
-      auto it = streams.find(keys[fi]);
-      SStream& s = it->second;
+    for (auto& [key, s] : streams) {
       auto& u = peers[static_cast<std::size_t>(s.up)];
       auto& d = peers[static_cast<std::size_t>(s.down)];
-      double budget = rates[fi] / 8.0 * config_.dt;
+      double budget = rates[static_cast<std::size_t>(s.flow_slot)] / 8.0 * config_.dt;
       while (budget > 0.0) {
         const double used = std::min(budget, s.remaining);
         if (used > 0.0) {
@@ -277,7 +267,7 @@ StreamingResult StreamingSimulator::Run(std::span<const PeerSpec> peer_specs,
         const int next_block = pick_block(u, d, oldest, newest);
         if (next_block < 0) {
           --d.active_downloads;
-          to_erase.push_back(keys[fi]);
+          to_erase.push_back(key);
           break;
         }
         s.block = next_block;
@@ -285,13 +275,18 @@ StreamingResult StreamingSimulator::Run(std::span<const PeerSpec> peer_specs,
         d.pending.insert(next_block);
       }
     }
-    for (std::uint64_t key : to_erase) streams.erase(key);
+    for (std::uint64_t key : to_erase) {
+      const auto it = streams.find(key);
+      alloc.RemoveFlow(it->second.flow_slot);
+      streams.erase(it);
+    }
     // Streams whose block fell out of the window are abandoned.
     for (auto it = streams.begin(); it != streams.end();) {
       if (it->second.block < oldest) {
         auto& d = peers[static_cast<std::size_t>(it->second.down)];
         d.pending.erase(it->second.block);
         --d.active_downloads;
+        alloc.RemoveFlow(it->second.flow_slot);
         it = streams.erase(it);
       } else {
         ++it;

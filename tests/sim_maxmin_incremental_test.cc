@@ -1,5 +1,5 @@
 // IncrementalMaxMin tests: randomized flow/capacity/rate-cap churn checked
-// bit-identical against the from-scratch MaxMinFairRates oracle, the
+// bit-identical against the frozen reference solve, the
 // clean-call skip and full-recompute accounting, slot reuse, validation,
 // and the gather/solve time attribution.
 #include "sim/maxmin_incremental.h"
@@ -12,6 +12,7 @@
 #include <random>
 
 #include "sim/maxmin.h"
+#include "support/maxmin_reference.h"
 
 namespace p4p::sim {
 namespace {
@@ -26,7 +27,7 @@ void ExpectMatchesOracle(IncrementalMaxMin& inc,
   std::vector<Flow> flows;
   flows.reserve(model.size());
   for (const auto& [slot, flow] : model) flows.push_back(flow);
-  const auto expect = MaxMinFairRates(capacities, flows);
+  const auto expect = reference::MaxMinFairRates(capacities, flows);
   const auto rates = inc.Rates();
   std::size_t i = 0;
   for (const auto& [slot, flow] : model) {

@@ -4,6 +4,9 @@
 
 #include <random>
 
+#include "sim/maxmin_incremental.h"
+#include "support/maxmin_reference.h"
+
 namespace p4p::sim {
 namespace {
 
@@ -175,13 +178,13 @@ INSTANTIATE_TEST_SUITE_P(
                       RandomCase{10, 100, 4}, RandomCase{20, 200, 5},
                       RandomCase{4, 50, 6}, RandomCase{30, 300, 7}));
 
-// ---- workspace fast path: stress + reuse determinism ----
+// ---- the engine: stress + reuse determinism against the frozen reference ----
 
-TEST(MaxMinWorkspace, StressSharedBottlenecksWithRateCaps) {
+TEST(MaxMinEngine, StressSharedBottlenecksWithRateCaps) {
   // >= 500 flows over a small link set so bottlenecks are heavily shared;
   // half the flows carry a finite rate cap. Checks feasibility, bottleneck
-  // saturation, and that the workspace matches the one-shot API while
-  // giving bit-identical rates across repeated reuse.
+  // saturation, and that the one-shot API and a reused store match the
+  // frozen reference solve bitwise across repeated dirty solves.
   constexpr int kNumLinks = 40;
   constexpr int kNumFlows = 600;
   std::mt19937_64 rng(42);
@@ -204,21 +207,22 @@ TEST(MaxMinWorkspace, StressSharedBottlenecksWithRateCaps) {
     if (f % 2 == 0) flows[static_cast<std::size_t>(f)].rate_cap = 0.05 + 0.01 * (f % 7);
   }
 
-  const auto reference = MaxMinFairRates(caps, flows);
-
-  std::vector<FlowSpec> specs;
-  for (const Flow& f : flows) specs.push_back(FlowSpec{f.links, f.rate_cap});
-  MaxMinWorkspace ws;
-  const auto first_span = ws.Compute(caps, specs);
-  const std::vector<double> first(first_span.begin(), first_span.end());
-  ASSERT_EQ(first.size(), reference.size());
-  for (std::size_t f = 0; f < first.size(); ++f) {
-    EXPECT_EQ(first[f], reference[f]) << "workspace diverges from one-shot at flow " << f;
+  const auto reference = reference::MaxMinFairRates(caps, flows);
+  const auto one_shot = MaxMinFairRates(caps, flows);
+  ASSERT_EQ(one_shot.size(), reference.size());
+  for (std::size_t f = 0; f < one_shot.size(); ++f) {
+    EXPECT_EQ(one_shot[f], reference[f]) << "engine diverges from reference, flow " << f;
   }
+  IncrementalMaxMin store(caps);
+  for (const Flow& f : flows) store.AddFlow(f.links, f.rate_cap);
   for (int repeat = 0; repeat < 5; ++repeat) {
-    const auto again = ws.Compute(caps, specs);
-    for (std::size_t f = 0; f < first.size(); ++f) {
-      EXPECT_EQ(again[f], first[f]) << "reused workspace not bit-identical at flow " << f;
+    // Move a capacity away and back: two dirty solves per round.
+    store.SetCapacity(0, caps[0] * 2.0);
+    (void)store.Rates();
+    store.SetCapacity(0, caps[0]);
+    const auto again = store.Rates();
+    for (std::size_t f = 0; f < reference.size(); ++f) {
+      EXPECT_EQ(again[f], reference[f]) << "reused store not bit-identical at flow " << f;
     }
   }
 
@@ -259,20 +263,21 @@ TEST(MaxMinWorkspace, StressSharedBottlenecksWithRateCaps) {
   }
 }
 
-TEST(MaxMinWorkspace, ValidatesLikeOneShotApi) {
-  MaxMinWorkspace ws;
+TEST(MaxMinEngine, ValidatesLikeOneShotApi) {
   const std::vector<double> caps = {1.0};
-  std::vector<int> bad_link = {3};
-  std::vector<FlowSpec> unknown = {FlowSpec{bad_link, std::numeric_limits<double>::infinity()}};
-  EXPECT_THROW(ws.Compute(caps, unknown), std::invalid_argument);
-  std::vector<FlowSpec> unbounded = {FlowSpec{{}, std::numeric_limits<double>::infinity()}};
-  EXPECT_THROW(ws.Compute(caps, unbounded), std::invalid_argument);
-  std::vector<int> ok_link = {0};
-  std::vector<FlowSpec> negative_cap = {FlowSpec{ok_link, -1.0}};
-  EXPECT_THROW(ws.Compute(caps, negative_cap), std::invalid_argument);
-  // The workspace stays usable after a failed call.
-  std::vector<FlowSpec> fine = {FlowSpec{ok_link, std::numeric_limits<double>::infinity()}};
-  EXPECT_NEAR(ws.Compute(caps, fine)[0], 1.0, kTol);
+  const std::vector<Flow> unknown = {{{3}, std::numeric_limits<double>::infinity()}};
+  const std::vector<Flow> unbounded = {{{}, std::numeric_limits<double>::infinity()}};
+  const std::vector<Flow> negative_cap = {{{0}, -1.0}};
+  for (const auto* bad : {&unknown, &unbounded, &negative_cap}) {
+    EXPECT_THROW(MaxMinFairRates(caps, *bad), std::invalid_argument);
+    EXPECT_THROW(reference::MaxMinFairRates(caps, *bad), std::invalid_argument);
+  }
+  // The store stays usable after a rejected flow.
+  IncrementalMaxMin store(caps);
+  EXPECT_THROW(store.AddFlow(unknown[0].links), std::invalid_argument);
+  const std::vector<int> ok_link = {0};
+  store.AddFlow(ok_link);
+  EXPECT_NEAR(store.Rates()[0], 1.0, kTol);
 }
 
 }  // namespace

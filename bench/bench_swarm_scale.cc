@@ -12,9 +12,8 @@
 //      solves (bit-parity checked in-run; mismatches are a hard failure),
 //      with gather/solve attribution from the allocator's counters.
 //   2) Heavy-tailed multi-swarm family — Zipf swarm sizes through the
-//      sharded runner. Wall scaling where the host has cores; on 1-core
-//      CI boxes the honest aggregate is the isolated-shard sum, same
-//      methodology as bench_announce_plane.
+//      sharded runner, with wall-clock scaling over every hardware thread
+//      (none on a single-core host).
 //   3) Locality-to-the-limit vs P4P weighting — a flash-crowd, churning
 //      field-test population run three-way (Native / Localized / P4P),
 //      comparing bandwidth-distance product and completion.
@@ -218,49 +217,16 @@ int main() {
               maxmin_speedup, fleet_speedups.empty() ? 0.0 : fleet_speedups.front(),
               fleet_speedups.empty() ? 0.0 : fleet_speedups.back(),
               fleet_speedups.size(), fleet_mismatches);
-  double wall_scaling = 1.0;
+  double multiswarm_scaling = 1.0;
   if (hw > 1) {
     const auto runN =
         sim::RunSwarms(graph, routing, jobs, factory, static_cast<int>(hw));
-    wall_scaling = (runN.total_rounds() / runN.wall_seconds) / rate_1t;
+    multiswarm_scaling = (runN.total_rounds() / runN.wall_seconds) / rate_1t;
     std::printf("  1 thread: %.0f rounds/s; %u threads: %.2fx wall scaling\n",
-                rate_1t, hw, wall_scaling);
+                rate_1t, hw, multiswarm_scaling);
   } else {
     std::printf("  1 thread: %.0f rounds/s (single-core host)\n", rate_1t);
   }
-  // Shard independence without scheduler interference: the jobs are
-  // size-balanced into four groups, each group runs on an isolated
-  // single-threaded runner, and the aggregate rate is total rounds over
-  // the slowest group's wall — the critical-path estimate of a 4-core
-  // run, measurable honestly on boxes with fewer cores than shards.
-  constexpr int kShardGroups = 4;
-  std::vector<std::size_t> order(jobs.size());
-  for (std::size_t j = 0; j < order.size(); ++j) order[j] = j;
-  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-    return jobs[a].peers.size() > jobs[b].peers.size();
-  });
-  std::vector<std::vector<sim::SwarmJob>> groups(kShardGroups);
-  std::vector<std::size_t> group_load(kShardGroups, 0);
-  for (std::size_t j : order) {
-    const auto g = static_cast<std::size_t>(
-        std::min_element(group_load.begin(), group_load.end()) -
-        group_load.begin());
-    groups[g].push_back(jobs[j]);
-    group_load[g] += jobs[j].peers.size() * jobs[j].peers.size();
-  }
-  int agg_rounds = 0;
-  double max_group_wall = 0.0;
-  for (const auto& group : groups) {
-    const auto rq = sim::RunSwarms(graph, routing, group, factory, 1);
-    agg_rounds += rq.total_rounds();
-    max_group_wall = std::max(max_group_wall, rq.wall_seconds);
-  }
-  const double agg_isolated = agg_rounds / max_group_wall;
-  const double shard_scaling = agg_isolated / rate_1t;
-  const double multiswarm_scaling = hw > 1 ? wall_scaling : shard_scaling;
-  std::printf("  isolated shard aggregate: %.0f rounds/s across %d groups "
-              "(%.2fx over 1 thread)\n",
-              agg_isolated, kShardGroups, shard_scaling);
 
   // ---- 3) locality-to-the-limit vs P4P under a flash crowd ----
   bench::PrintSubHeader("3) Locality limit vs P4P weighting (flash crowd)");
@@ -325,9 +291,8 @@ int main() {
        bench::Fmt("%.2fx at %.0f%% dirty steps", flagship_speedup,
                   100.0 * dirty_fraction),
        flagship_speedup >= 1.0},
-      {"multi-swarm sharded execution", "> 1x aggregate over 1 thread",
-       bench::Fmt("%.2fx (%s)", multiswarm_scaling,
-                  hw > 1 ? "wall" : "isolated aggregate"),
+      {"multi-swarm sharded execution", "> 1x wall over 1 thread",
+       bench::Fmt("%.2fx (%u threads)", multiswarm_scaling, hw),
        multiswarm_scaling > 1.0},
       {"P4P vs locality-to-the-limit", "near-localized BDP, better completion",
        bench::Fmt("BDP %.2f vs %.2f (native %.2f)", bdp_p4p, bdp_localized,
@@ -355,7 +320,6 @@ int main() {
            static_cast<double>(flag.maxmin_parity_mismatches + fleet_mismatches +
                                flash_mismatches)},
           {"bt_multiswarm_scaling_x", multiswarm_scaling},
-          {"bt_multiswarm_agg_scaling_x", shard_scaling},
           {"bt_multiswarm_swarms", static_cast<double>(sizes.size())},
           {"bt_multiswarm_peers", static_cast<double>(family_peers)},
           {"bt_flash_bdp_native", bdp_native},

@@ -57,7 +57,7 @@ void WriteBenchJson(const std::string& filename,
 
 /// Like WriteBenchJson, but preserves metrics already present in the file
 /// (new keys win on conflict) — lets several bench binaries contribute to
-/// one trajectory file, e.g. bench_announce_plane merging into
+/// one trajectory file, e.g. bench_swarm_scale merging into
 /// BENCH_scalability.json.
 void MergeBenchJson(const std::string& filename,
                     const std::vector<std::pair<std::string, double>>& metrics);

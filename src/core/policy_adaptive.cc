@@ -43,12 +43,6 @@ int PolicyAdaptiveSelector::EffectiveWant(int m) const {
   return std::max(1, static_cast<int>(std::floor(factor * m)));
 }
 
-std::vector<sim::PeerId> PolicyAdaptiveSelector::SelectPeers(
-    const sim::PeerInfo& client, std::span<const sim::PeerInfo> candidates, int m,
-    std::mt19937_64& rng) {
-  return inner_->SelectPeers(client, candidates, EffectiveWant(m), rng);
-}
-
 std::vector<sim::PeerId> PolicyAdaptiveSelector::SelectFromBuckets(
     const sim::PeerInfo& client, const sim::PeerBuckets& swarm, int m,
     std::mt19937_64& rng) {

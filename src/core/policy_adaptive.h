@@ -28,11 +28,8 @@ class PolicyAdaptiveSelector final : public sim::PeerSelector {
                          std::function<double()> utilization,
                          double soft_factor = 0.6, double hard_factor = 0.3);
 
-  std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
-                                       std::span<const sim::PeerInfo> candidates,
-                                       int m, std::mt19937_64& rng) override;
-  /// Bucket path: the congestion backoff applies to `m`, then defers to the
-  /// inner selector's bucket-aware implementation.
+  /// The congestion backoff applies to `m`, then defers to the inner
+  /// selector.
   std::vector<sim::PeerId> SelectFromBuckets(const sim::PeerInfo& client,
                                              const sim::PeerBuckets& swarm,
                                              int m, std::mt19937_64& rng) override;

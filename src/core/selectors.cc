@@ -3,22 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <unordered_map>
 
 namespace p4p::core {
 
 namespace {
-
-/// Uniform sample of up to `m` indices from `pool` (without replacement,
-/// order randomized). Consumes entries from `pool`.
-std::vector<sim::PeerId> TakeRandom(std::vector<sim::PeerId>& pool, int m,
-                                    std::mt19937_64& rng) {
-  std::shuffle(pool.begin(), pool.end(), rng);
-  const auto take = std::min<std::size_t>(pool.size(), static_cast<std::size_t>(std::max(0, m)));
-  std::vector<sim::PeerId> out(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(take));
-  pool.erase(pool.begin(), pool.begin() + static_cast<std::ptrdiff_t>(take));
-  return out;
-}
 
 /// The per-thread workspace behind the bucket-aware selector entry points.
 /// Sharing one instance across selector objects on the same thread is safe:
@@ -46,6 +34,26 @@ void FloydSample(std::uint64_t n, int k, std::mt19937_64& rng,
       picks.push_back(t);
     }
   }
+}
+
+/// Fills `prefix` with bucket-size prefix sums: `prefix[b]` is the rank of
+/// bucket b's first member in bucket/slot order, and `prefix.back()` the
+/// swarm size.
+void BucketPrefix(const sim::PeerBuckets& swarm, std::vector<std::size_t>& prefix) {
+  const auto& buckets = swarm.buckets();
+  prefix.assign(buckets.size() + 1, 0);
+  for (std::size_t b = 0; b < buckets.size(); ++b) {
+    prefix[b + 1] = prefix[b] + buckets[b].peers.size();
+  }
+}
+
+/// The member at `rank` in bucket/slot order, given BucketPrefix's sums.
+const sim::PeerInfo& MemberAtRank(const sim::PeerBuckets& swarm,
+                                  const std::vector<std::size_t>& prefix,
+                                  std::uint64_t rank) {
+  const auto it = std::upper_bound(prefix.begin(), prefix.end(), rank);
+  const std::size_t b = static_cast<std::size_t>(it - prefix.begin()) - 1;
+  return swarm.buckets()[b].peers[rank - prefix[b]];
 }
 
 /// The cached weight of a PID at p-distance `p`: (1/p)^gamma when that is
@@ -82,32 +90,17 @@ double* SelectionWorkspace::WeightRow(const std::shared_ptr<const PriceSnapshot>
   return row.weight.data();
 }
 
-std::vector<sim::PeerId> NativeRandomSelector::SelectPeers(
-    const sim::PeerInfo& client, std::span<const sim::PeerInfo> candidates, int m,
-    std::mt19937_64& rng) {
-  std::vector<sim::PeerId> pool;
-  pool.reserve(candidates.size());
-  for (const auto& c : candidates) {
-    if (c.id != client.id) pool.push_back(c.id);
-  }
-  return TakeRandom(pool, m, rng);
-}
-
 std::vector<sim::PeerId> NativeRandomSelector::SelectFromBuckets(
     const sim::PeerInfo& client, const sim::PeerBuckets& swarm, int m,
     std::mt19937_64& rng) {
   std::vector<sim::PeerId> out;
   if (m <= 0 || swarm.empty()) return out;
   SelectionWorkspace& ws = ThreadWorkspace();
-  const auto& buckets = swarm.buckets();
 
   // Global-rank sampling: prefix sums over bucket sizes map a rank in
   // [0, swarm size) to a (bucket, slot) pair; the client's own rank (when a
   // member) is excised by index arithmetic.
-  ws.prefix_.assign(buckets.size() + 1, 0);
-  for (std::size_t b = 0; b < buckets.size(); ++b) {
-    ws.prefix_[b + 1] = ws.prefix_[b] + buckets[b].peers.size();
-  }
+  BucketPrefix(swarm, ws.prefix_);
   const auto client_slot = swarm.SlotOf(client.id);
   const std::uint64_t total = swarm.size();
   const std::uint64_t population = total - (client_slot ? 1 : 0);
@@ -121,16 +114,14 @@ std::vector<sim::PeerId> NativeRandomSelector::SelectFromBuckets(
   out.reserve(static_cast<std::size_t>(take));
   for (std::uint64_t rank : ws.picks_) {
     if (client_slot && rank >= client_rank) ++rank;
-    const auto it = std::upper_bound(ws.prefix_.begin(), ws.prefix_.end(), rank);
-    const std::size_t b = static_cast<std::size_t>(it - ws.prefix_.begin()) - 1;
-    out.push_back(buckets[b].peers[rank - ws.prefix_[b]].id);
+    out.push_back(MemberAtRank(swarm, ws.prefix_, rank).id);
   }
   std::shuffle(out.begin(), out.end(), rng);
   return out;
 }
 
-std::vector<sim::PeerId> DelayLocalizedSelector::SelectPeers(
-    const sim::PeerInfo& client, std::span<const sim::PeerInfo> candidates, int m,
+std::vector<sim::PeerId> DelayLocalizedSelector::SelectFromBuckets(
+    const sim::PeerInfo& client, const sim::PeerBuckets& swarm, int m,
     std::mt19937_64& rng) {
   struct Entry {
     sim::PeerId id;
@@ -138,17 +129,19 @@ std::vector<sim::PeerId> DelayLocalizedSelector::SelectPeers(
   };
   std::uniform_real_distribution<double> noise(1.0 - jitter_, 1.0 + jitter_);
   // The tracker only reveals a random subset of the swarm; the client
-  // localizes within it.
-  std::vector<std::size_t> order(candidates.size());
+  // localizes within it. Members are ranked in bucket/slot order.
+  std::vector<std::size_t> prefix;
+  BucketPrefix(swarm, prefix);
+  std::vector<std::size_t> order(swarm.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
-  if (subset_size_ > 0 && candidates.size() > static_cast<std::size_t>(subset_size_)) {
+  if (subset_size_ > 0 && swarm.size() > static_cast<std::size_t>(subset_size_)) {
     std::shuffle(order.begin(), order.end(), rng);
     order.resize(static_cast<std::size_t>(subset_size_));
   }
   std::vector<Entry> entries;
   entries.reserve(order.size());
   for (std::size_t idx : order) {
-    const auto& c = candidates[idx];
+    const auto& c = MemberAtRank(swarm, prefix, idx);
     if (c.id == client.id) continue;
     // Measured RTT: propagation between PoPs plus both endpoints' access
     // (last-mile) delay, with multiplicative measurement noise.
@@ -202,153 +195,6 @@ void P4PSelector::ClearMatchingWeights(std::int32_t as_number) {
   matching_weights_.erase(as_number);
 }
 
-std::vector<sim::PeerId> P4PSelector::SelectPeers(
-    const sim::PeerInfo& client, std::span<const sim::PeerInfo> candidates, int m,
-    std::mt19937_64& rng) {
-  const auto tracker_it = trackers_.find(client.as_number);
-  if (tracker_it == trackers_.end()) {
-    // No view for this AS: degrade gracefully to random selection.
-    NativeRandomSelector fallback;
-    return fallback.SelectPeers(client, candidates, m, rng);
-  }
-  const ITracker& tracker = *tracker_it->second;
-  const Pid my_pid = client.node;  // PoP-level aggregation: PID == node id
-  // One pinned snapshot serves every stage: one price version per selection.
-  const auto snap = tracker.snapshot();
-  const PDistanceRow pdist = tracker.row(*snap, my_pid);
-
-  // Partition candidates.
-  std::vector<sim::PeerId> same_pid;
-  std::unordered_map<Pid, std::vector<sim::PeerId>> same_as_by_pid;
-  std::unordered_map<Pid, std::vector<sim::PeerId>> other_as_by_pid;
-  for (const auto& c : candidates) {
-    if (c.id == client.id) continue;
-    if (c.as_number == client.as_number) {
-      if (c.node == client.node) {
-        same_pid.push_back(c.id);
-      } else {
-        same_as_by_pid[c.node].push_back(c.id);
-      }
-    } else {
-      other_as_by_pid[c.node].push_back(c.id);
-    }
-  }
-
-  std::vector<sim::PeerId> selected;
-  selected.reserve(static_cast<std::size_t>(m));
-
-  // --- Stage 1: intra-PID ---
-  double intra_bound = config_.upper_bound_intra_pid;
-  {
-    // "The bound will be set to a lower value if the network p-distance
-    // within PID-i is relatively higher than outside the PID."
-    double min_outside = std::numeric_limits<double>::infinity();
-    for (const auto& [pid, ids] : same_as_by_pid) {
-      (void)ids;
-      min_outside = std::min(min_outside, pdist(pid));
-    }
-    if (std::isfinite(min_outside) && pdist(my_pid) > min_outside) {
-      intra_bound *= 0.5;
-    }
-  }
-  const int intra_quota = static_cast<int>(std::floor(intra_bound * m));
-  for (sim::PeerId id : TakeRandom(same_pid, intra_quota, rng)) {
-    selected.push_back(id);
-  }
-
-  // Weighted PID sampling shared by stages 2 and 3: weight per PID, then a
-  // uniform pick inside the PID.
-  auto weighted_fill = [&](std::unordered_map<Pid, std::vector<sim::PeerId>>& by_pid,
-                           const std::vector<std::vector<double>>* match_w, int quota) {
-    if (quota <= 0 || by_pid.empty()) return;
-    // Zero-distance PIDs are weighted relative to the smallest positive
-    // distance so they always dominate, regardless of the dual price scale.
-    double min_positive = std::numeric_limits<double>::infinity();
-    for (const auto& [pid, ids] : by_pid) {
-      if (ids.empty()) continue;
-      const double p = pdist(pid);
-      if (p > 0) min_positive = std::min(min_positive, p);
-    }
-    const double zero_weight = std::isfinite(min_positive)
-                                   ? config_.zero_distance_factor / min_positive
-                                   : 1.0;
-    std::vector<Pid> pids;
-    std::vector<double> weights;
-    // First pass honors the matching weights when present; if the matched
-    // PIDs have no available candidates (LP solutions are sparse), fall back
-    // to plain 1/p weighting so the quota can still be met inside the AS.
-    for (const bool use_match : {match_w != nullptr, false}) {
-      pids.clear();
-      weights.clear();
-      for (auto& [pid, ids] : by_pid) {
-        if (ids.empty()) continue;
-        double w = 0.0;
-        if (use_match && my_pid < static_cast<Pid>(match_w->size()) &&
-            pid < static_cast<Pid>((*match_w)[static_cast<std::size_t>(my_pid)].size())) {
-          w = (*match_w)[static_cast<std::size_t>(my_pid)][static_cast<std::size_t>(pid)];
-        } else {
-          const double p = pdist(pid);
-          w = p > 0 ? 1.0 / p : zero_weight;
-        }
-        if (w <= 0) continue;
-        pids.push_back(pid);
-        weights.push_back(w);
-      }
-      if (!pids.empty()) break;
-    }
-    if (pids.empty()) return;
-    // Normalize and apply the concave robustness transform.
-    const double sum = std::accumulate(weights.begin(), weights.end(), 0.0);
-    for (double& w : weights) w = std::pow(w / sum, config_.concave_gamma);
-
-    int taken = 0;
-    while (taken < quota) {
-      std::discrete_distribution<std::size_t> pick(weights.begin(), weights.end());
-      const std::size_t k = pick(rng);
-      auto& ids = by_pid[pids[k]];
-      std::uniform_int_distribution<std::size_t> which(0, ids.size() - 1);
-      const std::size_t w = which(rng);
-      selected.push_back(ids[w]);
-      ids.erase(ids.begin() + static_cast<std::ptrdiff_t>(w));
-      ++taken;
-      if (ids.empty()) {
-        weights[k] = 0.0;
-        if (std::accumulate(weights.begin(), weights.end(), 0.0) <= 0.0) break;
-      }
-    }
-  };
-
-  // --- Stage 2: inter-PID within the AS ---
-  const int inter_total =
-      static_cast<int>(std::floor(config_.upper_bound_inter_pid * m));
-  const auto mw_it = matching_weights_.find(client.as_number);
-  const std::vector<std::vector<double>>* match_w =
-      mw_it == matching_weights_.end() ? nullptr : &mw_it->second;
-  weighted_fill(same_as_by_pid, match_w, inter_total - static_cast<int>(selected.size()));
-
-  // --- Stage 3: inter-AS ---
-  weighted_fill(other_as_by_pid, nullptr, m - static_cast<int>(selected.size()));
-
-  // If still short (single-AS swarms, tiny swarms), backfill — but keep
-  // honoring the p-distance weights within the AS before falling back to
-  // uniform picks from whatever remains.
-  if (static_cast<int>(selected.size()) < m) {
-    weighted_fill(same_as_by_pid, match_w, m - static_cast<int>(selected.size()));
-  }
-  if (static_cast<int>(selected.size()) < m) {
-    std::vector<sim::PeerId> leftovers = std::move(same_pid);
-    for (auto& [pid, ids] : other_as_by_pid) {
-      (void)pid;
-      leftovers.insert(leftovers.end(), ids.begin(), ids.end());
-    }
-    for (sim::PeerId id :
-         TakeRandom(leftovers, m - static_cast<int>(selected.size()), rng)) {
-      selected.push_back(id);
-    }
-  }
-  return selected;
-}
-
 std::vector<sim::PeerId> P4PSelector::SelectFromBuckets(
     const sim::PeerInfo& client, const sim::PeerBuckets& swarm, int m,
     std::mt19937_64& rng) {
@@ -383,8 +229,8 @@ std::vector<sim::PeerId> P4PSelector::SelectWithWorkspace(
   // Stages only record how many peers each bucket contributes; concrete
   // slots are materialized once at the end. Choosing counts first and then
   // sampling that many distinct slots per bucket is distributionally
-  // identical to the removal-based span path, without mutating or copying
-  // any candidate state.
+  // identical to removing each pick from a flat candidate list, without
+  // mutating or copying any candidate state.
   ws.take_.assign(buckets.size(), 0);
   const auto avail = [&](std::uint32_t b) {
     return static_cast<int>(buckets[b].peers.size()) -
@@ -628,11 +474,9 @@ std::string BlackBoxSelector::name() const {
   return "BlackBox(" + inner_->name() + ")";
 }
 
-std::vector<sim::PeerId> BlackBoxSelector::SelectPeers(
-    const sim::PeerInfo& client, std::span<const sim::PeerInfo> candidates, int m,
+std::vector<sim::PeerId> BlackBoxSelector::SelectFromBuckets(
+    const sim::PeerInfo& client, const sim::PeerBuckets& swarm, int m,
     std::mt19937_64& rng) {
-  std::unordered_map<sim::PeerId, net::NodeId> node_of;
-  for (const auto& c : candidates) node_of[c.id] = c.node;
   // Every attempt is costed at the same price version.
   const auto snap = tracker_.snapshot();
   const PDistanceRow pdist = tracker_.row(*snap, client.node);
@@ -640,10 +484,10 @@ std::vector<sim::PeerId> BlackBoxSelector::SelectPeers(
   std::vector<sim::PeerId> best;
   double best_cost = std::numeric_limits<double>::infinity();
   for (int a = 0; a < attempts_; ++a) {
-    auto set = inner_->SelectPeers(client, candidates, m, rng);
+    auto set = inner_->SelectFromBuckets(client, swarm, m, rng);
     double cost = 0.0;
     for (sim::PeerId id : set) {
-      cost += pdist(node_of.at(id));
+      cost += pdist(swarm.Find(id)->node);
     }
     // Prefer larger sets; among equal sizes, lower total p-distance.
     if (set.size() > best.size() ||

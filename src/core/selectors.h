@@ -25,13 +25,12 @@
 
 namespace p4p::core {
 
-/// Reusable state for bucket-driven selection, in the style of
-/// MaxMinWorkspace: one workspace serves one caller at a time, and reusing
-/// it across announces keeps steady-state selection free of per-call
-/// allocations — no per-announce partition maps, no full-swarm copies, no
-/// distribution temporaries. NativeRandomSelector and P4PSelector keep one
-/// instance per thread; benches and tests may pass their own through
-/// P4PSelector::SelectWithWorkspace.
+/// Reusable state for bucket-driven selection: one workspace serves one
+/// caller at a time, and reusing it across announces keeps steady-state
+/// selection free of per-call allocations — no per-announce partition maps,
+/// no full-swarm copies, no distribution temporaries. NativeRandomSelector
+/// and P4PSelector keep one instance per thread; benches and tests may pass
+/// their own through P4PSelector::SelectWithWorkspace.
 ///
 /// Besides scratch, the workspace caches P4PSelector's concave PID weights
 /// (1/p_ij)^gamma under one key, (PriceSnapshot, gamma), with one row per
@@ -78,9 +77,6 @@ class SelectionWorkspace {
 
 class NativeRandomSelector final : public sim::PeerSelector {
  public:
-  std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
-                                       std::span<const sim::PeerInfo> candidates,
-                                       int m, std::mt19937_64& rng) override;
   /// Index-driven uniform sampling: O(#buckets + m^2), never flattens.
   std::vector<sim::PeerId> SelectFromBuckets(const sim::PeerInfo& client,
                                              const sim::PeerBuckets& swarm,
@@ -111,9 +107,10 @@ class DelayLocalizedSelector final : public sim::PeerSelector {
         random_fraction_(random_fraction),
         subset_size_(subset_size) {}
 
-  std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
-                                       std::span<const sim::PeerInfo> candidates,
-                                       int m, std::mt19937_64& rng) override;
+  /// Ranks the members in bucket/slot order, so a subset is drawn by rank.
+  std::vector<sim::PeerId> SelectFromBuckets(const sim::PeerInfo& client,
+                                             const sim::PeerBuckets& swarm,
+                                             int m, std::mt19937_64& rng) override;
   std::string name() const override { return "Localized"; }
 
  private:
@@ -162,10 +159,6 @@ class P4PSelector final : public sim::PeerSelector {
                           std::vector<std::vector<double>> weights);
   void ClearMatchingWeights(std::int32_t as_number);
 
-  std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
-                                       std::span<const sim::PeerInfo> candidates,
-                                       int m, std::mt19937_64& rng) override;
-
   /// Index-driven three-stage selection: stages sample from the swarm's
   /// per-PID buckets and per-AS groups directly — O(#buckets + m^2) per
   /// announce instead of O(swarm) — using a per-thread workspace.
@@ -199,9 +192,9 @@ class BlackBoxSelector final : public sim::PeerSelector {
   BlackBoxSelector(std::unique_ptr<sim::PeerSelector> inner, const ITracker& tracker,
                    int attempts = 4);
 
-  std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
-                                       std::span<const sim::PeerInfo> candidates,
-                                       int m, std::mt19937_64& rng) override;
+  std::vector<sim::PeerId> SelectFromBuckets(const sim::PeerInfo& client,
+                                             const sim::PeerBuckets& swarm,
+                                             int m, std::mt19937_64& rng) override;
   std::string name() const override;
 
  private:

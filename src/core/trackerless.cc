@@ -5,6 +5,8 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "sim/peer_buckets.h"
+
 namespace p4p::core {
 
 DistanceCache::DistanceCache(double ttl_seconds) : ttl_(ttl_seconds) {
@@ -71,44 +73,39 @@ TrackerlessSelector::TrackerlessSelector(const DistanceCache& cache,
   }
 }
 
-std::vector<sim::PeerId> TrackerlessSelector::SelectPeers(
-    const sim::PeerInfo& client, std::span<const sim::PeerInfo> candidates, int m,
+std::vector<sim::PeerId> TrackerlessSelector::SelectFromBuckets(
+    const sim::PeerInfo& client, const sim::PeerBuckets& swarm, int m,
     std::mt19937_64& rng) {
   const auto row = cache_.Get(client.node, now_());
+  // Candidate PIDs inside the cached row; others weigh 1.
+  const auto in_row = [&](net::NodeId node) {
+    return row && node >= 0 && static_cast<std::size_t>(node) < row->distances.size();
+  };
+  // Weight each candidate by 1/p from the cached row; zero distances get a
+  // weight relative to the smallest positive one. Without a fresh row every
+  // weight is 1: the default decision (uniform random).
+  double min_positive = std::numeric_limits<double>::infinity();
+  for (const auto& bucket : swarm.buckets()) {
+    if (!in_row(bucket.pid)) continue;
+    const double p = row->distances[static_cast<std::size_t>(bucket.pid)];
+    for (const auto& c : bucket.peers) {
+      if (c.id != client.id && p > 0) min_positive = std::min(min_positive, p);
+    }
+  }
+  const double zero_weight = std::isfinite(min_positive) ? 10.0 / min_positive : 1.0;
   std::vector<sim::PeerId> pool;
   std::vector<double> weights;
-  pool.reserve(candidates.size());
-
-  if (row) {
-    // Weight each candidate by 1/p from the cached row; zero distances get
-    // a weight relative to the smallest positive one.
-    double min_positive = std::numeric_limits<double>::infinity();
-    for (const auto& c : candidates) {
-      if (c.id == client.id) continue;
-      if (c.node < 0 || static_cast<std::size_t>(c.node) >= row->distances.size()) {
-        continue;
-      }
-      const double p = row->distances[static_cast<std::size_t>(c.node)];
-      if (p > 0) min_positive = std::min(min_positive, p);
+  pool.reserve(swarm.size());
+  for (const auto& bucket : swarm.buckets()) {
+    double w = 1.0;
+    if (in_row(bucket.pid)) {
+      const double p = row->distances[static_cast<std::size_t>(bucket.pid)];
+      w = std::pow(p > 0 ? 1.0 / p : zero_weight, gamma_);
     }
-    const double zero_weight =
-        std::isfinite(min_positive) ? 10.0 / min_positive : 1.0;
-    for (const auto& c : candidates) {
-      if (c.id == client.id) continue;
-      double w = 1.0;
-      if (c.node >= 0 && static_cast<std::size_t>(c.node) < row->distances.size()) {
-        const double p = row->distances[static_cast<std::size_t>(c.node)];
-        w = p > 0 ? 1.0 / p : zero_weight;
-      }
-      pool.push_back(c.id);
-      weights.push_back(std::pow(w, gamma_));
-    }
-  } else {
-    // No fresh information: default decision (uniform random).
-    for (const auto& c : candidates) {
+    for (const auto& c : bucket.peers) {
       if (c.id == client.id) continue;
       pool.push_back(c.id);
-      weights.push_back(1.0);
+      weights.push_back(w);
     }
   }
 

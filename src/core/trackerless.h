@@ -65,9 +65,10 @@ class TrackerlessSelector final : public sim::PeerSelector {
   TrackerlessSelector(const DistanceCache& cache, std::function<double()> now,
                       double concave_gamma = 0.5);
 
-  std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
-                                       std::span<const sim::PeerInfo> candidates,
-                                       int m, std::mt19937_64& rng) override;
+  /// Weighs the members in bucket/slot order.
+  std::vector<sim::PeerId> SelectFromBuckets(const sim::PeerInfo& client,
+                                             const sim::PeerBuckets& swarm,
+                                             int m, std::mt19937_64& rng) override;
   std::string name() const override { return "Trackerless"; }
 
  private:

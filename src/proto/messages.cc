@@ -77,87 +77,58 @@ void EncodeBody(const GetPidMapResp& m, Writer& w) {
   w.i32(m.as_number);
 }
 
-template <typename T>
-std::optional<Message> DecodeAs(Reader& r);
+// Body decoders: each reads one message's fields and returns false on a
+// value out of range. DecodeAs rejects a body the reader ran past or did
+// not consume to the end.
 
-template <>
-std::optional<Message> DecodeAs<ErrorMsg>(Reader& r) {
-  ErrorMsg m;
+bool DecodeBody(Reader& r, ErrorMsg& m) {
   m.message = r.str();
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<GetPDistancesReq>(Reader& r) {
-  GetPDistancesReq m;
+bool DecodeBody(Reader& r, GetPDistancesReq& m) {
   m.from = r.i32();
   // The version token was appended in a compatible revision: absent bytes
   // decode as 0 (unconditional), so pre-token encoders still parse.
   if (r.ok() && r.remaining() > 0) m.if_version = r.u64();
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<GetPDistancesResp>(Reader& r) {
-  GetPDistancesResp m;
+bool DecodeBody(Reader& r, GetPDistancesResp& m) {
   m.from = r.i32();
   m.version = r.u64();
   m.distances = r.f64_vec();
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<GetExternalViewReq>(Reader& r) {
-  GetExternalViewReq m;
+bool DecodeBody(Reader& r, GetExternalViewReq& m) {
   // Optional version token, as in GetPDistancesReq.
   if (r.ok() && r.remaining() > 0) m.if_version = r.u64();
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<NotModifiedResp>(Reader& r) {
-  NotModifiedResp m;
+bool DecodeBody(Reader& r, NotModifiedResp& m) {
   m.version = r.u64();
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<UnavailableResp>(Reader& r) {
-  UnavailableResp m;
+bool DecodeBody(Reader& r, UnavailableResp& m) {
   m.retry_after_ms = r.u32();
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<GetExternalViewResp>(Reader& r) {
-  GetExternalViewResp m;
+bool DecodeBody(Reader& r, GetExternalViewResp& m) {
   m.num_pids = r.i32();
   m.version = r.u64();
   m.distances = r.f64_vec();
-  if (!r.done()) return std::nullopt;
-  if (m.num_pids < 0 ||
-      m.distances.size() !=
-          static_cast<std::size_t>(m.num_pids) * static_cast<std::size_t>(m.num_pids)) {
-    return std::nullopt;
-  }
-  return m;
+  return m.num_pids >= 0 &&
+         m.distances.size() ==
+             static_cast<std::size_t>(m.num_pids) * static_cast<std::size_t>(m.num_pids);
 }
 
-template <>
-std::optional<Message> DecodeAs<GetPolicyReq>(Reader& r) {
-  if (!r.done()) return std::nullopt;
-  return GetPolicyReq{};
-}
+bool DecodeBody(Reader&, GetPolicyReq&) { return true; }
 
-template <>
-std::optional<Message> DecodeAs<GetPolicyResp>(Reader& r) {
-  GetPolicyResp m;
+bool DecodeBody(Reader& r, GetPolicyResp& m) {
   m.thresholds.near_congestion_utilization = r.f64();
   m.thresholds.heavy_usage_utilization = r.f64();
   const std::uint32_t n = r.u32();
@@ -169,58 +140,48 @@ std::optional<Message> DecodeAs<GetPolicyResp>(Reader& r) {
     p.max_utilization = r.f64();
     m.time_of_day.push_back(p);
   }
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<GetCapabilityReq>(Reader& r) {
-  GetCapabilityReq m;
+bool DecodeBody(Reader& r, GetCapabilityReq& m) {
   const std::uint8_t type = r.u8();
-  if (type > static_cast<std::uint8_t>(core::CapabilityType::kServiceClass)) {
-    return std::nullopt;
-  }
+  if (type > static_cast<std::uint8_t>(core::CapabilityType::kServiceClass)) return false;
   m.type = static_cast<core::CapabilityType>(type);
   m.content_id = r.str();
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<GetCapabilityResp>(Reader& r) {
-  GetCapabilityResp m;
+bool DecodeBody(Reader& r, GetCapabilityResp& m) {
   const std::uint32_t n = r.u32();
   for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
     core::Capability c;
     const std::uint8_t type = r.u8();
-    if (type > static_cast<std::uint8_t>(core::CapabilityType::kServiceClass)) {
-      return std::nullopt;
-    }
+    if (type > static_cast<std::uint8_t>(core::CapabilityType::kServiceClass)) return false;
     c.type = static_cast<core::CapabilityType>(type);
     c.pid = r.i32();
     c.capacity_bps = r.f64();
     c.description = r.str();
     m.capabilities.push_back(std::move(c));
   }
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<GetPidMapReq>(Reader& r) {
-  GetPidMapReq m;
+bool DecodeBody(Reader& r, GetPidMapReq& m) {
   m.client_ip = r.str();
-  if (!r.done()) return std::nullopt;
-  return m;
+  return true;
 }
 
-template <>
-std::optional<Message> DecodeAs<GetPidMapResp>(Reader& r) {
-  GetPidMapResp m;
+bool DecodeBody(Reader& r, GetPidMapResp& m) {
   m.found = r.u8() != 0;
   m.pid = r.i32();
   m.as_number = r.i32();
-  if (!r.done()) return std::nullopt;
+  return true;
+}
+
+template <typename T>
+std::optional<Message> DecodeAs(Reader& r) {
+  T m;
+  if (!DecodeBody(r, m) || !r.done()) return std::nullopt;
   return m;
 }
 

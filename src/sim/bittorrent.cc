@@ -15,14 +15,12 @@
 
 namespace p4p::sim {
 
-std::vector<PeerId> PeerSelector::SelectFromBuckets(const PeerInfo& client,
-                                                    const PeerBuckets& swarm,
-                                                    int m, std::mt19937_64& rng) {
-  // Compatibility shim: flatten into a per-thread scratch buffer and run the
-  // span-based policy. Index-aware selectors override this.
-  thread_local std::vector<PeerInfo> scratch;
-  swarm.Flatten(scratch);
-  return SelectPeers(client, scratch, m, rng);
+std::vector<PeerId> PeerSelector::SelectPeers(const PeerInfo& client,
+                                              std::span<const PeerInfo> candidates,
+                                              int m, std::mt19937_64& rng) {
+  PeerBuckets swarm;
+  for (const auto& c : candidates) swarm.Insert(c);
+  return SelectFromBuckets(client, swarm, m, rng);
 }
 
 namespace {

@@ -40,20 +40,22 @@ class PeerBuckets;  // sim/peer_buckets.h
 class PeerSelector {
  public:
   virtual ~PeerSelector() = default;
-  virtual std::vector<PeerId> SelectPeers(const PeerInfo& client,
-                                          std::span<const PeerInfo> candidates,
-                                          int m, std::mt19937_64& rng) = 0;
 
-  /// Bucket-aware entry point used by the announce plane: selects against a
-  /// PeerBuckets swarm store without requiring a flat candidate array. The
-  /// client may or may not already be a member of `swarm`; implementations
-  /// must never return it. The default implementation flattens the store
-  /// into a per-thread scratch buffer and delegates to SelectPeers — a
-  /// compatibility shim; index-aware selectors (P4P, native random)
-  /// override this to sample directly from the per-PID/per-AS buckets.
+  /// The one selection entry point: selects against a PeerBuckets swarm
+  /// store, sampling its per-(AS, PID) buckets directly. The client may or
+  /// may not already be a member of `swarm`; implementations must never
+  /// return it.
   virtual std::vector<PeerId> SelectFromBuckets(const PeerInfo& client,
                                                 const PeerBuckets& swarm,
-                                                int m, std::mt19937_64& rng);
+                                                int m, std::mt19937_64& rng) = 0;
+
+  /// Span adapter: loads `candidates` into a fresh store and calls
+  /// SelectFromBuckets. No selector overrides it; it stays virtual only
+  /// because the benchmark harness's timing wrapper (perfbench) does, and
+  /// the benchmark change of ROADMAP item 2 can delete it.
+  virtual std::vector<PeerId> SelectPeers(const PeerInfo& client,
+                                          std::span<const PeerInfo> candidates,
+                                          int m, std::mt19937_64& rng);
 
   /// Human-readable policy name for reports.
   virtual std::string name() const = 0;

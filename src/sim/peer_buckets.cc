@@ -65,12 +65,4 @@ std::span<const std::uint32_t> PeerBuckets::AsGroup(std::int32_t as_number) cons
   return it->second;
 }
 
-void PeerBuckets::Flatten(std::vector<PeerInfo>& out) const {
-  out.clear();
-  out.reserve(size_);
-  for (const auto& bucket : buckets_) {
-    out.insert(out.end(), bucket.peers.begin(), bucket.peers.end());
-  }
-}
-
 }  // namespace p4p::sim

@@ -75,10 +75,6 @@ class PeerBuckets {
   /// Ids of every bucket belonging to `as_number` (possibly empty buckets).
   std::span<const std::uint32_t> AsGroup(std::int32_t as_number) const;
 
-  /// Flattens every member into `out` (cleared first) — the compatibility
-  /// bridge to the span-based PeerSelector path.
-  void Flatten(std::vector<PeerInfo>& out) const;
-
  private:
   static std::uint64_t Key(std::int32_t as_number, net::NodeId pid) {
     return (static_cast<std::uint64_t>(static_cast<std::uint32_t>(as_number)) << 32) |

@@ -7,6 +7,7 @@
 #include <unordered_set>
 
 #include "sim/maxmin_incremental.h"
+#include "sim/peer_buckets.h"
 
 namespace p4p::sim {
 
@@ -107,16 +108,17 @@ StreamingResult StreamingSimulator::Run(std::span<const PeerSpec> peer_specs,
         peers[p].spec.down_bps;
   }
 
-  // Static neighborhoods: everyone joins up front in the Figure 9 setup.
-  std::vector<PeerInfo> candidates;
+  // Static neighborhoods: everyone joins up front in the Figure 9 setup, so
+  // one store of every peer serves each peer's selection.
+  PeerBuckets swarm;
   for (std::size_t i = 0; i < num_peers; ++i) {
-    candidates.push_back(PeerInfo{static_cast<PeerId>(i), peers[i].spec.node,
-                                  peers[i].spec.as_number, peers[i].spec.up_bps,
-                                  peers[i].spec.down_bps, peers[i].source});
+    swarm.Insert(PeerInfo{static_cast<PeerId>(i), peers[i].spec.node,
+                          peers[i].spec.as_number, peers[i].spec.up_bps,
+                          peers[i].spec.down_bps, peers[i].source});
   }
   for (std::size_t i = 0; i < num_peers; ++i) {
-    PeerInfo self = candidates[i];
-    auto chosen = selector.SelectPeers(self, candidates, config_.max_neighbors, rng);
+    const PeerInfo& self = *swarm.Find(static_cast<PeerId>(i));
+    auto chosen = selector.SelectFromBuckets(self, swarm, config_.max_neighbors, rng);
     for (PeerId q : chosen) {
       if (q == static_cast<PeerId>(i)) continue;
       auto& ni = peers[i].neighbors;

@@ -220,11 +220,11 @@ TEST(AppTracker, RejoinAfterSwarmDropStartsCleanSwarm) {
 class CountingSelector final : public sim::PeerSelector {
  public:
   explicit CountingSelector(std::size_t* calls) : calls_(calls) {}
-  std::vector<sim::PeerId> SelectPeers(const sim::PeerInfo& client,
-                                       std::span<const sim::PeerInfo> candidates,
-                                       int m, std::mt19937_64& rng) override {
+  std::vector<sim::PeerId> SelectFromBuckets(const sim::PeerInfo& client,
+                                             const sim::PeerBuckets& swarm, int m,
+                                             std::mt19937_64& rng) override {
     ++*calls_;
-    return native_.SelectPeers(client, candidates, m, rng);
+    return native_.SelectFromBuckets(client, swarm, m, rng);
   }
   std::string name() const override { return "Counting"; }
 

@@ -10,6 +10,7 @@
 
 #include "net/synth.h"
 #include "net/topology.h"
+#include "support/selection_reference.h"
 
 namespace p4p::core {
 namespace {
@@ -350,10 +351,10 @@ TEST_F(SelectorsTest, P4PZeroDistanceWeightScalesWithPriceMagnitude) {
 
 // --- bucket-aware selection (SelectFromBuckets) ------------------------------
 //
-// The index-driven path must be a drop-in replacement for the span path:
-// same invariants (distinctness, never the client, full sets when the swarm
-// allows), same stage quotas, and the same locality preferences — checked
-// against the flat candidate array as the oracle.
+// The index-driven path keeps the invariants of the flat-span selection it
+// replaced (distinctness, never the client, full sets when the swarm
+// allows), the same stage quotas, and the same locality preferences —
+// checked against the frozen span selection in support/selection_reference.
 
 sim::PeerBuckets MakeStore(std::span<const sim::PeerInfo> candidates) {
   sim::PeerBuckets store;
@@ -425,8 +426,9 @@ TEST_F(SelectorsTest, BucketP4PRespectsIntraPidBound) {
 }
 
 TEST_F(SelectorsTest, BucketP4PMatchesSpanPathPreferences) {
-  // Same expensive-toward-Seattle setup as the span test; the bucket path
-  // must show the same preference ordering at comparable rates.
+  // Same expensive-toward-Seattle setup as P4PPrefersLowDistancePids; the
+  // bucket path must show the reference span path's preference ordering at
+  // comparable rates.
   ITrackerConfig tcfg;
   tcfg.mode = PriceMode::kStatic;
   ITracker tracker(graph_, routing_, tcfg);
@@ -438,6 +440,8 @@ TEST_F(SelectorsTest, BucketP4PMatchesSpanPathPreferences) {
 
   P4PSelector sel;
   sel.RegisterITracker(1, &tracker);
+  reference::P4PSelector span;
+  span.RegisterITracker(1, &tracker);
   std::vector<std::pair<net::NodeId, std::int32_t>> placements;
   placements.push_back({net::kNewYork, 1});  // client
   for (int i = 0; i < 20; ++i) placements.push_back({net::kWashingtonDC, 1});
@@ -447,7 +451,7 @@ TEST_F(SelectorsTest, BucketP4PMatchesSpanPathPreferences) {
 
   int span_dc = 0, span_sea = 0, bucket_dc = 0, bucket_sea = 0;
   for (int trial = 0; trial < 50; ++trial) {
-    for (sim::PeerId id : sel.SelectPeers(candidates[0], candidates, 10, rng_)) {
+    for (sim::PeerId id : span.SelectPeers(candidates[0], candidates, 10, rng_)) {
       const auto node = candidates[static_cast<std::size_t>(id)].node;
       span_dc += node == net::kWashingtonDC;
       span_sea += node == net::kSeattle;
@@ -548,9 +552,8 @@ TEST_F(SelectorsTest, BucketP4PHandlesNonMemberClient) {
   EXPECT_EQ(chosen.size(), 3u);
 }
 
-TEST_F(SelectorsTest, DefaultBucketShimDelegatesToSpanPath) {
-  // Selectors without a bucket-aware override (e.g. delay-localized) run
-  // through the flatten shim and keep their semantics.
+TEST_F(SelectorsTest, LocalizedBucketPathRanksByLatency) {
+  // Delay-localized selection ranks the store's members by measured RTT.
   DelayLocalizedSelector sel(routing_, 0.0, 5.0, 0.0, /*subset=*/0);
   std::vector<std::pair<net::NodeId, std::int32_t>> placements;
   placements.push_back({net::kNewYork, 1});
@@ -564,7 +567,6 @@ TEST_F(SelectorsTest, DefaultBucketShimDelegatesToSpanPath) {
     EXPECT_EQ(candidates[static_cast<std::size_t>(id)].node, net::kNewYork);
   }
 }
-
 
 // Golden peer sets for a fixed swarm and seed. They fix which p-distances
 // each selection reads and the order of its RNG draws: a change to either
@@ -611,7 +613,7 @@ class SelectorsGoldenTest : public SelectorsTest {
   sim::PeerInfo joiner_;
 };
 
-TEST_F(SelectorsGoldenTest, BucketAndSpanPeerSetsAreBitIdentical) {
+TEST_F(SelectorsGoldenTest, BucketPeerSetsArePinned) {
   P4PSelector sel;
   sel.RegisterITracker(1, &tracker_);
   sel.RegisterITracker(2, &tracker_);
@@ -631,46 +633,32 @@ TEST_F(SelectorsGoldenTest, BucketAndSpanPeerSetsAreBitIdentical) {
   for (const auto& client : {candidates_[0], candidates_[5], candidates_[13], joiner_}) {
     for (int m : {12, 30}) {
       sets.push_back(sel.SelectFromBuckets(client, store, m, rng));
-      sets.push_back(sel.SelectPeers(client, candidates_, m, rng));
     }
   }
   sets.push_back(sel.SelectFromBuckets(candidates_[1], small, 10, rng));
-  sets.push_back(sel.SelectPeers(candidates_[1], few, 10, rng));
   sets.push_back(matched.SelectFromBuckets(candidates_[1], store, 12, rng));
-  sets.push_back(matched.SelectPeers(candidates_[1], candidates_, 12, rng));
   BlackBoxSelector bb(std::make_unique<NativeRandomSelector>(), tracker_, 4);
-  sets.push_back(bb.SelectPeers(candidates_[0], candidates_, 12, rng));
+  sets.push_back(bb.SelectFromBuckets(candidates_[0], store, 12, rng));
 
+  // The P4P sets were recorded from the selector as it was while a flat-span
+  // path still existed, with only these bucket calls made; the last set was
+  // recorded once BlackBox's inner selector sampled the store directly.
   const std::vector<std::vector<sim::PeerId>> golden = {
       {9, 33, 48, 44, 66, 63, 11, 30, 24, 69, 62, 81},
-      {33, 66, 30, 15, 63, 9, 57, 24, 84, 11, 55, 46},
-      {54, 87, 30, 44, 82, 36, 48, 84, 75, 60, 51, 12, 78, 63, 81,
-       42, 47, 69, 77, 27, 57, 16, 25, 21, 66, 33, 15, 24, 3, 45},
-      {66, 33, 15, 30, 87, 48, 54, 75, 18, 63, 84, 27, 60, 81, 36,
-       51, 21, 3, 9, 12, 24, 39, 57, 6, 59, 11, 55, 10, 40, 22},
-      {30, 62, 49, 16, 68, 56, 38, 71, 60, 82, 45, 74},
-      {71, 38, 16, 82, 49, 64, 32, 25, 2, 27, 54, 60},
-      {65, 50, 26, 49, 79, 59, 85, 20, 76, 32, 38, 19, 60, 68, 45,
-       28, 2, 35, 55, 52, 43, 56, 87, 17, 16, 27, 84, 18, 82, 71},
-      {38, 49, 82, 16, 71, 10, 22, 23, 41, 19, 70, 64, 59, 83, 26,
-       37, 13, 4, 52, 65, 43, 61, 40, 79, 12, 6, 60, 27, 78, 36},
-      {24, 79, 51, 46, 57, 68, 53, 2, 35, 8, 83, 32},
-      {35, 2, 68, 46, 79, 52, 11, 55, 65, 0, 57, 48},
-      {38, 16, 2, 35, 11, 62, 83, 79, 49, 28, 89, 65, 32, 36, 57,
-       86, 84, 54, 40, 85, 52, 68, 8, 58, 82, 46, 10, 45, 64, 24},
-      {79, 2, 46, 35, 68, 41, 43, 65, 52, 74, 25, 17, 4, 76, 37,
-       19, 26, 23, 8, 59, 85, 62, 82, 67, 21, 24, 45, 54, 51, 63},
-      {66, 75, 39, 89, 9, 82, 42, 63, 60, 54, 34, 84},
-      {9, 75, 42, 45, 66, 87, 27, 12, 60, 89, 44, 10},
-      {27, 14, 54, 60, 15, 47, 20, 39, 72, 75, 78, 30, 57, 9, 87,
-       3, 84, 63, 12, 85, 45, 67, 6, 68, 24, 36, 51, 18, 42, 48},
-      {42, 9, 75, 30, 51, 27, 45, 60, 63, 36, 6, 3, 24, 0, 78,
-       39, 87, 12, 72, 48, 33, 84, 54, 69, 32, 64, 20, 34, 53, 37},
+      {22, 15, 66, 48, 39, 87, 51, 60, 44, 6, 57, 21, 72, 85, 33,
+       3, 30, 11, 63, 84, 75, 36, 27, 88, 24, 54, 18, 81, 55, 69},
+      {38, 27, 44, 16, 72, 60, 49, 82, 68, 65, 71, 62},
+      {1, 88, 16, 38, 4, 40, 73, 20, 8, 30, 27, 41, 74, 80, 65,
+       85, 54, 47, 60, 82, 23, 49, 79, 71, 11, 52, 53, 87, 57, 29},
+      {79, 35, 4, 3, 46, 2, 21, 66, 29, 14, 73, 68},
+      {56, 46, 70, 35, 68, 52, 20, 24, 1, 16, 85, 38, 18, 28, 58,
+       37, 79, 65, 10, 21, 17, 2, 44, 54, 43, 32, 57, 4, 84, 76},
+      {45, 39, 65, 75, 42, 33, 12, 9, 73, 83, 63, 84},
+      {9, 41, 84, 51, 57, 12, 27, 60, 36, 45, 75, 39, 31, 44, 48,
+       78, 69, 6, 0, 30, 63, 81, 24, 42, 66, 20, 15, 53, 64, 18},
       {2, 0, 5, 4, 3},
-      {5, 2, 4, 3, 0},
-      {67, 34, 79, 7, 73, 56, 89, 78, 46, 54, 23, 12},
-      {89, 56, 23, 67, 34, 46, 35, 13, 68, 12, 24, 45},
-      {87, 88, 39, 8, 19, 27, 30, 64, 86, 89, 16, 70},
+      {73, 79, 42, 21, 78, 13, 67, 89, 56, 23, 35, 34},
+      {63, 32, 43, 41, 44, 29, 33, 15, 62, 7, 85, 55},
   };
   EXPECT_EQ(sets, golden) << FormatSets(sets);
 }

@@ -5,6 +5,7 @@
 #include <algorithm>
 
 #include "net/topology.h"
+#include "sim/peer_buckets.h"
 #include "sim/stats.h"
 
 namespace p4p::sim {
@@ -13,12 +14,13 @@ namespace {
 /// Minimal uniform-random selector, keeping sim tests independent of core.
 class TestRandomSelector final : public PeerSelector {
  public:
-  std::vector<PeerId> SelectPeers(const PeerInfo& client,
-                                  std::span<const PeerInfo> candidates, int m,
-                                  std::mt19937_64& rng) override {
+  std::vector<PeerId> SelectFromBuckets(const PeerInfo& client, const PeerBuckets& swarm,
+                                        int m, std::mt19937_64& rng) override {
     std::vector<PeerId> pool;
-    for (const auto& c : candidates) {
-      if (c.id != client.id) pool.push_back(c.id);
+    for (const auto& bucket : swarm.buckets()) {
+      for (const auto& c : bucket.peers) {
+        if (c.id != client.id) pool.push_back(c.id);
+      }
     }
     std::shuffle(pool.begin(), pool.end(), rng);
     if (static_cast<int>(pool.size()) > m) pool.resize(static_cast<std::size_t>(m));
@@ -30,14 +32,15 @@ class TestRandomSelector final : public PeerSelector {
 /// A selector that prefers peers on the client's own PoP.
 class TestLocalSelector final : public PeerSelector {
  public:
-  std::vector<PeerId> SelectPeers(const PeerInfo& client,
-                                  std::span<const PeerInfo> candidates, int m,
-                                  std::mt19937_64& rng) override {
+  std::vector<PeerId> SelectFromBuckets(const PeerInfo& client, const PeerBuckets& swarm,
+                                        int m, std::mt19937_64& rng) override {
     std::vector<PeerId> local;
     std::vector<PeerId> remote;
-    for (const auto& c : candidates) {
-      if (c.id == client.id) continue;
-      (c.node == client.node ? local : remote).push_back(c.id);
+    for (const auto& bucket : swarm.buckets()) {
+      for (const auto& c : bucket.peers) {
+        if (c.id == client.id) continue;
+        (c.node == client.node ? local : remote).push_back(c.id);
+      }
     }
     std::shuffle(local.begin(), local.end(), rng);
     std::shuffle(remote.begin(), remote.end(), rng);

@@ -81,14 +81,16 @@ TEST(PeerBuckets, EmptiedBucketPersistsAndAcceptsRejoins) {
   EXPECT_EQ(store.SlotOf(1)->bucket, b);
 }
 
-TEST(PeerBuckets, FlattenRoundTrips) {
+TEST(PeerBuckets, BucketsHoldEveryMemberOnce) {
   PeerBuckets store;
   for (PeerId id = 0; id < 10; ++id) store.Insert(MakePeer(id, id % 3, 1 + id % 2));
-  std::vector<PeerInfo> flat;
-  store.Flatten(flat);
-  ASSERT_EQ(flat.size(), 10u);
+  std::size_t members = 0;
   std::set<PeerId> ids;
-  for (const auto& p : flat) ids.insert(p.id);
+  for (const auto& bucket : store.buckets()) {
+    members += bucket.peers.size();
+    for (const auto& p : bucket.peers) ids.insert(p.id);
+  }
+  EXPECT_EQ(members, 10u);
   EXPECT_EQ(ids.size(), 10u);
 }
 

@@ -5,18 +5,20 @@
 #include <algorithm>
 
 #include "net/topology.h"
+#include "sim/peer_buckets.h"
 
 namespace p4p::sim {
 namespace {
 
 class StreamRandomSelector final : public PeerSelector {
  public:
-  std::vector<PeerId> SelectPeers(const PeerInfo& client,
-                                  std::span<const PeerInfo> candidates, int m,
-                                  std::mt19937_64& rng) override {
+  std::vector<PeerId> SelectFromBuckets(const PeerInfo& client, const PeerBuckets& swarm,
+                                        int m, std::mt19937_64& rng) override {
     std::vector<PeerId> pool;
-    for (const auto& c : candidates) {
-      if (c.id != client.id) pool.push_back(c.id);
+    for (const auto& bucket : swarm.buckets()) {
+      for (const auto& c : bucket.peers) {
+        if (c.id != client.id) pool.push_back(c.id);
+      }
     }
     std::shuffle(pool.begin(), pool.end(), rng);
     if (static_cast<int>(pool.size()) > m) pool.resize(static_cast<std::size_t>(m));

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -51,7 +52,9 @@ struct RouteInfo {
 /// rates in O(1). Rarest-first picks come from an availability-bucketed
 /// block index instead of a full O(num_blocks) min-scan, and tracker
 /// selection runs against a PeerBuckets store maintained incrementally on
-/// join/depart/completion (no per-join candidate rebuild).
+/// join/depart/completion (no per-join candidate rebuild). Stream opening
+/// is event-driven: each step visits only the uploaders marked since their
+/// last visit (see MarkUploader).
 class Engine {
  public:
   Engine(const net::Graph& graph, const net::RoutingTable& routing,
@@ -92,6 +95,8 @@ class Engine {
     un_cap_ = std::max(1, cfg_.unchoke_slots + cfg_.optimistic_slots);
     unchoked_.assign(num_peers_ * static_cast<std::size_t>(un_cap_), -1);
     un_count_.assign(num_peers_, 0);
+    unchoked_by_off_.assign(num_peers_ + 1, 0);
+    open_marks_.assign((num_peers_ + 63) / 64, 0);
 
     in_head_.assign(num_peers_, -1);
     out_head_.assign(num_peers_, -1);
@@ -171,6 +176,7 @@ class Engine {
   void HaveSet(PeerId p, int b) {
     have_words_[static_cast<std::size_t>(p) * wpp_ + static_cast<std::size_t>(b >> 6)] |=
         1ULL << (b & 63);
+    MarkUploader(p);  // the new block may be what an unchoked peer lacks
   }
   void HaveSetAll(PeerId p) {
     auto* w = have_words_.data() + static_cast<std::size_t>(p) * wpp_;
@@ -352,6 +358,40 @@ class Engine {
     ++nb_count_[bu];
   }
 
+  // --- event-driven stream opening ---
+  /// Queues `p` for the next open-streams pass. A failed StartStream has no
+  /// side effects, and a failed pair (up, down) can only start succeeding
+  /// after a rechoke, after `up` gains a block, or after a stream into
+  /// `down` ends (freeing a download slot, a pending block or the pair
+  /// itself). Those three events mark the uploaders they concern, so the
+  /// pass that skips every unmarked uploader opens the same streams, in the
+  /// same order and with the same draws, as one that tries every pair.
+  void MarkUploader(PeerId p) {
+    open_marks_[static_cast<std::size_t>(p) >> 6] |= 1ULL << (p & 63);
+  }
+
+  /// Rebuilds the reverse unchoke index (CSR over downloaders) and marks
+  /// every uploader that unchoked someone.
+  void IndexUnchokes() {
+    const auto unchoked_of = [this](std::size_t i) {
+      return std::span<const PeerId>(unchoked_).subspan(
+          i * static_cast<std::size_t>(un_cap_), static_cast<std::size_t>(un_count_[i]));
+    };
+    std::fill(unchoked_by_off_.begin(), unchoked_by_off_.end(), 0);
+    for (std::size_t i = 0; i < num_peers_; ++i) {
+      if (un_count_[i] > 0) MarkUploader(static_cast<PeerId>(i));
+      for (PeerId d : unchoked_of(i)) ++unchoked_by_off_[static_cast<std::size_t>(d)];
+    }
+    std::partial_sum(unchoked_by_off_.begin(), unchoked_by_off_.end(), unchoked_by_off_.begin());
+    unchoked_by_.resize(static_cast<std::size_t>(unchoked_by_off_.back()));
+    for (std::size_t i = num_peers_; i-- > 0;) {
+      for (PeerId d : unchoked_of(i)) {
+        const int at = --unchoked_by_off_[static_cast<std::size_t>(d)];
+        unchoked_by_[static_cast<std::size_t>(at)] = static_cast<PeerId>(i);
+      }
+    }
+  }
+
   // --- stream pool ---
   int FindStream(PeerId up, PeerId down) const {
     for (int si = in_head_[static_cast<std::size_t>(down)]; si != -1;
@@ -361,8 +401,9 @@ class Engine {
     return -1;
   }
 
-  /// Unlinks + frees the pool slot and unregisters the flow. Pending/active
-  /// bookkeeping is the caller's (already settled on block completion).
+  /// Unlinks + frees the pool slot, unregisters the flow and marks every
+  /// uploader of the downloader. Pending/active bookkeeping is the caller's
+  /// (already settled on block completion).
   void ReleaseStream(int si) {
     StreamRec& s = streams_[static_cast<std::size_t>(si)];
     const auto du = static_cast<std::size_t>(s.down);
@@ -379,6 +420,9 @@ class Engine {
       out_head_[uu] = s.out_next;
     }
     if (s.out_next >= 0) streams_[static_cast<std::size_t>(s.out_next)].out_prev = s.out_prev;
+    for (int k = unchoked_by_off_[du]; k < unchoked_by_off_[du + 1]; ++k) {
+      MarkUploader(unchoked_by_[static_cast<std::size_t>(k)]);
+    }
     alloc_.RemoveFlow(s.flow_slot);
     s.up = -1;
     s.down = -1;
@@ -573,6 +617,7 @@ class Engine {
       }
       ClearRecvWindow(id);
     }
+    IndexUnchokes();
   }
 
   /// Full from-scratch solve over all live flows (slot order), checked
@@ -651,6 +696,10 @@ class Engine {
   int un_cap_ = 0;
   std::vector<PeerId> unchoked_;
   std::vector<int> un_count_;
+  // Uploaders unchoking d: unchoked_by_[unchoked_by_off_[d] .. [d + 1]).
+  std::vector<int> unchoked_by_off_;
+  std::vector<PeerId> unchoked_by_;
+  std::vector<std::uint64_t> open_marks_;  // one bit per peer
 
   std::vector<StreamRec> streams_;
   std::vector<int> free_streams_;
@@ -777,13 +826,17 @@ BitTorrentResult Engine::Run() {
       RechokeAll();
     }
 
-    // Open streams for unchoked pairs.
-    for (std::size_t i = 0; i < num_peers_; ++i) {
-      if (joined_[i] == 0 || departed_[i] != 0) continue;
-      const auto ubase = i * static_cast<std::size_t>(un_cap_);
-      for (int k = 0; k < un_count_[i]; ++k) {
-        const PeerId d = unchoked_[ubase + static_cast<std::size_t>(k)];
-        if (IsActive(d)) StartStream(static_cast<PeerId>(i), d);
+    // Open streams for unchoked pairs of the marked uploaders, in id order.
+    for (std::size_t w = 0; w < open_marks_.size(); ++w) {
+      for (std::uint64_t bits = std::exchange(open_marks_[w], 0); bits != 0;
+           bits &= bits - 1) {
+        const std::size_t i = w * 64 + static_cast<std::size_t>(std::countr_zero(bits));
+        if (joined_[i] == 0 || departed_[i] != 0) continue;
+        const auto ubase = i * static_cast<std::size_t>(un_cap_);
+        for (int k = 0; k < un_count_[i]; ++k) {
+          const PeerId d = unchoked_[ubase + static_cast<std::size_t>(k)];
+          if (IsActive(d)) StartStream(static_cast<PeerId>(i), d);
+        }
       }
     }
 
@@ -809,15 +862,20 @@ BitTorrentResult Engine::Run() {
     const auto t0 = std::chrono::steady_clock::now();
     const auto rates = alloc_.Rates();
     const auto t1 = std::chrono::steady_clock::now();
-    result_.maxmin_incremental_ns += static_cast<double>(
+    const auto pull_ns = static_cast<double>(
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count());
+    result_.maxmin_incremental_ns += pull_ns;
     if (alloc_.recompute_passes() != passes_seen) {
       passes_seen = alloc_.recompute_passes();
       ++result_.maxmin_dirty_steps;
     }
-    if (cfg_.maxmin_full_sample_every > 0 &&
-        result_.rounds % cfg_.maxmin_full_sample_every == 0) {
-      SampleFullSolve(rates);
+    if (num_streams_ > 0) {
+      ++result_.maxmin_live_steps;
+      result_.maxmin_live_ns += pull_ns;
+      if (cfg_.maxmin_full_sample_every > 0 &&
+          result_.maxmin_live_steps % cfg_.maxmin_full_sample_every == 0) {
+        SampleFullSolve(rates);
+      }
     }
 
     // Advance transfers by dt; a stream may complete several blocks within
@@ -939,7 +997,7 @@ BitTorrentResult Engine::Run() {
   if (result_.maxmin_full_samples > 0) {
     result_.maxmin_full_ns_est = full_ns_total_ /
                                  static_cast<double>(result_.maxmin_full_samples) *
-                                 static_cast<double>(result_.rounds);
+                                 static_cast<double>(result_.maxmin_live_steps);
   }
   result_.maxmin_gather_ns = static_cast<double>(alloc_.total_gather_ns());
   result_.maxmin_solve_ns = static_cast<double>(alloc_.total_solve_ns());

@@ -96,9 +96,9 @@ struct BitTorrentConfig {
   double tcp_window_bytes = 0.0;
   /// One-way last-mile latency used by the RTT model (ms).
   double access_latency_ms = 5.0;
-  /// When > 0, every Nth fluid step additionally runs a from-scratch
-  /// max-min solve over all live flows and checks it bitwise against the
-  /// incremental allocator, recording both timings for the speedup
+  /// When > 0, every Nth fluid step that has live flows additionally runs
+  /// a from-scratch max-min solve over them and checks it bitwise against
+  /// the incremental allocator, recording both timings for the speedup
   /// metrics (see BitTorrentResult). 0 disables the sampling.
   int maxmin_full_sample_every = 0;
   std::uint64_t rng_seed = 1;
@@ -131,12 +131,21 @@ struct BitTorrentResult {
   /// measurements and are NOT covered by same-seed determinism; comparisons
   /// across runs should zero them first.
   double maxmin_incremental_ns = 0.0;  ///< total time inside incremental rate pulls
-  double maxmin_full_ns_est = 0.0;     ///< sampled full-solve time extrapolated to all rounds
+  int maxmin_live_steps = 0;           ///< steps with at least one live flow
+  double maxmin_live_ns = 0.0;         ///< incremental rate-pull time on those steps
+  /// Sampled full-solve time extrapolated to every live step. A step with
+  /// no live flow has nothing to solve either way, so the speedup is
+  /// maxmin_full_ns_est / maxmin_live_ns.
+  double maxmin_full_ns_est = 0.0;
   int maxmin_full_samples = 0;         ///< full solves actually run for parity/timing
   int maxmin_parity_mismatches = 0;    ///< bitwise divergences vs the full solve (expect 0)
   int maxmin_dirty_steps = 0;          ///< steps that re-solved the live flows
-  double maxmin_gather_ns = 0.0;       ///< cumulative live-flow listing time
-  double maxmin_solve_ns = 0.0;        ///< cumulative progressive-filling time
+  /// Cumulative allocator time of the recompute passes, split as the
+  /// engine splits it: gather is the slack-link screen, the isolated
+  /// binding links and the heap set-up; solve is the heap's progressive
+  /// filling.
+  double maxmin_gather_ns = 0.0;
+  double maxmin_solve_ns = 0.0;
   std::uint64_t maxmin_dense_solves = 0;  ///< recomputes (each solves every live flow)
   /// Always 0: the allocator has one solve path, counted in
   /// maxmin_dense_solves. Kept only because perfbench's

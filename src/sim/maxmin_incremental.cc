@@ -220,22 +220,34 @@ void IncrementalMaxMin::Freeze(std::size_t slot, std::size_t link, double share)
   }
 }
 
+bool IncrementalMaxMin::Isolated(std::size_t link) const {
+  const std::size_t num_real = capacities_.size();
+  for (int r = head_[link]; r >= 0; r = ref_next_[static_cast<std::size_t>(r)]) {
+    const auto slot = static_cast<std::size_t>(ref_slot_[static_cast<std::size_t>(r)]);
+    if (std::isfinite(flow_cap_[slot]) && screened_[num_real + slot] == 0) return false;
+    for (std::uint32_t k = 0; k < flow_len_[slot]; ++k) {
+      const auto l2 = static_cast<std::size_t>(links_pool_[flow_off_[slot] + k]);
+      if (l2 != link && screened_[l2] == 0) return false;
+    }
+  }
+  return true;
+}
+
 std::span<const double> IncrementalMaxMin::Rates() {
   if (!dirty_) return rate_;
 
-  // Gather: screen the links and seed the heap. Links are numbered real
-  // first, then one virtual link per capped flow at num_real + slot.
+  // Gather: screen the links, freeze the flows of isolated links, and seed
+  // the heap with the rest. Links are numbered real first, then one virtual
+  // link per capped flow at num_real + slot.
   const auto t0 = Clock::now();
   const std::size_t num_real = capacities_.size();
   heap_.clear();
+  open_real_.clear();
   for (std::size_t l = 0; l < num_real; ++l) {
     if (count_[l] == 0) continue;
     screened_[l] = unbounded_[l] == 0 &&
                    static_cast<double>(bound_sum_[l]) < capacities_[l] * kSlackFraction;
-    if (screened_[l] != 0) continue;
-    remaining_[l] = capacities_[l];
-    active_[l] = count_[l];
-    heap_.emplace_back(std::max(0.0, remaining_[l]) / active_[l], static_cast<int>(l));
+    if (screened_[l] == 0) open_real_.push_back(static_cast<int>(l));
   }
   for (std::size_t s = 0; s < flow_live_.size(); ++s) {
     if (flow_live_[s] == 0) continue;
@@ -248,6 +260,22 @@ std::span<const double> IncrementalMaxMin::Rates() {
     remaining_[v] = flow_cap_[s];
     active_[v] = 1;
     heap_.emplace_back(std::max(0.0, remaining_[v]) / active_[v], static_cast<int>(v));
+  }
+  // An isolated link is touched only by its own pop, which comes fresh at
+  // the share below and freezes every flow on it there; keys are unique, so
+  // leaving it out of the heap changes no other pop.
+  for (int l : open_real_) {
+    const auto lu = static_cast<std::size_t>(l);
+    const double share = std::max(0.0, capacities_[lu]) / count_[lu];
+    if (Isolated(lu)) {
+      for (int r = head_[lu]; r >= 0; r = ref_next_[static_cast<std::size_t>(r)]) {
+        rate_[static_cast<std::size_t>(ref_slot_[static_cast<std::size_t>(r)])] = share;
+      }
+      continue;
+    }
+    remaining_[lu] = capacities_[lu];
+    active_[lu] = count_[lu];
+    heap_.emplace_back(share, l);
   }
   std::make_heap(heap_.begin(), heap_.end(), std::greater<>{});
   const auto gather_ns = NsSince(t0);

@@ -13,8 +13,9 @@
 //
 //   - Clean: nothing changed since the last solve, so Rates() returns the
 //     cached rates in O(1).
-//   - Dirty: Rates() runs progressive filling straight off the index: no
-//     flow list, no adjacency rebuild.
+//   - Dirty: Rates() screens the links, freezes the isolated ones and runs
+//     progressive filling over the rest straight off the index: no flow
+//     list, no adjacency rebuild.
 //
 // The index is intrusive doubly-linked lists in flat arrays aligned with the
 // link arena (one node per flow-link reference), so AddFlow/RemoveFlow are
@@ -31,6 +32,12 @@
 // Virtual cap links are numbered capacities().size() + slot, so they sort
 // after every real link and among themselves in slot order, as in a solve
 // that is fed the live flows in slot order.
+//
+// Isolated binding links. An unscreened real link whose flows have no
+// other unscreened link (virtual cap links included) is touched only by its
+// own pop, so it would pop fresh at max(0, c)/n and freeze all its flows
+// there. The gather assigns them that rate and leaves the link out of the
+// heap; heap keys are unique, so every other pop is unchanged.
 #pragma once
 
 #include <cstdint>
@@ -79,9 +86,9 @@ class IncrementalMaxMin {
   std::uint64_t recompute_passes() const { return recompute_passes_; }
 
   /// Time attribution (wall clock, excluded from determinism contracts):
-  /// the gather phase screens the links and builds the heap, the solve
-  /// phase is progressive filling. Only updated by recompute passes; clean
-  /// calls leave them untouched.
+  /// the gather phase screens the links, freezes the isolated ones and
+  /// builds the heap, the solve phase is progressive filling. Only updated
+  /// by recompute passes; clean calls leave them untouched.
   std::int64_t last_gather_ns() const { return last_gather_ns_; }
   std::int64_t last_solve_ns() const { return last_solve_ns_; }
   std::int64_t total_gather_ns() const { return total_gather_ns_; }
@@ -98,6 +105,9 @@ class IncrementalMaxMin {
   void Rebound(std::size_t slot);
   /// Freezes `slot` at `share`, charging every other unscreened link of it.
   void Freeze(std::size_t slot, std::size_t link, double share);
+  /// True if no flow on the unscreened real `link` has another unscreened
+  /// link, virtual cap links included (valid after the gather's screen).
+  bool Isolated(std::size_t link) const;
 
   std::vector<double> capacities_;
 
@@ -129,6 +139,7 @@ class IncrementalMaxMin {
   std::vector<int> active_;
   std::vector<char> screened_;
   std::vector<std::pair<double, int>> heap_;  // (fair share, link) min-heap
+  std::vector<int> open_real_;  // unscreened real links with flows
 
   // --- introspection ---
   std::size_t last_recomputed_flows_ = 0;

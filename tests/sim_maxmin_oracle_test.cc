@@ -199,5 +199,98 @@ TEST(MaxMinOracle, LinkSumsNearTheSlackThreshold) {
   EXPECT_EQ(cases, 6 * 5 * 7 * 5);
 }
 
+TEST(MaxMinOracle, IsolatedAndSharedBindingLinks) {
+  // Swarm-shaped flows: uploader access link -> (backbone) -> downloader
+  // access link. Wide downlinks and a wide backbone are screened, so a
+  // binding uplink whose flows touch no other unscreened link is isolated
+  // and frozen without the heap. Narrow downlinks bind and are shared
+  // between uploaders, a cap at or below its path's capacity keeps a
+  // flow's virtual link unscreened beside its uplink, and zero-capacity
+  // uplinks freeze their flows at 0.
+  constexpr int kUp = 6;
+  constexpr int kDown = 6;
+  constexpr int kBackbone = kUp + kDown;
+  const auto flow = [](int up, int down, bool backbone, double cap) {
+    return backbone ? Flow{{up, kBackbone, kUp + down}, cap} : Flow{{up, kUp + down}, cap};
+  };
+
+  {
+    // Uplink 0 (cap 6, three flows) and zero uplink 1 are isolated; uplinks
+    // 2 and 3 share narrow downlink 1; uplink 4's capped flow keeps its
+    // virtual link unscreened beside it.
+    std::vector<double> capacities(kBackbone + 1, 1e9);
+    capacities[0] = 6.0;
+    capacities[1] = 0.0;
+    capacities[2] = 8.0;
+    capacities[3] = 8.0;
+    capacities[4] = 6.0;
+    capacities[kUp + 1] = 3.0;
+    IncrementalMaxMin store(capacities);
+    std::map<int, Flow> model;
+    for (const Flow& f : {flow(0, 0, false, kInf), flow(0, 2, true, kInf),
+                          flow(0, 3, false, kInf), flow(1, 0, true, kInf),
+                          flow(1, 4, false, kInf), flow(2, 1, true, kInf),
+                          flow(2, 5, false, kInf), flow(3, 1, false, kInf),
+                          flow(4, 4, false, 2.0), flow(4, 5, true, kInf)}) {
+      model.emplace(store.AddFlow(f.links, f.rate_cap), f);
+    }
+    ExpectMatchesReference(store, capacities, model);
+    const auto rates = store.Rates();
+    EXPECT_EQ(rates[0], 2.0);
+    EXPECT_EQ(rates[3], 0.0);
+    EXPECT_EQ(rates[5], 1.5);
+    EXPECT_EQ(rates[6], 6.5);
+    EXPECT_EQ(rates[8], 2.0);
+    EXPECT_EQ(rates[9], 4.0);
+  }
+
+  for (std::uint32_t seed : kSeeds) {
+    std::mt19937_64 rng(seed);
+    const auto up_capacity = [&rng] {
+      return rng() % 5 == 0 ? 0.0 : static_cast<double>(1 + rng() % 8);
+    };
+    const auto down_capacity = [&rng] {
+      return rng() % 3 == 0 ? static_cast<double>(1 + rng() % 4) : 1e9;
+    };
+    std::vector<double> capacities;
+    for (int l = 0; l < kUp; ++l) capacities.push_back(up_capacity());
+    for (int l = 0; l < kDown; ++l) capacities.push_back(down_capacity());
+    capacities.push_back(1e12);
+    IncrementalMaxMin store(capacities);
+    std::map<int, Flow> model;
+    const auto draw_cap = [&rng] {
+      return rng() % 4 == 0 ? static_cast<double>(1 + rng() % 6) : kInf;
+    };
+    for (int step = 0; step < 300; ++step) {
+      const auto op = rng() % 100;
+      if (op < 45 || model.empty()) {
+        const Flow f = flow(static_cast<int>(rng() % kUp), static_cast<int>(rng() % kDown),
+                            rng() % 2 == 0, draw_cap());
+        const int slot = store.AddFlow(f.links, f.rate_cap);
+        ASSERT_TRUE(model.emplace(slot, f).second);
+      } else if (op < 70) {
+        auto it = model.begin();
+        std::advance(it, static_cast<long>(rng() % model.size()));
+        store.RemoveFlow(it->first);
+        model.erase(it);
+      } else if (op < 80) {
+        auto it = model.begin();
+        std::advance(it, static_cast<long>(rng() % model.size()));
+        it->second.rate_cap = draw_cap();
+        store.SetRateCap(it->first, it->second.rate_cap);
+      } else {
+        const auto l = static_cast<int>(rng() % (kBackbone + 1));
+        const double c = l < kUp ? up_capacity()
+                         : l < kBackbone ? down_capacity()
+                                         : (rng() % 4 == 0 ? 20.0 : 1e12);
+        store.SetCapacity(l, c);
+        capacities[static_cast<std::size_t>(l)] = c;
+      }
+      ExpectMatchesReference(store, capacities, model);
+      if (testing::Test::HasFailure()) return;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace p4p::sim

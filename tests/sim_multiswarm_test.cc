@@ -161,8 +161,11 @@ TEST(MultiSwarm, IncrementalMaxMinMatchesFullSolveInsideSwarm) {
 // isolated solves. Three variants cover the engine's inputs: plain
 // access-link contention, 64 KiB receive-window rate caps (virtual cap
 // links), and a time-varying background that moves every backbone capacity
-// on every step.
-enum class Variant { kPlain, kWindowCapped, kBackground };
+// on every step. A fourth, recorded before stream opening became
+// event-driven, has every incomplete peer drop and re-request neighbors
+// every 25 s under a two-stream download cap, so refresh drops cancel
+// streams and full downloaders turn unchoked pairs away.
+enum class Variant { kPlain, kWindowCapped, kBackground, kNeighborRefresh };
 
 /// 48 swarms of Zipf-like sizes (66 peers down to 3), every fourth one
 /// churning, three in four on cable access and the rest on campus.
@@ -198,6 +201,10 @@ std::vector<SwarmJob> MakeFamily(const net::Graph& graph, std::uint64_t seed,
     job.config.horizon = 3000.0;
     job.config.rng_seed = rng();
     if (variant == Variant::kWindowCapped) job.config.tcp_window_bytes = 64.0 * 1024;
+    if (variant == Variant::kNeighborRefresh) {
+      job.config.selector_refresh_interval = 25.0;
+      job.config.max_parallel_downloads = 2;
+    }
     jobs.push_back(std::move(job));
   }
   return jobs;
@@ -272,6 +279,10 @@ TEST(SwarmOutputDigest, WindowCapped) {
 
 TEST(SwarmOutputDigest, TimeVaryingBackground) {
   EXPECT_EQ(FamilyDigest(Variant::kBackground), 0xe32c7ac82c2edd90ULL);
+}
+
+TEST(SwarmOutputDigest, NeighborRefresh) {
+  EXPECT_EQ(FamilyDigest(Variant::kNeighborRefresh), 0x80f5bd270b6bd10fULL);
 }
 
 }  // namespace

@@ -12,14 +12,16 @@
 //      solves (bit-parity checked in-run; mismatches are a hard failure),
 //      with gather/solve attribution from the allocator's counters.
 //   2) Heavy-tailed multi-swarm family — Zipf swarm sizes through the
-//      sharded runner, with wall-clock scaling over every hardware thread
-//      (none on a single-core host).
+//      sharded runner on one thread, for the fleet-median max-min speedup.
+//      Sharded scaling is perfbench's `swarm_shard.parallel_eff`: at small
+//      scales this family finishes in a few milliseconds, so an N-thread
+//      run here would time thread start-up, not sharding.
 //   3) Locality-to-the-limit vs P4P weighting — a flash-crowd, churning
 //      field-test population run three-way (Native / Localized / P4P),
 //      comparing bandwidth-distance product and completion.
 //
 // Emits bt_peers_per_swarm_max / bt_step_ns_per_peer /
-// maxmin_incremental_speedup_x / bt_multiswarm_scaling_x (and friends)
+// maxmin_incremental_speedup_x (and friends)
 // merged into BENCH_scalability.json.
 #include "common.h"
 
@@ -88,7 +90,7 @@ std::vector<p4p::sim::PeerSpec> MakeFlagshipSwarm(const p4p::net::Graph& graph,
 
 int main() {
   using namespace p4p;
-  bench::PrintHeader("Swarm plane: SoA core, incremental max-min, sharded swarms");
+  bench::PrintHeader("Swarm plane: SoA core, incremental max-min, swarm family");
 
   const net::Graph graph = net::MakeIspB();
   const net::RoutingTable routing(graph);
@@ -143,8 +145,8 @@ int main() {
               gather_ns_per_pass, solve_ns_per_pass,
               static_cast<unsigned long long>(flag.maxmin_dense_solves));
 
-  // ---- 2) heavy-tailed multi-swarm family through the sharded runner ----
-  bench::PrintSubHeader("2) Zipf multi-swarm family (sharded execution)");
+  // ---- 2) heavy-tailed multi-swarm family through the runner, one thread ----
+  bench::PrintSubHeader("2) Zipf multi-swarm family (one thread)");
   std::mt19937_64 zipf_rng(31);
   const auto sizes =
       sim::ZipfSwarmSizes(bench::Scaled(48), 1.2, bench::Scaled(600), zipf_rng);
@@ -221,16 +223,7 @@ int main() {
               fleet_speedups.size(), fleet_mismatches);
   std::printf("  live steps: %.0f of %.0f (steps without a live flow are not timed)\n",
               fleet_live_steps, static_cast<double>(run1.total_rounds()));
-  double multiswarm_scaling = 1.0;
-  if (hw > 1) {
-    const auto runN =
-        sim::RunSwarms(graph, routing, jobs, factory, static_cast<int>(hw));
-    multiswarm_scaling = (runN.total_rounds() / runN.wall_seconds) / rate_1t;
-    std::printf("  1 thread: %.0f rounds/s; %u threads: %.2fx wall scaling\n",
-                rate_1t, hw, multiswarm_scaling);
-  } else {
-    std::printf("  1 thread: %.0f rounds/s (single-core host)\n", rate_1t);
-  }
+  std::printf("  1 thread: %.0f rounds/s\n", rate_1t);
 
   // ---- 3) locality-to-the-limit vs P4P under a flash crowd ----
   bench::PrintSubHeader("3) Locality limit vs P4P weighting (flash crowd)");
@@ -295,9 +288,6 @@ int main() {
        bench::Fmt("%.2fx at %.0f%% dirty steps", flagship_speedup,
                   100.0 * dirty_fraction),
        flagship_speedup >= 1.0},
-      {"multi-swarm sharded execution", "> 1x wall over 1 thread",
-       bench::Fmt("%.2fx (%u threads)", multiswarm_scaling, hw),
-       multiswarm_scaling > 1.0},
       {"P4P vs locality-to-the-limit", "near-localized BDP, better completion",
        bench::Fmt("BDP %.2f vs %.2f (native %.2f)", bdp_p4p, bdp_localized,
                   bdp_native),
@@ -323,7 +313,6 @@ int main() {
           {"maxmin_parity_mismatches",
            static_cast<double>(flag.maxmin_parity_mismatches + fleet_mismatches +
                                flash_mismatches)},
-          {"bt_multiswarm_scaling_x", multiswarm_scaling},
           {"bt_multiswarm_swarms", static_cast<double>(sizes.size())},
           {"bt_multiswarm_peers", static_cast<double>(family_peers)},
           {"bt_flash_bdp_native", bdp_native},

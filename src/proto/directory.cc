@@ -121,78 +121,6 @@ std::vector<SrvRecord> PortalDirectory::Records(const std::string& domain) const
   return it == records_.end() ? std::vector<SrvRecord>{} : it->second;
 }
 
-std::size_t PortalDirectory::UpdateVersionEpoch(const std::string& domain,
-                                                const std::string& target,
-                                                std::uint16_t port,
-                                                std::uint64_t version) {
-  return UpdateReplicaEpoch(domain, target, port, 0, version);
-}
-
-std::size_t PortalDirectory::UpdateReplicaEpoch(const std::string& domain,
-                                                const std::string& target,
-                                                std::uint16_t port,
-                                                std::uint64_t term,
-                                                std::uint64_t version) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(domain);
-  if (it == records_.end()) return 0;
-  std::size_t updated = 0;
-  for (auto& r : it->second) {
-    if (r.target == target && r.port == port &&
-        std::pair(r.term_epoch, r.version_epoch) < std::pair(term, version)) {
-      r.term_epoch = term;
-      r.version_epoch = version;
-      ++updated;
-    }
-  }
-  return updated;
-}
-
-std::uint64_t PortalDirectory::version_epoch(const std::string& domain,
-                                             const std::string& target,
-                                             std::uint16_t port) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(domain);
-  if (it == records_.end()) return 0;
-  for (const auto& r : it->second) {
-    if (r.target == target && r.port == port) return r.version_epoch;
-  }
-  return 0;
-}
-
-std::uint64_t PortalDirectory::term_epoch(const std::string& domain,
-                                          const std::string& target,
-                                          std::uint16_t port) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(domain);
-  if (it == records_.end()) return 0;
-  for (const auto& r : it->second) {
-    if (r.target == target && r.port == port) return r.term_epoch;
-  }
-  return 0;
-}
-
-std::uint64_t PortalDirectory::max_version_epoch(const std::string& domain) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(domain);
-  if (it == records_.end()) return 0;
-  std::uint64_t max_epoch = 0;
-  for (const auto& r : it->second) max_epoch = std::max(max_epoch, r.version_epoch);
-  return max_epoch;
-}
-
-std::pair<std::uint64_t, std::uint64_t> PortalDirectory::max_replica_epoch(
-    const std::string& domain) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(domain);
-  std::pair<std::uint64_t, std::uint64_t> max_pair{0, 0};
-  if (it == records_.end()) return max_pair;
-  for (const auto& r : it->second) {
-    max_pair = std::max(max_pair, std::pair(r.term_epoch, r.version_epoch));
-  }
-  return max_pair;
-}
-
 std::size_t PortalDirectory::domain_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return records_.size();

@@ -11,7 +11,8 @@
 // ResolveOrdering() returns every record of the domain, priority classes
 // ascending, each class ordered by repeated weighted selection without
 // replacement (zero-weight records placed first within a class, so they
-// keep the RFC's "very small probability of being selected").
+// keep the RFC's "very small probability of being selected"). Records
+// carry no replica freshness, so failover clients walk SRV order alone.
 #pragma once
 
 #include <map>
@@ -29,24 +30,13 @@ struct SrvRecord {
   std::uint16_t port = 0;
   int priority = 0;         ///< lower is preferred
   int weight = 1;           ///< tie-break weight within a priority class
-  /// Highest snapshot version known installed at this replica (0 =
-  /// unknown). Maintained by the federation publisher through
-  /// UpdateReplicaEpoch as followers acknowledge pushes; failover clients
-  /// use it to prefer up-to-date replicas over laggards.
-  std::uint64_t version_epoch = 0;
-  /// Publisher term under which version_epoch was recorded (0 = unknown /
-  /// pre-failover). Freshness is the lexicographic (term_epoch,
-  /// version_epoch) pair: after a failover, a replica confirmed by the
-  /// new-term publisher outranks any epoch the fenced ex-publisher
-  /// recorded, whatever the raw versions say.
-  std::uint64_t term_epoch = 0;
 };
 
 /// The symbolic SRV name for a domain's portal, e.g. "_p4p._tcp.isp-b.net".
 std::string P4pServiceName(const std::string& domain);
 
-/// Thread-safe: the federation publisher updates version epochs from its
-/// replication thread while failover clients resolve concurrently.
+/// Thread-safe: records may be added or removed while failover clients
+/// resolve concurrently.
 class PortalDirectory {
  public:
   /// Registers a record for `domain`. Throws std::invalid_argument for
@@ -71,37 +61,6 @@ class PortalDirectory {
 
   /// All records for a domain, in registration order.
   std::vector<SrvRecord> Records(const std::string& domain) const;
-
-  /// Records that the replica at (target, port) now holds snapshot
-  /// `version`. Epochs are monotone: a lower version than the recorded one
-  /// is ignored (acks can arrive out of order). Returns the number of
-  /// matching records updated (0 for unknown endpoints — the directory
-  /// never invents records). Equivalent to UpdateReplicaEpoch with term 0.
-  std::size_t UpdateVersionEpoch(const std::string& domain, const std::string& target,
-                                 std::uint16_t port, std::uint64_t version);
-
-  /// As UpdateVersionEpoch, but monotone in the lexicographic
-  /// (term, version) pair: a new-term publisher's confirmation supersedes
-  /// any epoch the old term recorded, and a fenced ex-publisher's
-  /// stale-term update is ignored outright.
-  std::size_t UpdateReplicaEpoch(const std::string& domain, const std::string& target,
-                                 std::uint16_t port, std::uint64_t term,
-                                 std::uint64_t version);
-
-  /// The recorded epoch of one endpoint (0 when unknown).
-  std::uint64_t version_epoch(const std::string& domain, const std::string& target,
-                              std::uint16_t port) const;
-  /// The recorded term epoch of one endpoint (0 when unknown).
-  std::uint64_t term_epoch(const std::string& domain, const std::string& target,
-                           std::uint16_t port) const;
-
-  /// Highest epoch over the domain's records (0 when none recorded) — the
-  /// freshness bar a replica must meet to not count as a laggard.
-  std::uint64_t max_version_epoch(const std::string& domain) const;
-  /// Highest (term_epoch, version_epoch) pair over the domain's records —
-  /// the freshness bar after a failover.
-  std::pair<std::uint64_t, std::uint64_t> max_replica_epoch(
-      const std::string& domain) const;
 
   std::size_t domain_count() const;
 

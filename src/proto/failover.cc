@@ -10,7 +10,7 @@ namespace p4p::proto {
 FailoverCoordinator::FailoverCoordinator(
     core::ITracker* tracker, ITrackerService* service,
     ReplicatedSnapshotStore* store, SnapshotFollower* follower,
-    PortalDirectory* directory, ReplicaConnector connect,
+    const PortalDirectory* directory, ReplicaConnector connect,
     FailoverOptions options, std::function<double()> clock,
     PDistanceControlLoop* control_loop)
     : tracker_(tracker), service_(service), store_(store), follower_(follower),
@@ -171,12 +171,6 @@ void FailoverCoordinator::PromoteLocked(double now) {
     PublisherOptions pub_options;
     pub_options.term = new_term;
     pub_options.key = follower_->key();
-    if (options_.update_directory_epochs) {
-      pub_options.directory = directory_;
-      pub_options.domain = options_.domain;
-      pub_options.self_target = options_.self_target;
-      pub_options.self_port = options_.self_port;
-    }
     publisher_ = std::make_unique<SnapshotPublisher>(service_, pub_options);
   } else {
     publisher_->SetTerm(new_term);

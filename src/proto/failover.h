@@ -59,9 +59,6 @@ struct FailoverOptions {
   /// Extra wait per candidate rank, so candidates promote one at a time
   /// instead of racing (rank r waits lease + r * stagger).
   double stagger_seconds = 1.0;
-  /// Record (term, version) epochs in the directory while publishing, so
-  /// prefer_fresh_replicas clients steer to confirmed replicas.
-  bool update_directory_epochs = true;
 };
 
 /// Per-replica failover state machine binding the replica's tracker,
@@ -83,7 +80,7 @@ class FailoverCoordinator {
   /// before serving threads start.
   FailoverCoordinator(core::ITracker* tracker, ITrackerService* service,
                       ReplicatedSnapshotStore* store, SnapshotFollower* follower,
-                      PortalDirectory* directory, ReplicaConnector connect,
+                      const PortalDirectory* directory, ReplicaConnector connect,
                       FailoverOptions options, std::function<double()> clock,
                       PDistanceControlLoop* control_loop = nullptr);
 
@@ -132,7 +129,7 @@ class FailoverCoordinator {
   ITrackerService* service_;
   ReplicatedSnapshotStore* store_;
   SnapshotFollower* follower_;
-  PortalDirectory* directory_;
+  const PortalDirectory* directory_;
   ReplicaConnector connect_;
   FailoverOptions options_;
   std::function<double()> clock_;

@@ -452,12 +452,6 @@ SnapshotPublisher::SnapshotPublisher(const ITrackerService* service,
   if (options_.term > kMaxTerm) {
     throw std::invalid_argument("SnapshotPublisher: term above kMaxTerm");
   }
-  if (options_.directory != nullptr &&
-      (options_.domain.empty() || options_.self_target.empty() ||
-       options_.self_port == 0)) {
-    throw std::invalid_argument(
-        "SnapshotPublisher: directory epoch updates need domain and self identity");
-  }
 }
 
 std::uint64_t SnapshotPublisher::term() const {
@@ -495,18 +489,13 @@ std::uint64_t SnapshotPublisher::stale_term_ack_count() const {
   return stale_term_acks_.load(std::memory_order_relaxed);
 }
 
-void SnapshotPublisher::AddFollower(std::string target, std::uint16_t port,
+void SnapshotPublisher::AddFollower(std::string /*target*/, std::uint16_t /*port*/,
                                     std::unique_ptr<Transport> channel) {
   if (!channel) {
     throw std::invalid_argument("SnapshotPublisher: null follower channel");
   }
   std::lock_guard<std::mutex> lock(mu_);
-  followers_.push_back(FollowerChannel{std::move(target), port, std::move(channel), 0});
-}
-
-std::size_t SnapshotPublisher::follower_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return followers_.size();
+  followers_.push_back(FollowerChannel{std::move(channel), 0});
 }
 
 std::shared_ptr<const std::vector<std::uint8_t>>
@@ -521,12 +510,6 @@ SnapshotPublisher::CurrentPushFrameLocked() {
   frames_ = std::make_shared<const SnapshotFrameSet>(std::move(exported));
   push_frame_ = Share(EncodeFramePush(*frames_, options_.key));
   encoded_version_ = version;
-  if (options_.directory != nullptr) {
-    options_.directory->UpdateReplicaEpoch(options_.domain, options_.self_target,
-                                           options_.self_port,
-                                           term_.load(std::memory_order_relaxed),
-                                           version);
-  }
   return push_frame_;
 }
 
@@ -563,11 +546,6 @@ std::size_t SnapshotPublisher::PublishOnce() {
       if (ack && (ack->status == AckStatus::kInstalled ||
                   ack->status == AckStatus::kAlreadyCurrent)) {
         follower.acked_version = std::max(follower.acked_version, ack->version);
-        if (options_.directory != nullptr) {
-          options_.directory->UpdateReplicaEpoch(
-              options_.domain, follower.target, follower.port,
-              term_.load(std::memory_order_relaxed), ack->version);
-        }
         if (follower.acked_version >= version) ++confirmed;
         continue;
       }

@@ -26,6 +26,11 @@
 //     of some version the publisher published, or sheds with
 //     UnavailableResp before its first install. It never mixes versions
 //     and never serves a version it holds no frames for.
+//   * Replica freshness stays inside the publisher: it tracks each
+//     follower's acked version to decide whom to push, and writes nothing
+//     to the PortalDirectory. Failover clients walk plain SRV order; a
+//     replica that has not installed a client's token answers with the
+//     full view it holds.
 //
 // Wire format: every frame is a sealed envelope (wire.h),
 //   u32 magic "P4PF" | u8 protocol version | u8 tag | payload | u64 MAC
@@ -299,9 +304,6 @@ class SnapshotFollower {
   /// failover coordinator's lease tracking).
   std::optional<std::vector<std::uint8_t>> HandleBeacon(
       std::span<const std::uint8_t> datagram);
-  DatagramHandler beacon_handler() {
-    return [this](std::span<const std::uint8_t> d) { return HandleBeacon(d); };
-  }
 
   /// Called with every structurally valid beacon's (term, version), after
   /// the follower's own bookkeeping, outside its locks. Setup-time only.
@@ -396,15 +398,6 @@ class SnapshotFollower {
 };
 
 struct PublisherOptions {
-  /// When set, every acked push (and every republish by the publisher
-  /// itself) records the replica's new version epoch in the directory, so
-  /// prefer_fresh_replicas clients steer around laggards. The directory
-  /// must outlive the publisher.
-  PortalDirectory* directory = nullptr;
-  std::string domain;
-  /// The publisher's own SRV identity, epoch-stamped on every republish.
-  std::string self_target;
-  std::uint16_t self_port = 0;
   /// The publisher's term, stamped into every push and beacon.
   /// 0 keeps the pre-failover single-publisher behaviour; the failover
   /// coordinator sets a real term via SetTerm on promotion. At most
@@ -429,11 +422,12 @@ class SnapshotPublisher {
   explicit SnapshotPublisher(const ITrackerService* service,
                              PublisherOptions options = {});
 
-  /// Registers a follower push channel under its SRV identity. The channel
-  /// is typically a TcpClient to the follower's replication TcpServer.
+  /// Registers a follower push channel. The channel is typically a
+  /// TcpClient to the follower's replication TcpServer. `target` and `port`
+  /// name the follower's SRV record but are not read: perfbench still
+  /// passes them, and they go when it stops.
   void AddFollower(std::string target, std::uint16_t port,
                    std::unique_ptr<Transport> channel);
-  std::size_t follower_count() const;
 
   /// The term this publisher stamps into pushes and beacons.
   std::uint64_t term() const;
@@ -504,8 +498,6 @@ class SnapshotPublisher {
 
  private:
   struct FollowerChannel {
-    std::string target;
-    std::uint16_t port = 0;
     std::unique_ptr<Transport> channel;
     std::uint64_t acked_version = 0;
   };

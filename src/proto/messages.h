@@ -68,10 +68,10 @@ struct NotModifiedResp {
   std::uint64_t version = 0;
 };
 
-/// Overload shedding: the portal cannot serve this request right now (its
-/// connection or request queue is full). Unlike ErrorMsg this is explicitly
-/// retryable — `retry_after_ms` hints when; failover clients back off at
-/// least that long before re-asking the same replica.
+/// The replica cannot serve this request right now (a follower before its
+/// first install). Unlike ErrorMsg this is explicitly retryable —
+/// `retry_after_ms` hints when; failover clients back off at least that
+/// long before re-asking the same replica.
 struct UnavailableResp {
   std::uint32_t retry_after_ms = 0;
 };

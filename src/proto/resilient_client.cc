@@ -124,31 +124,6 @@ std::vector<std::uint8_t> ResilientPortalClient::Call(
       std::lock_guard<std::mutex> lock(mu_);
       ordering = directory_->ResolveOrdering(domain_, rng_);
     }
-    if (options_.prefer_fresh_replicas && !ordering.empty()) {
-      // Demote laggards behind every up-to-date replica: a failover client
-      // holding a current version token wants NotModified, which only a
-      // replica at the freshest known epoch can give it. Freshness is the
-      // lexicographic (term_epoch, version_epoch) pair, so after a
-      // publisher failover the new term's confirmations outrank anything
-      // the fenced ex-publisher recorded. Stable partition keeps SRV order
-      // within both groups; laggards stay reachable as the last resort.
-      std::pair<std::uint64_t, std::uint64_t> max_epoch{0, 0};
-      for (const auto& r : ordering) {
-        max_epoch = std::max(max_epoch, std::pair(r.term_epoch, r.version_epoch));
-      }
-      if (max_epoch > std::pair<std::uint64_t, std::uint64_t>{0, 0}) {
-        const auto first_laggard = std::stable_partition(
-            ordering.begin(), ordering.end(), [max_epoch](const SrvRecord& r) {
-              return std::pair(r.term_epoch, r.version_epoch) == max_epoch;
-            });
-        const auto demoted =
-            static_cast<std::uint64_t>(std::distance(first_laggard, ordering.end()));
-        if (demoted > 0) {
-          std::lock_guard<std::mutex> lock(mu_);
-          laggard_demotions_ += demoted;
-        }
-      }
-    }
     if (ordering.empty()) {
       throw PortalUnavailableError("ResilientPortalClient: no SRV records for '" +
                                    domain_ + "'");
@@ -273,10 +248,6 @@ std::uint64_t ResilientPortalClient::breaker_skip_count() const {
 std::uint64_t ResilientPortalClient::unavailable_count() const {
   std::lock_guard<std::mutex> lock(mu_);
   return unavailables_;
-}
-std::uint64_t ResilientPortalClient::laggard_demotion_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return laggard_demotions_;
 }
 
 }  // namespace p4p::proto

@@ -57,13 +57,6 @@ struct ResilientClientOptions {
   double backoff_jitter = 0.5;
   /// Seed for SRV shuffling and backoff jitter (deterministic failover).
   std::uint64_t rng_seed = 0x9e3779b97f4a7c15ull;
-  /// Prefer replicas whose directory version epoch matches the domain's
-  /// maximum: records lagging the freshest known snapshot are demoted to
-  /// the back of the failover ordering (stable within each group, so SRV
-  /// priority/weight order is preserved among equally fresh replicas).
-  /// Laggards are still tried last — freshness shapes the order, it never
-  /// shrinks the candidate set. No effect while no epochs are recorded.
-  bool prefer_fresh_replicas = false;
 };
 
 /// Thread-safe: any number of threads may Call() concurrently; breaker
@@ -105,9 +98,6 @@ class ResilientPortalClient final : public Transport {
   std::uint64_t breaker_skip_count() const;
   /// UnavailableResp answers (server-side shedding) seen.
   std::uint64_t unavailable_count() const;
-  /// Records demoted behind fresher replicas because their version epoch
-  /// lagged the domain maximum (prefer_fresh_replicas only).
-  std::uint64_t laggard_demotion_count() const;
 
  private:
   struct EndpointHealth {
@@ -140,7 +130,6 @@ class ResilientPortalClient final : public Transport {
   std::uint64_t breaker_closes_ = 0;
   std::uint64_t breaker_skips_ = 0;
   std::uint64_t unavailables_ = 0;
-  std::uint64_t laggard_demotions_ = 0;
 };
 
 }  // namespace p4p::proto

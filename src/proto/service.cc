@@ -46,9 +46,9 @@ SharedResponse ServeDistances(const std::shared_ptr<const SnapshotFrameSet>& fra
 ITrackerService::ITrackerService(const core::ITracker* tracker,
                                  const core::PolicyRegistry* policy,
                                  const core::CapabilityRegistry* capabilities,
-                                 const core::PidMap* pid_map, ServiceOptions options)
+                                 const core::PidMap* pid_map)
     : tracker_(tracker), policy_(policy), capabilities_(capabilities),
-      pid_map_(pid_map), options_(options) {
+      pid_map_(pid_map) {
   if (tracker_ == nullptr) {
     throw std::invalid_argument("ITrackerService: null tracker");
   }
@@ -138,7 +138,6 @@ void ITrackerService::ResetEncodedState() const {
   std::lock_guard<std::mutex> lock(rebuild_mu_);
   state_.store(nullptr, std::memory_order_release);
   policy_cache_.store(nullptr, std::memory_order_release);
-  validation_cache_.store(nullptr, std::memory_order_release);
 }
 
 SnapshotFrameSet ITrackerService::ExportFrames() const {
@@ -147,43 +146,22 @@ SnapshotFrameSet ITrackerService::ExportFrames() const {
   return out;
 }
 
-SharedResponse ITrackerService::ValidationFrame(std::uint64_t* version_out) const {
-  // version() is the cheap atomic counter; unlike snapshot() it never
-  // triggers a matrix rebuild, so the UDP answer stays O(1) even when the
-  // writer is republishing faster than anyone reads the matrix.
-  const std::uint64_t version = tracker_->version();
-  *version_out = version;
-  if (const auto state = state_.load(std::memory_order_acquire);
-      state && state->frames.version == version) {
-    return Alias(state, state->frames.not_modified);
-  }
-  if (const auto cached = validation_cache_.load(std::memory_order_acquire);
-      cached && cached->version == version) {
-    return Alias(cached, cached->not_modified);
-  }
-  // Racing rebuilds are harmless (last writer wins, both frames correct), so
-  // this tiny encode skips rebuild_mu_.
-  auto next = std::make_shared<EncodedValidation>();
-  next->version = version;
-  next->not_modified = Encode(NotModifiedResp{version});
-  validation_cache_.store(next, std::memory_order_release);
-  return Alias(next, next->not_modified);
-}
-
 std::optional<std::vector<std::uint8_t>> ITrackerService::HandleValidationDatagram(
     std::span<const std::uint8_t> datagram) const {
   const auto request = DecodeValidationRequest(datagram);
   if (!request) return std::nullopt;
-  std::uint64_t version = 0;
-  const auto frame = ValidationFrame(&version);
+  // version() is the cheap atomic counter; unlike snapshot() it never
+  // triggers a matrix rebuild, so the UDP answer stays O(1) even when the
+  // writer is republishing faster than anyone reads the matrix.
+  const std::uint64_t version = tracker_->version();
   const auto status = (request->if_version != 0 && request->if_version == version)
                           ? ValidationStatus::kNotModified
                           : ValidationStatus::kRevalidateOverTcp;
-  return EncodeValidationResponse(request->nonce, status, *frame);
+  return EncodeValidationResponse(request->nonce, status,
+                                  Encode(NotModifiedResp{version}));
 }
 
 SharedResponse ITrackerService::TryServeCached(const Message& request) const {
-  if (!options_.enable_response_cache) return nullptr;
   if (std::holds_alternative<GetExternalViewReq>(request) ||
       std::holds_alternative<GetPDistancesReq>(request)) {
     const auto state = encoded_state();
@@ -198,38 +176,9 @@ SharedResponse ITrackerService::TryServeCached(const Message& request) const {
 }
 
 Message ITrackerService::Dispatch(const Message& request) const {
-  if (const auto* req = std::get_if<GetPDistancesReq>(&request)) {
-    if (req->from < 0 || req->from >= tracker_->num_pids()) {
-      return ErrorMsg{"unknown PID"};
-    }
-    const auto snap = tracker_->snapshot();
-    if (req->if_version != 0 && req->if_version == snap->version) {
-      return NotModifiedResp{snap->version};
-    }
-    GetPDistancesResp resp;
-    resp.from = req->from;
-    resp.version = snap->version;
-    const auto values = snap->view.row(req->from);
-    resp.distances.assign(values.begin(), values.end());
-    return resp;
-  }
-  if (const auto* req = std::get_if<GetExternalViewReq>(&request)) {
-    const auto snap = tracker_->snapshot();
-    if (req->if_version != 0 && req->if_version == snap->version) {
-      return NotModifiedResp{snap->version};
-    }
-    GetExternalViewResp resp;
-    resp.num_pids = snap->view.size();
-    resp.version = snap->version;
-    resp.distances.assign(snap->view.values().begin(), snap->view.values().end());
-    return resp;
-  }
-  if (std::get_if<GetPolicyReq>(&request) != nullptr) {
-    if (policy_ == nullptr) return ErrorMsg{"policy interface not offered"};
-    GetPolicyResp resp;
-    resp.thresholds = policy_->thresholds();
-    resp.time_of_day = policy_->time_of_day_policies();
-    return resp;
+  // Views, rows and an offered policy are served by TryServeCached.
+  if (std::holds_alternative<GetPolicyReq>(request)) {
+    return ErrorMsg{"policy interface not offered"};
   }
   if (const auto* req = std::get_if<GetCapabilityReq>(&request)) {
     if (capabilities_ == nullptr) return ErrorMsg{"capability interface not offered"};
@@ -280,9 +229,9 @@ Message PortalClient::Call(const Message& request) {
     throw std::runtime_error("PortalClient: server error: " + err->message);
   }
   if (const auto* busy = std::get_if<UnavailableResp>(&*decoded)) {
-    // Overload shedding answer: retryable by contract, so surface it as the
-    // typed error the failover/staleness layers key on.
-    throw PortalUnavailableError("PortalClient: server overloaded",
+    // A replica that cannot serve yet: retryable by contract, so surface it
+    // as the typed error the failover/staleness layers key on.
+    throw PortalUnavailableError("PortalClient: server unavailable",
                                  busy->retry_after_ms / 1000.0);
   }
   return std::move(*decoded);

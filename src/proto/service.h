@@ -14,6 +14,8 @@
 // NotModifiedResp instead of the matrix. This is the paper's Section 4
 // mandate ("information should be aggregated and allow caching to avoid
 // handling per client query to networks") applied to the server side.
+// Views, rows and the policy are always served from these buffers, whose
+// bytes equal a fresh Encode of the same version.
 #pragma once
 
 #include <memory>
@@ -26,12 +28,6 @@
 #include "proto/transport.h"
 
 namespace p4p::proto {
-
-struct ServiceOptions {
-  /// Serve p4p-distance and policy queries from version-keyed pre-encoded
-  /// buffers. Disable only to measure the re-encode-per-request baseline.
-  bool enable_response_cache = true;
-};
 
 /// Everything a portal replica needs to serve one price version: the
 /// version token, the pre-encoded NotModified, view and policy frames, and
@@ -104,8 +100,7 @@ class ITrackerService {
   explicit ITrackerService(const core::ITracker* tracker,
                            const core::PolicyRegistry* policy = nullptr,
                            const core::CapabilityRegistry* capabilities = nullptr,
-                           const core::PidMap* pid_map = nullptr,
-                           ServiceOptions options = {});
+                           const core::PidMap* pid_map = nullptr);
 
   /// Handles one encoded request, returns the encoded response. Malformed
   /// requests yield an encoded ErrorMsg.
@@ -116,11 +111,10 @@ class ITrackerService {
   /// current version).
   SharedResponse HandleShared(std::span<const std::uint8_t> request) const;
 
-  /// Answers one UDP validation datagram: one atomic version load plus the
-  /// pre-encoded NotModifiedResp frame (shared with the TCP serving path
-  /// when its cache is warm). Returns std::nullopt for anything that does
-  /// not parse as a validation request — the server stays silent instead of
-  /// amplifying garbage.
+  /// Answers one UDP validation datagram: one atomic version load plus a
+  /// ~10-byte NotModifiedResp encode; the matrix is never rebuilt for it.
+  /// Returns std::nullopt for anything that does not parse as a validation
+  /// request — the server stays silent instead of amplifying garbage.
   std::optional<std::vector<std::uint8_t>> HandleValidationDatagram(
       std::span<const std::uint8_t> datagram) const;
 
@@ -178,33 +172,22 @@ class ITrackerService {
     std::uint64_t version = 0;
     std::vector<std::uint8_t> bytes;  // GetPolicyResp
   };
-  /// Frame-only cache for the UDP path: when the full EncodedState is stale
-  /// the validation answer re-encodes just the ~10-byte NotModifiedResp
-  /// frame instead of paying a whole matrix encode.
-  struct EncodedValidation {
-    std::uint64_t version = 0;
-    std::vector<std::uint8_t> not_modified;
-  };
-
+  /// Answers the capability and pid-map interfaces, and the policy
+  /// interface when it is not offered.
   Message Dispatch(const Message& request) const;
-  /// Serves a decoded request from the pre-encoded caches when possible;
-  /// null means "fall through to Dispatch". Rebuilds the cache on version
-  /// mismatch.
+  /// Serves views, rows and an offered policy from the pre-encoded caches,
+  /// rebuilding a cache on version mismatch; null means "fall through to
+  /// Dispatch".
   SharedResponse TryServeCached(const Message& request) const;
   std::shared_ptr<const EncodedState> encoded_state() const;
   std::shared_ptr<const EncodedPolicy> encoded_policy() const;
-  /// The current-version NotModifiedResp frame, and that version, for the
-  /// UDP validation answer.
-  SharedResponse ValidationFrame(std::uint64_t* version_out) const;
 
   const core::ITracker* tracker_;
   const core::PolicyRegistry* policy_;
   const core::CapabilityRegistry* capabilities_;
   const core::PidMap* pid_map_;
-  ServiceOptions options_;
   mutable std::atomic<std::shared_ptr<const EncodedState>> state_;
   mutable std::atomic<std::shared_ptr<const EncodedPolicy>> policy_cache_;
-  mutable std::atomic<std::shared_ptr<const EncodedValidation>> validation_cache_;
   /// Serializes cache rebuilds (not lookups) so one thread encodes per
   /// version while the rest keep serving the old buffers.
   mutable std::mutex rebuild_mu_;

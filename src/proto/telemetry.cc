@@ -265,10 +265,8 @@ bool LinkLoadReporter::Flush() {
 
 PDistanceControlLoop::PDistanceControlLoop(core::ITracker* tracker,
                                            LinkLoadCollector* collector,
-                                           SnapshotPublisher* publisher,
-                                           ControlLoopOptions options)
-    : tracker_(tracker), collector_(collector), publisher_(publisher),
-      options_(options) {
+                                           SnapshotPublisher* publisher)
+    : tracker_(tracker), collector_(collector), publisher_(publisher) {
   if (tracker_ == nullptr || collector_ == nullptr) {
     throw std::invalid_argument("PDistanceControlLoop: null tracker or collector");
   }
@@ -286,7 +284,7 @@ bool PDistanceControlLoop::Tick() {
   std::lock_guard<std::mutex> lock(tick_mu_);
   ticks_.fetch_add(1, std::memory_order_relaxed);
   const std::size_t fresh = collector_->Drain(loads_bps_);
-  if (fresh == 0 && !options_.update_on_empty_tick) return false;
+  if (fresh == 0) return false;
   // Last-known-load semantics: links without fresh samples keep their
   // previous reading, so one quiet probe never zeroes a link's price input.
   tracker_->Update(loads_bps_);

@@ -200,13 +200,6 @@ class LinkLoadReporter {
   std::atomic<std::uint64_t> rebinds_{0};
 };
 
-struct ControlLoopOptions {
-  /// Run ITracker::Update (and publish) even when no fresh telemetry
-  /// arrived since the last tick. Off by default: an idle network should
-  /// not burn versions (and replication bytes) repricing from stale data.
-  bool update_on_empty_tick = false;
-};
-
 /// The exporter stage: on every tick, drain the collector into the
 /// last-known per-link loads, reprice the tracker, and (when a publisher
 /// is wired) push the resulting version to the followers. Drive it
@@ -221,15 +214,16 @@ class PDistanceControlLoop {
   /// `tracker` and `collector` must outlive the loop; `publisher` may be
   /// null (reprice only, no replication).
   PDistanceControlLoop(core::ITracker* tracker, LinkLoadCollector* collector,
-                       SnapshotPublisher* publisher = nullptr,
-                       ControlLoopOptions options = {});
+                       SnapshotPublisher* publisher = nullptr);
   ~PDistanceControlLoop();
 
   PDistanceControlLoop(const PDistanceControlLoop&) = delete;
   PDistanceControlLoop& operator=(const PDistanceControlLoop&) = delete;
 
   /// One telemetry->reprice->publish cycle. Returns true when the tracker
-  /// was updated (false on an empty tick with update_on_empty_tick off).
+  /// was updated. A tick with no fresh telemetry since the last one returns
+  /// false and changes nothing: an idle network burns no versions (and no
+  /// replication bytes) repricing from stale data.
   bool Tick();
 
   /// Rebinds the publish stage to `publisher` (null detaches it) — the
@@ -253,7 +247,6 @@ class PDistanceControlLoop {
   core::ITracker* tracker_;
   LinkLoadCollector* collector_;
   SnapshotPublisher* publisher_;
-  ControlLoopOptions options_;
   /// Serializes ticks and guards loads_bps_.
   mutable std::mutex tick_mu_;
   std::vector<double> loads_bps_;

@@ -162,20 +162,7 @@ TcpServer::TcpServer(std::uint16_t port, SharedHandler handler, int num_workers)
   Init(port, num_workers);
 }
 
-TcpServer::TcpServer(std::uint16_t port, SharedHandler handler, TcpServerOptions options)
-    : handler_(std::move(handler)), options_(std::move(options)) {
-  if (!handler_) {
-    throw std::invalid_argument("TcpServer: null handler");
-  }
-  Init(port, options_.num_workers);
-}
-
 void TcpServer::Init(std::uint16_t port, int num_workers) {
-  if (options_.max_connections != 0 || options_.max_pipelined_requests != 0) {
-    overload_frame_ = Share(options_.overload_response.empty()
-                                ? Encode(UnavailableResp{options_.retry_after_ms})
-                                : options_.overload_response);
-  }
   listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (listen_fd_ < 0) ThrowErrno("socket");
   const int one = 1;
@@ -235,18 +222,6 @@ void TcpServer::AcceptLoop() {
       break;
     }
     SetNoDelay(fd);
-    if (options_.max_connections > 0 &&
-        live_connections_.load(std::memory_order_relaxed) >= options_.max_connections) {
-      // Shed at the door: one tiny Unavailable frame, then close. The frame
-      // fits a fresh socket's empty send buffer, so the nonblocking write is
-      // effectively always complete; a full buffer just means the client
-      // sees a bare close instead of the hint.
-      shed_connections_.fetch_add(1, std::memory_order_relaxed);
-      (void)WriteFrameBlocking(fd, *overload_frame_);
-      ::close(fd);
-      continue;
-    }
-    live_connections_.fetch_add(1, std::memory_order_relaxed);
     // Hand the fd to a worker round-robin; the worker registers it with its
     // epoll the next time it wakes.
     Worker& w = *workers_[next_worker_];
@@ -308,18 +283,10 @@ bool TcpServer::DrainFrames(Connection& conn) {
     if (conn.end - conn.begin - 4 < len) break;  // incomplete frame
     const std::span<const std::uint8_t> payload(conn.in.data() + conn.begin + 4, len);
     SharedResponse response;
-    if (options_.max_pipelined_requests != 0 &&
-        conn.out.size() >= options_.max_pipelined_requests) {
-      // The reader is slower than its own request stream: shed instead of
-      // queueing handler output without bound.
-      shed_requests_.fetch_add(1, std::memory_order_relaxed);
-      response = overload_frame_;
-    } else {
-      try {
-        response = handler_(payload);
-      } catch (const std::exception&) {
-        return false;  // handler failure: drop the connection
-      }
+    try {
+      response = handler_(payload);
+    } catch (const std::exception&) {
+      return false;  // handler failure: drop the connection
     }
     if (!response || response->size() > kMaxFrameBytes) return false;
     const OutboundFrame frame(*response);
@@ -350,11 +317,10 @@ bool TcpServer::FlushWrites(Connection& conn) {
 void TcpServer::WorkerLoop(Worker& worker) {
   std::array<epoll_event, 64> events;
 
-  const auto close_conn = [this, &worker](int fd) {
+  const auto close_conn = [&worker](int fd) {
     ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
     ::close(fd);
     worker.conns.erase(fd);
-    live_connections_.fetch_sub(1, std::memory_order_relaxed);
   };
 
   while (true) {
@@ -415,7 +381,6 @@ void TcpServer::WorkerLoop(Worker& worker) {
       ev.data.fd = fd;
       if (::epoll_ctl(worker.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
         ::close(fd);
-        live_connections_.fetch_sub(1, std::memory_order_relaxed);
         continue;
       }
       worker.conns.emplace(fd, std::move(conn));
@@ -425,17 +390,13 @@ void TcpServer::WorkerLoop(Worker& worker) {
   for (auto& [fd, conn] : worker.conns) {
     ::epoll_ctl(worker.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
     ::close(fd);
-    live_connections_.fetch_sub(1, std::memory_order_relaxed);
   }
   worker.conns.clear();
   {
     // Connections assigned after the final epoll_wait never got registered;
     // close them too.
     std::lock_guard<std::mutex> lock(worker.mu);
-    for (const int fd : worker.pending) {
-      ::close(fd);
-      live_connections_.fetch_sub(1, std::memory_order_relaxed);
-    }
+    for (const int fd : worker.pending) ::close(fd);
     worker.pending.clear();
   }
 }

@@ -12,7 +12,10 @@
 // payload with one sendmsg (OutboundFrame), so a small frame is one TCP
 // segment and wakes its reader once. The server reads each connection's
 // bytes straight into that connection's buffer and hands the handler a
-// span of it, so a request is copied once, by the kernel.
+// span of it, so a request is copied once, by the kernel. The server does
+// not shed load: every accepted connection is served and every request
+// reaches the handler. A handler may still answer UnavailableResp, as a
+// follower does before its first install.
 #pragma once
 
 #include <array>
@@ -134,27 +137,6 @@ class InProcessTransport final : public Transport {
   Handler handler_;
 };
 
-/// Overload-shedding knobs for TcpServer. A capped server answers excess
-/// load with a fast, tiny `overload_response` frame (an encoded
-/// UnavailableResp by default) instead of queueing without bound — the
-/// degraded mode is "tell the client to back off", never "hang".
-struct TcpServerOptions {
-  /// <= 0 picks a small default from the hardware concurrency.
-  int num_workers = 0;
-  /// Max concurrently served connections; 0 = unlimited. A connection
-  /// accepted beyond the cap gets the overload frame and is closed.
-  int max_connections = 0;
-  /// Max responses queued on one connection before further pipelined
-  /// requests are shed (slow readers must not buffer the server out of
-  /// memory); 0 = unlimited.
-  std::size_t max_pipelined_requests = 0;
-  /// Frame payload sent when shedding. Empty = encoded UnavailableResp
-  /// carrying `retry_after_ms`.
-  std::vector<std::uint8_t> overload_response;
-  /// Retry-after hint in the default overload response.
-  std::uint32_t retry_after_ms = 1000;
-};
-
 /// Loopback TCP server. Starts listening on construction (port 0 picks an
 /// ephemeral port); a fixed pool of epoll workers multiplexes every
 /// accepted connection. Stops and joins all threads on destruction.
@@ -165,7 +147,6 @@ class TcpServer {
   /// accepting more connections never spawns more threads.
   TcpServer(std::uint16_t port, Handler handler, int num_workers = 0);
   TcpServer(std::uint16_t port, SharedHandler handler, int num_workers = 0);
-  TcpServer(std::uint16_t port, SharedHandler handler, TcpServerOptions options);
   ~TcpServer();
 
   TcpServer(const TcpServer&) = delete;
@@ -174,13 +155,6 @@ class TcpServer {
   std::uint16_t port() const { return port_; }
   int worker_count() const { return static_cast<int>(workers_.size()); }
   void Stop();
-
-  /// Connections refused with the overload frame at accept time.
-  std::uint64_t shed_connection_count() const { return shed_connections_.load(); }
-  /// Pipelined requests answered with the overload frame instead of the
-  /// handler.
-  std::uint64_t shed_request_count() const { return shed_requests_.load(); }
-  int live_connection_count() const { return live_connections_.load(); }
 
  private:
   struct Connection;
@@ -201,14 +175,9 @@ class TcpServer {
   bool FlushWrites(Connection& conn);
 
   SharedHandler handler_;
-  TcpServerOptions options_;
-  SharedResponse overload_frame_;  // pre-encoded, shared by every shed reply
   int listen_fd_ = -1;
   std::uint16_t port_ = 0;
   std::atomic<bool> stopping_{false};
-  std::atomic<int> live_connections_{0};
-  std::atomic<std::uint64_t> shed_connections_{0};
-  std::atomic<std::uint64_t> shed_requests_{0};
   std::thread accept_thread_;
   std::vector<std::unique_ptr<Worker>> workers_;
   std::size_t next_worker_ = 0;  // round-robin assignment, accept thread only

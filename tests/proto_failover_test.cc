@@ -28,7 +28,6 @@
 #include "proto/failover.h"
 #include "proto/federation.h"
 #include "proto/messages.h"
-#include "proto/resilient_client.h"
 #include "proto/telemetry.h"
 #include "support/replication_harness.h"
 
@@ -602,60 +601,6 @@ TEST(ReporterFailoverTest, LostAckResynchronizesWithoutDoubleCounting) {
   EXPECT_TRUE(reporter.Flush());
   EXPECT_EQ(collector.accepted_count(), 2u);
   EXPECT_EQ(collector.sample_count(), 2u);
-}
-
-// --- directory term epochs + failover-aware client steering -----------------
-
-TEST(DirectoryTermEpochTest, ReplicaEpochsAreMonotoneInTheTermVersionPair) {
-  PortalDirectory directory;
-  directory.AddRecord(kDomain, SrvRecord{"a.example", 1, 0, 1});
-  EXPECT_EQ(directory.UpdateReplicaEpoch(kDomain, "a.example", 1, 2, 10), 1u);
-  // A fenced ex-publisher's stale-term update is ignored, whatever its
-  // version claims.
-  EXPECT_EQ(directory.UpdateReplicaEpoch(kDomain, "a.example", 1, 1, 999), 0u);
-  EXPECT_EQ(directory.term_epoch(kDomain, "a.example", 1), 2u);
-  EXPECT_EQ(directory.version_epoch(kDomain, "a.example", 1), 10u);
-  // Same term: version must advance.
-  EXPECT_EQ(directory.UpdateReplicaEpoch(kDomain, "a.example", 1, 2, 9), 0u);
-  EXPECT_EQ(directory.UpdateReplicaEpoch(kDomain, "a.example", 1, 2, 11), 1u);
-  // A new term supersedes even a numerically larger old-term version.
-  EXPECT_EQ(directory.UpdateReplicaEpoch(kDomain, "a.example", 1, 3, 1), 1u);
-  EXPECT_EQ(directory.max_replica_epoch(kDomain),
-            (std::pair<std::uint64_t, std::uint64_t>{3, 1}));
-  // The term-agnostic legacy path still works within the recorded term.
-  EXPECT_EQ(directory.UpdateVersionEpoch(kDomain, "a.example", 1, 500), 0u);
-  EXPECT_EQ(directory.term_epoch(kDomain, "a.example", 1), 3u);
-}
-
-TEST(DirectoryTermEpochTest, PreferFreshSteersByPairNotRawVersion) {
-  net::Graph graph = net::MakeAbilene();
-  net::RoutingTable routing(graph);
-  core::ITracker tracker(graph, routing);
-  ITrackerService service(&tracker);
-
-  PortalDirectory directory;
-  // The SRV-preferred replica was last confirmed by the fenced term-1
-  // publisher at a huge raw version; the backup was confirmed by the
-  // term-2 publisher at a tiny one. Freshness is the pair.
-  directory.AddRecord(kDomain, SrvRecord{"stale.example", 1, 0, 1});
-  directory.AddRecord(kDomain, SrvRecord{"fresh.example", 2, 10, 1});
-  directory.UpdateReplicaEpoch(kDomain, "stale.example", 1, 1, 5000);
-  directory.UpdateReplicaEpoch(kDomain, "fresh.example", 2, 2, 3);
-
-  std::vector<std::string> attempts;
-  ResilientClientOptions options;
-  options.prefer_fresh_replicas = true;
-  ResilientPortalClient client(
-      &directory, kDomain,
-      [&](const SrvRecord& record) -> std::unique_ptr<Transport> {
-        attempts.push_back(record.target);
-        return std::make_unique<InProcessTransport>(service.handler());
-      },
-      options);
-  client.Call(Encode(GetExternalViewReq{}));
-  ASSERT_FALSE(attempts.empty());
-  EXPECT_EQ(attempts.front(), "fresh.example");
-  EXPECT_GE(client.laggard_demotion_count(), 1u);
 }
 
 // --- chaos conformance: crash / restart / partition schedules ---------------

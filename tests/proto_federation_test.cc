@@ -1,6 +1,6 @@
 // Federated serving plane tests: frame codec totality, monotone installs,
 // byte-identical follower serving, publisher push/pull/beacon replication
-// under lossy links, directory version epochs, static publisher election,
+// under lossy links, static publisher election,
 // and the end-to-end failover guarantee — a version token obtained from the
 // publisher must earn NotModified from a follower after failover.
 #include "proto/federation.h"
@@ -1112,46 +1112,6 @@ TEST(FederationReplayTest, LossySameSeedReplayIsBitIdentical) {
   EXPECT_NE(first.first, other.first);
 }
 
-TEST_F(FederationTest, DirectoryEpochsSteerClientsAwayFromLaggards) {
-  PortalDirectory directory;
-  directory.AddRecord("isp.example", SrvRecord{"fresh.example", 7001, 0, 1});
-  directory.AddRecord("isp.example", SrvRecord{"laggard.example", 7002, 0, 1});
-  directory.UpdateVersionEpoch("isp.example", "fresh.example", 7001, 5);
-  directory.UpdateVersionEpoch("isp.example", "laggard.example", 7002, 2);
-  EXPECT_EQ(directory.version_epoch("isp.example", "fresh.example", 7001), 5u);
-  EXPECT_EQ(directory.max_version_epoch("isp.example"), 5u);
-  // Epochs are monotone: an out-of-order (older) ack cannot regress one.
-  EXPECT_EQ(directory.UpdateVersionEpoch("isp.example", "fresh.example", 7001, 3), 0u);
-  EXPECT_EQ(directory.version_epoch("isp.example", "fresh.example", 7001), 5u);
-  // Unknown endpoints are not invented.
-  EXPECT_EQ(directory.UpdateVersionEpoch("isp.example", "ghost.example", 9, 9), 0u);
-
-  // With prefer_fresh_replicas, the fresh replica is tried first on every
-  // call, regardless of where the SRV weighted shuffle puts it.
-  std::atomic<int> fresh_calls{0};
-  std::atomic<int> laggard_calls{0};
-  ResilientClientOptions options;
-  options.prefer_fresh_replicas = true;
-  ResilientPortalClient client(
-      &directory, "isp.example",
-      [&](const SrvRecord& record) -> std::unique_ptr<Transport> {
-        auto& counter = record.target == "fresh.example" ? fresh_calls : laggard_calls;
-        return std::make_unique<InProcessTransport>(
-            [&counter](std::span<const std::uint8_t>) {
-              ++counter;
-              return Encode(NotModifiedResp{5});
-            });
-      },
-      options);
-
-  for (int i = 0; i < 20; ++i) {
-    client.Call(Encode(GetExternalViewReq{5}));
-  }
-  EXPECT_EQ(fresh_calls.load(), 20);
-  EXPECT_EQ(laggard_calls.load(), 0);
-  EXPECT_EQ(client.laggard_demotion_count(), 20u);
-}
-
 TEST_F(FederationTest, ElectPublisherIsDeterministic) {
   PortalDirectory directory;
   EXPECT_EQ(ElectPublisher(directory, "isp.example"), std::nullopt);
@@ -1195,12 +1155,7 @@ TEST(FederationFailoverTest, VersionTokenStaysValidAcrossReplicaFailover) {
                       SrvRecord{"a.example", server_a->port(), 0, 1});
   directory.AddRecord("isp.example", SrvRecord{"b.example", server_b.port(), 1, 1});
 
-  PublisherOptions pub_options;
-  pub_options.directory = &directory;
-  pub_options.domain = "isp.example";
-  pub_options.self_target = "a.example";
-  pub_options.self_port = server_a->port();
-  SnapshotPublisher publisher(&service, pub_options);
+  SnapshotPublisher publisher(&service);
   publisher.AddFollower("b.example", server_b.port(),
                         std::make_unique<TcpClient>(replication_b.port()));
 
@@ -1208,20 +1163,14 @@ TEST(FederationFailoverTest, VersionTokenStaysValidAcrossReplicaFailover) {
   tracker.SetStaticPrices(prices);
   ASSERT_EQ(publisher.PublishOnce(), 1u);
   ASSERT_EQ(store.version(), tracker.version());
-  EXPECT_EQ(directory.version_epoch("isp.example", "b.example", server_b.port()),
-            tracker.version());
-  EXPECT_EQ(directory.max_version_epoch("isp.example"), tracker.version());
 
   // All replicas serve behind one failover transport (every connection goes
   // to the live SRV-preferred replica).
-  ResilientClientOptions options;
-  options.prefer_fresh_replicas = true;
   auto resilient = std::make_unique<ResilientPortalClient>(
       &directory, "isp.example",
       [](const SrvRecord& record) -> std::unique_ptr<Transport> {
         return std::make_unique<TcpClient>(record.port);
-      },
-      options);
+      });
   auto* resilient_raw = resilient.get();
   PortalClient client(std::move(resilient));
 

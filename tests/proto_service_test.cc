@@ -178,26 +178,28 @@ TEST_F(ServiceTest, StaleTokenGetsFullView) {
             static_cast<std::size_t>(tracker_.num_pids()) * tracker_.num_pids());
 }
 
-TEST_F(ServiceTest, CacheDisabledMatchesCachedBytes) {
-  // The pre-encoded fast path must be byte-identical to the slow path for
-  // every cacheable request, including conditional ones.
-  ITrackerService cached(&tracker_, &policy_);
-  ITrackerService plain(&tracker_, &policy_, nullptr, nullptr,
-                        ServiceOptions{.enable_response_cache = false});
+TEST_F(ServiceTest, CachedBytesMatchAFreshEncode) {
+  // Every cacheable answer, conditional ones included, must be
+  // byte-identical to encoding the tracker's snapshot afresh.
+  ITrackerService service(&tracker_, &policy_);
   std::vector<double> traffic(graph_.link_count(), 5e8);
   tracker_.Update(traffic);
-  const auto version = tracker_.version();
+  const auto snap = tracker_.snapshot();
+  const auto version = snap->version;
+  const auto not_modified = Encode(NotModifiedResp{version});
 
-  std::vector<std::vector<std::uint8_t>> requests;
-  requests.push_back(Encode(GetExternalViewReq{}));
-  requests.push_back(Encode(GetExternalViewReq{version}));
-  requests.push_back(Encode(GetPolicyReq{}));
+  const auto& values = snap->view.values();
+  EXPECT_EQ(service.Handle(Encode(GetExternalViewReq{})),
+            Encode(GetExternalViewResp{snap->view.size(), version,
+                                       {values.begin(), values.end()}}));
+  EXPECT_EQ(service.Handle(Encode(GetExternalViewReq{version})), not_modified);
+  EXPECT_EQ(service.Handle(Encode(GetPolicyReq{})),
+            Encode(GetPolicyResp{policy_.thresholds(), policy_.time_of_day_policies()}));
   for (core::Pid i = 0; i < tracker_.num_pids(); ++i) {
-    requests.push_back(Encode(GetPDistancesReq{i}));
-    requests.push_back(Encode(GetPDistancesReq{i, version}));
-  }
-  for (const auto& req : requests) {
-    EXPECT_EQ(cached.Handle(req), plain.Handle(req));
+    const auto row = snap->view.row(i);
+    EXPECT_EQ(service.Handle(Encode(GetPDistancesReq{i})),
+              Encode(GetPDistancesResp{i, version, {row.begin(), row.end()}}));
+    EXPECT_EQ(service.Handle(Encode(GetPDistancesReq{i, version})), not_modified);
   }
 }
 

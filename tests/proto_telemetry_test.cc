@@ -367,13 +367,6 @@ TEST_F(ControlLoopTest, EmptyTicksBurnNoVersions) {
   EXPECT_EQ(tracker_.version(), 0u);
   EXPECT_EQ(loop.tick_count(), 2u);
   EXPECT_EQ(loop.update_count(), 0u);
-
-  // update_on_empty_tick opts into repricing from last-known loads.
-  ControlLoopOptions options;
-  options.update_on_empty_tick = true;
-  PDistanceControlLoop eager(&tracker_, &collector_, nullptr, options);
-  EXPECT_TRUE(eager.Tick());
-  EXPECT_EQ(tracker_.version(), 1u);
 }
 
 TEST_F(ControlLoopTest, QuietLinksKeepLastKnownLoad) {

@@ -9,12 +9,10 @@
 //     P4P selector runs on embedded distances instead of the full mesh.
 //  3. Portal query caching — how many application decisions one fetched
 //     view serves under the version/TTL cache.
-//  4. Simulator throughput — wall-clock swarm-rounds/sec of the fluid
-//     BitTorrent model, written (with the other scalability metrics) to
-//     BENCH_scalability.json as a perf trajectory for later PRs.
+//
+// The figures are written to BENCH_scalability.json. Simulator throughput
+// is perfbench's `fleet` workload.
 #include "common.h"
-
-#include <chrono>
 
 #include "core/embedding.h"
 #include "core/trackerless.h"
@@ -104,12 +102,7 @@ int main() {
   const auto approx = run_with_cache(true);
   core::NativeRandomSelector native;
   sim::BitTorrentSimulator native_sim(graph, routing, bt);
-  const auto sim_t0 = std::chrono::steady_clock::now();
   const auto base = native_sim.Run(peers, native);
-  const double sim_wall_sec =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - sim_t0).count();
-  const double rounds_per_sec =
-      sim_wall_sec > 0 ? static_cast<double>(base.rounds) / sim_wall_sec : 0.0;
 
   std::printf("  unit BDP: native %.2f, full-mesh distances %.2f, embedded %.2f\n",
               base.unit_bdp(), full.unit_bdp(), approx.unit_bdp());
@@ -143,19 +136,11 @@ int main() {
        client.fetch_count() < 100},
   });
 
-  // ---- 4. simulator throughput ----
-  bench::PrintSubHeader("4) Simulator throughput");
-  std::printf("  BitTorrent fluid model : %d rounds in %.2f s (%.0f rounds/s, %d peers)\n",
-              base.rounds, sim_wall_sec, rounds_per_sec, swarm.leechers + 1);
-
   bench::WriteBenchJson(
       "BENCH_scalability.json",
       {
           {"bench_scale", bench::ScaleFactor()},
           {"swarm_leechers", static_cast<double>(swarm.leechers)},
-          {"bt_sim_rounds", static_cast<double>(base.rounds)},
-          {"bt_sim_wall_sec", sim_wall_sec},
-          {"bt_swarm_rounds_per_sec", rounds_per_sec},
           {"embedding_best_stress", best_stress},
           {"portal_decisions_per_fetch",
            20000.0 / static_cast<double>(std::max<std::size_t>(1, client.fetch_count()))},

@@ -3,7 +3,7 @@
 //
 // "Pushing BitTorrent Locality to the Limit" measures real torrents with
 // 10k+ concurrent leechers; this bench drives the data plane at that
-// scale. Three scenarios:
+// scale. Two scenarios:
 //
 //   1) Flagship swarm — Scaled(100000) leechers over ISP-B with AS-skewed,
 //      metro-concentrated placement and a residential access mix — the top
@@ -11,25 +11,20 @@
 //      max-min speedup (clean-step skip) against periodically sampled full
 //      solves (bit-parity checked in-run; mismatches are a hard failure),
 //      with gather/solve attribution from the allocator's counters.
-//   2) Heavy-tailed multi-swarm family — Zipf swarm sizes through the
-//      sharded runner on one thread, for the fleet-median max-min speedup.
-//      Sharded scaling is perfbench's `swarm_shard.parallel_eff`: at small
-//      scales this family finishes in a few milliseconds, so an N-thread
-//      run here would time thread start-up, not sharding.
-//   3) Locality-to-the-limit vs P4P weighting — a flash-crowd, churning
+//   2) Locality-to-the-limit vs P4P weighting — a flash-crowd, churning
 //      field-test population run three-way (Native / Localized / P4P),
 //      comparing bandwidth-distance product and completion.
 //
+// A Zipf family of small and medium swarms through the sharded runner is
+// perfbench's `fleet` workload (`maxmin.*`, `swarm_shard.parallel_eff`).
+//
 // Emits bt_peers_per_swarm_max / bt_step_ns_per_peer /
-// maxmin_incremental_speedup_x (and friends)
-// merged into BENCH_scalability.json.
+// maxmin_flagship_speedup_x (and friends) merged into BENCH_scalability.json.
 #include "common.h"
 
 #include <chrono>
 #include <cmath>
 #include <thread>
-
-#include "sim/swarm_shard.h"
 
 namespace {
 
@@ -90,7 +85,7 @@ std::vector<p4p::sim::PeerSpec> MakeFlagshipSwarm(const p4p::net::Graph& graph,
 
 int main() {
   using namespace p4p;
-  bench::PrintHeader("Swarm plane: SoA core, incremental max-min, swarm family");
+  bench::PrintHeader("Swarm plane: SoA core, incremental max-min, flash crowd");
 
   const net::Graph graph = net::MakeIspB();
   const net::RoutingTable routing(graph);
@@ -145,88 +140,8 @@ int main() {
               gather_ns_per_pass, solve_ns_per_pass,
               static_cast<unsigned long long>(flag.maxmin_dense_solves));
 
-  // ---- 2) heavy-tailed multi-swarm family through the runner, one thread ----
-  bench::PrintSubHeader("2) Zipf multi-swarm family (one thread)");
-  std::mt19937_64 zipf_rng(31);
-  const auto sizes =
-      sim::ZipfSwarmSizes(bench::Scaled(48), 1.2, bench::Scaled(600), zipf_rng);
-  std::vector<sim::SwarmJob> jobs;
-  std::uint64_t family_peers = 0;
-  for (std::size_t j = 0; j < sizes.size(); ++j) {
-    sim::PopulationConfig pop;
-    pop.num_peers = sizes[j];
-    for (net::NodeId n = 0; n < static_cast<net::NodeId>(graph.node_count()); ++n) {
-      pop.pops.push_back(n);
-    }
-    pop.as_number = static_cast<std::int32_t>(j % kAses) + 1;
-    pop.access = sim::AccessClass::kCable;
-    pop.join_window = 60.0;
-    std::mt19937_64 rng(500 + j);
-    sim::SwarmJob job;
-    job.peers = sim::MakePopulation(pop, rng);
-    if (j % 4 == 1) {
-      // A quarter of the swarms churn: every third leecher leaves early.
-      for (std::size_t i = 0; i < job.peers.size(); i += 3) {
-        job.peers[i].leave_time = job.peers[i].join_time + 180.0;
-      }
-    }
-    sim::PeerSpec seed;
-    seed.node = static_cast<net::NodeId>(j % graph.node_count());
-    seed.as_number = pop.as_number;
-    seed.up_bps = 20e6;
-    seed.down_bps = 20e6;
-    seed.seed = true;
-    job.peers.push_back(seed);
-    family_peers += static_cast<std::uint64_t>(sizes[j]);
-    job.config.file_bytes = 8.0 * 1024 * 1024;
-    job.config.block_bytes = 512.0 * 1024;
-    job.config.rechoke_interval = 40.0;
-    job.config.horizon = 4000.0;
-    job.config.maxmin_full_sample_every = 10;
-    job.config.rng_seed = 1000 + j;
-    jobs.push_back(std::move(job));
-  }
-  std::printf("  %zu swarms, %llu leechers, largest %d, >100 leechers: %.2f%%\n",
-              sizes.size(), static_cast<unsigned long long>(family_peers),
-              *std::max_element(sizes.begin(), sizes.end()),
-              100.0 * sim::FractionAbove(sizes, 100));
-  const auto factory = [](std::size_t) -> std::unique_ptr<sim::PeerSelector> {
-    return std::make_unique<core::NativeRandomSelector>();
-  };
-  const auto run1 = sim::RunSwarms(graph, routing, jobs, factory, 1);
-  const double rate_1t = run1.total_rounds() / run1.wall_seconds;
-  // Per-swarm incremental-vs-full speedup over the fleet. The paper's
-  // scalability observation (Section 8) is that real fleets are dominated
-  // by small, quiet swarms — exactly the regime where most fluid steps are
-  // clean and the incremental allocator skips the solve entirely. The
-  // fleet median is the representative figure; the saturated flagship
-  // above is the adversarial extreme and is reported separately. Both
-  // sides count only steps with live flows: on an empty step either
-  // solve is a pair of clock reads.
-  std::vector<double> fleet_speedups;
-  int fleet_mismatches = 0;
-  double fleet_live_steps = 0.0;
-  for (const auto& r : run1.swarms) {
-    fleet_mismatches += r.maxmin_parity_mismatches;
-    fleet_live_steps += r.maxmin_live_steps;
-    if (r.maxmin_full_samples > 0 && r.maxmin_live_ns > 0) {
-      fleet_speedups.push_back(r.maxmin_full_ns_est / r.maxmin_live_ns);
-    }
-  }
-  std::sort(fleet_speedups.begin(), fleet_speedups.end());
-  const double maxmin_speedup =
-      fleet_speedups.empty() ? 0.0 : fleet_speedups[fleet_speedups.size() / 2];
-  std::printf("  incremental max-min: median %.1fx vs full-every-step "
-              "(min %.1fx, max %.1fx over %zu swarms, %d mismatches)\n",
-              maxmin_speedup, fleet_speedups.empty() ? 0.0 : fleet_speedups.front(),
-              fleet_speedups.empty() ? 0.0 : fleet_speedups.back(),
-              fleet_speedups.size(), fleet_mismatches);
-  std::printf("  live steps: %.0f of %.0f (steps without a live flow are not timed)\n",
-              fleet_live_steps, static_cast<double>(run1.total_rounds()));
-  std::printf("  1 thread: %.0f rounds/s\n", rate_1t);
-
-  // ---- 3) locality-to-the-limit vs P4P under a flash crowd ----
-  bench::PrintSubHeader("3) Locality limit vs P4P weighting (flash crowd)");
+  // ---- 2) locality-to-the-limit vs P4P under a flash crowd ----
+  bench::PrintSubHeader("2) Locality limit vs P4P weighting (flash crowd)");
   sim::FieldTestConfig fc;
   fc.num_peers = bench::Scaled(600);
   for (net::NodeId n = 0; n < static_cast<net::NodeId>(graph.node_count()); ++n) {
@@ -276,14 +191,9 @@ int main() {
       {"sustained swarm size", ">= 100k leechers in one swarm",
        bench::Fmt("%d leechers, %d rounds", leechers, flag.rounds),
        leechers >= bench::Scaled(100000) && flag.rounds > 0},
-      {"incremental max-min vs full solve", ">= 5x fleet median, bit-identical",
-       bench::Fmt("%.1fx median, %.1fx flagship, %d mismatches", maxmin_speedup,
-                  flagship_speedup,
-                  flag.maxmin_parity_mismatches + fleet_mismatches +
-                      flash_mismatches),
-       maxmin_speedup >= 5.0 && flag.maxmin_parity_mismatches +
-                                        fleet_mismatches + flash_mismatches ==
-                                    0},
+      {"incremental max-min vs full solve", "bit-identical",
+       bench::Fmt("%d mismatches", flag.maxmin_parity_mismatches + flash_mismatches),
+       flag.maxmin_parity_mismatches + flash_mismatches == 0},
       {"saturated-regime flagship", ">= 1.0x vs full-every-step (target 1.5x)",
        bench::Fmt("%.2fx at %.0f%% dirty steps", flagship_speedup,
                   100.0 * dirty_fraction),
@@ -302,7 +212,6 @@ int main() {
           {"bt_step_ns_per_peer", step_ns_per_peer},
           {"bt_flagship_rounds", static_cast<double>(flag.rounds)},
           {"bt_flagship_completed_fraction", flag.completed_fraction},
-          {"maxmin_incremental_speedup_x", maxmin_speedup},
           {"maxmin_flagship_speedup_x", flagship_speedup},
           {"maxmin_flagship_dirty_fraction", dirty_fraction},
           {"maxmin_gather_ns", gather_ns_per_pass},
@@ -311,10 +220,7 @@ int main() {
           {"maxmin_incremental_solves",
            static_cast<double>(flag.maxmin_incremental_solves)},
           {"maxmin_parity_mismatches",
-           static_cast<double>(flag.maxmin_parity_mismatches + fleet_mismatches +
-                               flash_mismatches)},
-          {"bt_multiswarm_swarms", static_cast<double>(sizes.size())},
-          {"bt_multiswarm_peers", static_cast<double>(family_peers)},
+           static_cast<double>(flag.maxmin_parity_mismatches + flash_mismatches)},
           {"bt_flash_bdp_native", bdp_native},
           {"bt_flash_bdp_localized", bdp_localized},
           {"bt_flash_bdp_p4p", bdp_p4p},

@@ -21,8 +21,8 @@
 // Degraded mode: P4P is opt-in — "peer selection must never block on the
 // portal". With EnableNativeFallback, every announce first probes whether
 // the portal stack still has a usable view (typically
-// CachingPortalClient::TryGetExternalView through ResilientPortalClient);
-// when it does not, selection falls back to the paper's native/random
+// CachingPortalClient::TryGetExternalView, which keeps serving a stale view
+// within its budget); when it does not, selection falls back to the paper's native/random
 // baseline and recovers to guided selection automatically on the next
 // successful refresh. Transitions are counted (atomically — exactly one
 // count per flip even under concurrent announces) for tests and benches.

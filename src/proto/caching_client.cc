@@ -55,10 +55,10 @@ const core::PDistanceMatrix& CachingPortalClient::GetExternalView() {
       Refresh(now);
       stale_streak_ = 0;
     } catch (const std::exception&) {
-      // Every replica unreachable (or shedding): keep serving the expired
-      // matrix within the staleness budget. fetched_at is left alone, so
-      // each subsequent access retries the refresh — recovery is as prompt
-      // as the failover layer allows, and the budget stays a hard cap.
+      // Portal unreachable (or shedding): keep serving the expired matrix
+      // within the staleness budget. fetched_at is left alone, so each
+      // subsequent access retries the refresh — recovery is as prompt as
+      // the portal's return, and the budget stays a hard cap.
       if (stale_streak_ >= max_stale_serves_) throw;
       ++stale_streak_;
       ++stale_served_total_;

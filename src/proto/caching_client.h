@@ -10,9 +10,8 @@
 // prices have not changed, so a steady-state refresh costs neither a
 // matrix encode nor a matrix transfer.
 //
-// Degradation: when a TTL refresh cannot reach any replica (the transport
-// throws — e.g. ResilientPortalClient exhausted its failover budget), the
-// client enters stale-while-unreachable mode: the expired matrix keeps
+// Degradation: when a TTL refresh fails (the transport throws because the
+// portal is down, or a follower answers UnavailableResp), the client enters stale-while-unreachable mode: the expired matrix keeps
 // serving, bounded by a staleness budget, instead of the error tearing
 // through to peer selection. Every later access retries the refresh; the
 // first success clears the staleness. Only when the budget is spent (or no

@@ -93,28 +93,6 @@ std::optional<SrvRecord> PortalDirectory::Resolve(const std::string& domain,
   return *candidates[SelectWeighted(candidates, rng)];
 }
 
-std::vector<SrvRecord> PortalDirectory::ResolveOrdering(const std::string& domain,
-                                                        std::mt19937_64& rng) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = records_.find(domain);
-  if (it == records_.end() || it->second.empty()) return {};
-
-  std::map<int, std::vector<const SrvRecord*>> classes;
-  for (const auto& r : it->second) classes[r.priority].push_back(&r);
-
-  std::vector<SrvRecord> ordering;
-  ordering.reserve(it->second.size());
-  for (auto& [priority, candidates] : classes) {
-    // Repeated weighted selection without replacement within the class.
-    while (!candidates.empty()) {
-      const std::size_t chosen = SelectWeighted(candidates, rng);
-      ordering.push_back(*candidates[chosen]);
-      candidates.erase(candidates.begin() + static_cast<std::ptrdiff_t>(chosen));
-    }
-  }
-  return ordering;
-}
-
 std::vector<SrvRecord> PortalDirectory::Records(const std::string& domain) const {
   std::lock_guard<std::mutex> lock(mu_);
   const auto it = records_.find(domain);

@@ -7,12 +7,8 @@
 // standard SRV semantics — lowest priority wins, ties broken by weighted
 // random selection. The symbolic service name is "_p4p._tcp.<domain>".
 //
-// Failover clients want the whole RFC 2782 sequence, not one record:
-// ResolveOrdering() returns every record of the domain, priority classes
-// ascending, each class ordered by repeated weighted selection without
-// replacement (zero-weight records placed first within a class, so they
-// keep the RFC's "very small probability of being selected"). Records
-// carry no replica freshness, so failover clients walk SRV order alone.
+// A client whose portal went away re-resolves: the dead record is removed
+// (RemoveRecord) and the next Resolve() returns a live replica.
 #pragma once
 
 #include <map>
@@ -35,8 +31,8 @@ struct SrvRecord {
 /// The symbolic SRV name for a domain's portal, e.g. "_p4p._tcp.isp-b.net".
 std::string P4pServiceName(const std::string& domain);
 
-/// Thread-safe: records may be added or removed while failover clients
-/// resolve concurrently.
+/// Thread-safe: records may be added or removed while clients resolve
+/// concurrently.
 class PortalDirectory {
  public:
   /// Registers a record for `domain`. Throws std::invalid_argument for
@@ -52,12 +48,6 @@ class PortalDirectory {
   /// Resolves per SRV semantics. Returns std::nullopt for unknown domains.
   std::optional<SrvRecord> Resolve(const std::string& domain,
                                    std::mt19937_64& rng) const;
-
-  /// The full failover sequence: every record of the domain, priority
-  /// classes ascending, weighted-random order within each class (RFC 2782's
-  /// repeated selection without replacement). Empty for unknown domains.
-  std::vector<SrvRecord> ResolveOrdering(const std::string& domain,
-                                         std::mt19937_64& rng) const;
 
   /// All records for a domain, in registration order.
   std::vector<SrvRecord> Records(const std::string& domain) const;

@@ -200,8 +200,8 @@ FollowerPortalService::FollowerPortalService(const ReplicatedSnapshotStore* stor
   if (store_ == nullptr) {
     throw std::invalid_argument("FollowerPortalService: null store");
   }
-  // Not-synced-yet shedding frame: explicitly retryable, so failover
-  // clients try the next replica instead of surfacing an error.
+  // Not-synced-yet shedding frame: explicitly retryable, so a client asks
+  // again or re-resolves instead of treating it as a hard error.
   not_synced_ = Share(Encode(UnavailableResp{/*retry_after_ms=*/100}));
 }
 

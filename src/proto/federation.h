@@ -28,7 +28,7 @@
 //     and never serves a version it holds no frames for.
 //   * Replica freshness stays inside the publisher: it tracks each
 //     follower's acked version to decide whom to push, and writes nothing
-//     to the PortalDirectory. Failover clients walk plain SRV order; a
+//     to the PortalDirectory. A client re-resolves in plain SRV order; a
 //     replica that has not installed a client's token answers with the
 //     full view it holds.
 //
@@ -218,8 +218,8 @@ class ReplicatedSnapshotStore {
 /// ReplicatedSnapshotStore exactly as ITrackerService answers it from its
 /// response cache — the same bytes, through the same ServeDistances.
 /// Before the first install every request gets a retryable UnavailableResp
-/// (and validation datagrams get silence), so failover clients move on to
-/// a synced replica instead of caching an error.
+/// (and validation datagrams get silence), so a client asks again or
+/// re-resolves to a synced replica instead of caching an error.
 ///
 /// Thread safety: all handlers may run concurrently with installs.
 class FollowerPortalService {

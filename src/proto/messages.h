@@ -69,9 +69,9 @@ struct NotModifiedResp {
 };
 
 /// The replica cannot serve this request right now (a follower before its
-/// first install). Unlike ErrorMsg this is explicitly retryable —
-/// `retry_after_ms` hints when; failover clients back off at least that
-/// long before re-asking the same replica.
+/// first install). Unlike ErrorMsg this is explicitly retryable.
+/// `retry_after_ms` hints when to ask again; it stays on the wire, but the
+/// shipped PortalClient surfaces only the typed PortalUnavailableError.
 struct UnavailableResp {
   std::uint32_t retry_after_ms = 0;
 };

@@ -228,11 +228,10 @@ Message PortalClient::Call(const Message& request) {
   if (const auto* err = std::get_if<ErrorMsg>(&*decoded)) {
     throw std::runtime_error("PortalClient: server error: " + err->message);
   }
-  if (const auto* busy = std::get_if<UnavailableResp>(&*decoded)) {
+  if (std::holds_alternative<UnavailableResp>(*decoded)) {
     // A replica that cannot serve yet: retryable by contract, so surface it
-    // as the typed error the failover/staleness layers key on.
-    throw PortalUnavailableError("PortalClient: server unavailable",
-                                 busy->retry_after_ms / 1000.0);
+    // as a typed error.
+    throw PortalUnavailableError("PortalClient: server unavailable");
   }
   return std::move(*decoded);
 }

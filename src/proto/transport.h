@@ -111,20 +111,12 @@ class Transport {
   virtual std::vector<std::uint8_t> Call(std::span<const std::uint8_t> request) = 0;
 };
 
-/// Thrown when the portal — or every replica of it — cannot serve right
-/// now: transport failures across the whole SRV ordering, exhausted retry
-/// budgets, or an explicit server-side UnavailableResp. Unlike a generic
-/// runtime_error this is known-retryable; `retry_after_seconds` > 0 carries
-/// the strongest shedding hint seen (0 = none).
+/// Thrown when the portal answered an explicit server-side UnavailableResp
+/// (a follower before its first install). Unlike a generic runtime_error
+/// this is known-retryable.
 class PortalUnavailableError : public std::runtime_error {
  public:
-  explicit PortalUnavailableError(const std::string& what,
-                                  double retry_after_seconds = 0.0)
-      : std::runtime_error(what), retry_after_seconds_(retry_after_seconds) {}
-  double retry_after_seconds() const { return retry_after_seconds_; }
-
- private:
-  double retry_after_seconds_;
+  using std::runtime_error::runtime_error;
 };
 
 /// Direct function-call transport.

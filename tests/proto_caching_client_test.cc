@@ -5,6 +5,7 @@
 #include <chrono>
 #include <memory>
 
+#include "core/apptracker.h"
 #include "net/topology.h"
 #include "support/fault_injection.h"
 
@@ -281,6 +282,60 @@ TEST_F(CachingClientStaleTest, InvalidateDropsStalenessState) {
   EXPECT_FALSE(client.stale());
   EXPECT_EQ(client.fetch_count(), 2u);  // cold fetch: the token was dropped
   EXPECT_EQ(client.validation_count(), 0u);
+}
+
+// The degraded-mode contract end to end: while the portal is down the
+// caching layer serves the stale matrix (bounded) and the appTracker falls
+// back to native selection; when the portal returns, guided selection
+// resumes.
+TEST_F(CachingClientStaleTest, StaleServiceNativeFallbackAndRecovery) {
+  const double ttl = 10.0;
+  const std::size_t stale_cap = 3;
+  auto cache = MakeFlaky(ttl, stale_cap);
+
+  core::PidMap map;
+  map.add(*core::Prefix::Parse("10.0.0.0/16"), {0, 1});
+  map.add(*core::Prefix::Parse("10.1.0.0/16"), {1, 1});
+  core::AppTracker app(std::make_unique<core::NativeRandomSelector>(), std::move(map), 7);
+  app.EnableNativeFallback([&cache] { return cache.TryGetExternalView() != nullptr; });
+
+  core::AnnounceRequest req;
+  req.content_id = "film";
+  req.client_ip = "10.0.0.1";
+
+  // Healthy: guided announce, view fetched once.
+  app.Announce(req);
+  EXPECT_FALSE(app.degraded());
+  EXPECT_EQ(cache.fetch_count(), 1u);
+
+  // Portal down inside the TTL: nothing even notices.
+  down_ = true;
+  app.Announce(req);
+  EXPECT_FALSE(app.degraded());
+  EXPECT_EQ(cache.hit_count(), 1u);  // served from the cached view
+
+  // Past the TTL: refreshes fail, the stale matrix keeps serving and
+  // announces fall back to native selection only once the budget is spent.
+  now_ += ttl + 1.0;
+  std::size_t native_announces = 0;
+  for (int i = 0; i < 8; ++i) {
+    app.Announce(req);
+    if (app.degraded()) ++native_announces;
+    now_ += 0.1;
+  }
+  EXPECT_EQ(cache.stale_served_total(), stale_cap);
+  EXPECT_TRUE(app.degraded());
+  EXPECT_EQ(app.fallback_transition_count(), 1u);
+  EXPECT_EQ(native_announces, 8u - stale_cap);
+  EXPECT_EQ(app.degraded_announce_count(), 8u - stale_cap);
+
+  // The portal returns: the next probe refreshes and guided selection
+  // resumes.
+  down_ = false;
+  app.Announce(req);
+  EXPECT_FALSE(app.degraded());
+  EXPECT_EQ(app.recovery_transition_count(), 1u);
+  EXPECT_FALSE(cache.stale());
 }
 
 // --- Invalidate vs. the UDP fast path (regression) ---------------------------

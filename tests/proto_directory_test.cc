@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <set>
-
 namespace p4p::proto {
 namespace {
 
@@ -98,66 +96,6 @@ TEST(Directory, ZeroWeightRecordStaysSelectableNextToWeighted) {
   }
   EXPECT_GT(zero, 0);     // selectable...
   EXPECT_LT(zero, 1000);  // ...but a clear minority
-}
-
-TEST(Directory, ResolveOrderingIsAPermutationWithPrioritiesAscending) {
-  PortalDirectory dir;
-  dir.AddRecord("isp.net", {"p0-a", 1, 0, 3});
-  dir.AddRecord("isp.net", {"p0-b", 2, 0, 0});
-  dir.AddRecord("isp.net", {"p10-a", 3, 10, 1});
-  dir.AddRecord("isp.net", {"p10-b", 4, 10, 1});
-  dir.AddRecord("isp.net", {"p20", 5, 20, 1});
-  std::mt19937_64 rng(8);
-  for (int i = 0; i < 50; ++i) {
-    const auto ordering = dir.ResolveOrdering("isp.net", rng);
-    ASSERT_EQ(ordering.size(), 5u);
-    std::multiset<std::string> targets;
-    for (std::size_t j = 0; j < ordering.size(); ++j) {
-      targets.insert(ordering[j].target);
-      if (j > 0) {
-        EXPECT_GE(ordering[j].priority, ordering[j - 1].priority);
-      }
-    }
-    EXPECT_EQ(targets, (std::multiset<std::string>{"p0-a", "p0-b", "p10-a",
-                                                   "p10-b", "p20"}));
-    EXPECT_EQ(ordering.back().target, "p20");
-  }
-  EXPECT_TRUE(dir.ResolveOrdering("unknown.net", rng).empty());
-}
-
-TEST(Directory, ResolveOrderingIsDeterministicPerSeed) {
-  PortalDirectory dir;
-  for (int i = 0; i < 8; ++i) {
-    dir.AddRecord("isp.net", {"r" + std::to_string(i), static_cast<std::uint16_t>(i + 1),
-                              i % 2, i});
-  }
-  const auto run = [&dir](std::uint64_t seed) {
-    std::mt19937_64 rng(seed);
-    std::vector<std::string> flat;
-    for (int i = 0; i < 5; ++i) {
-      for (const auto& r : dir.ResolveOrdering("isp.net", rng)) {
-        flat.push_back(r.target);
-      }
-    }
-    return flat;
-  };
-  EXPECT_EQ(run(11), run(11));
-  EXPECT_NE(run(11), run(12));  // astronomically unlikely to collide
-}
-
-TEST(Directory, ResolveOrderingWeightBiasesFirstSlot) {
-  PortalDirectory dir;
-  dir.AddRecord("isp.net", {"heavy", 1, 0, 9});
-  dir.AddRecord("isp.net", {"light", 2, 0, 1});
-  std::mt19937_64 rng(9);
-  int heavy_first = 0;
-  for (int i = 0; i < 1000; ++i) {
-    if (dir.ResolveOrdering("isp.net", rng).front().target == "heavy") {
-      ++heavy_first;
-    }
-  }
-  EXPECT_GT(heavy_first, 800);
-  EXPECT_LT(heavy_first, 980);
 }
 
 TEST(Directory, RemoveRecordDropsMatchesAndEmptyDomains) {

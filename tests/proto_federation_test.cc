@@ -24,8 +24,8 @@
 
 #include "core/policy.h"
 #include "net/topology.h"
+#include "proto/directory.h"
 #include "proto/messages.h"
-#include "proto/resilient_client.h"
 #include "proto/wire.h"
 #include "support/fault_injection.h"
 #include "support/frame_rows.h"
@@ -558,6 +558,9 @@ TEST_F(FederationTest, FollowerShedsBeforeFirstInstall) {
   const auto decoded = Decode(response);
   ASSERT_TRUE(decoded.has_value());
   EXPECT_NE(std::get_if<UnavailableResp>(&*decoded), nullptr);
+  // PortalClient surfaces the shed as its typed, retryable error.
+  PortalClient client(std::make_unique<InProcessTransport>(follower_service_.handler()));
+  EXPECT_THROW(client.GetExternalView(), PortalUnavailableError);
   // Validation datagrams get silence, not a bogus version.
   EXPECT_EQ(follower_service_.HandleValidationDatagram(
                 EncodeValidationRequest(ValidationRequest{1, 5})),
@@ -1164,29 +1167,32 @@ TEST(FederationFailoverTest, VersionTokenStaysValidAcrossReplicaFailover) {
   ASSERT_EQ(publisher.PublishOnce(), 1u);
   ASSERT_EQ(store.version(), tracker.version());
 
-  // All replicas serve behind one failover transport (every connection goes
-  // to the live SRV-preferred replica).
-  auto resilient = std::make_unique<ResilientPortalClient>(
-      &directory, "isp.example",
-      [](const SrvRecord& record) -> std::unique_ptr<Transport> {
-        return std::make_unique<TcpClient>(record.port);
-      });
-  auto* resilient_raw = resilient.get();
-  PortalClient client(std::move(resilient));
-
-  // Fetch from replica A (priority 0) and hold its version token.
-  const auto [view, version] = client.GetExternalViewWithVersion();
+  // The client resolves the portal through the directory: replica A
+  // (priority 0) wins, and the client holds its version token.
+  std::mt19937_64 rng(7);
+  const auto connect = [&directory, &rng] {
+    const SrvRecord record = directory.Resolve("isp.example", rng).value();
+    return std::make_pair(record, PortalClient(std::make_unique<TcpClient>(record.port)));
+  };
+  auto [record_a, client_a] = connect();
+  ASSERT_EQ(record_a.target, "a.example");
+  const auto [view, version] = client_a.GetExternalViewWithVersion();
   ASSERT_EQ(version, tracker.version());
 
-  // Kill the publisher. The token must stay valid: replica B answers the
-  // conditional fetch with NotModified from the replicated frames.
+  // Kill the publisher. The client drops its record and re-resolves to
+  // replica B. The token must stay valid: B answers the conditional fetch
+  // with NotModified from the replicated frames.
+  const std::uint16_t port_a = server_a->port();
   server_a.reset();
-  const auto refreshed = client.GetExternalViewIfModified(version);
+  EXPECT_EQ(directory.RemoveRecord("isp.example", "a.example", port_a), 1u);
+  auto [record_b, client_b] = connect();
+  ASSERT_EQ(record_b.target, "b.example");
+  ASSERT_EQ(record_b.port, server_b.port());
+  const auto refreshed = client_b.GetExternalViewIfModified(version);
   EXPECT_FALSE(refreshed.has_value()) << "follower re-sent the matrix";
-  EXPECT_GE(resilient_raw->failover_count(), 1u);
 
   // And a full fetch from B returns the same view bytes version-for-version.
-  const auto [view_b, version_b] = client.GetExternalViewWithVersion();
+  const auto [view_b, version_b] = client_b.GetExternalViewWithVersion();
   EXPECT_EQ(version_b, version);
   EXPECT_EQ(view_b.values().size(), view.values().size());
   for (std::size_t i = 0; i < view.values().size(); ++i) {

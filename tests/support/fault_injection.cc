@@ -4,8 +4,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "proto/messages.h"
-
 namespace p4p::testsupport {
 
 void FaultyDatagramLink::Push(std::vector<std::uint8_t> datagram) {
@@ -92,70 +90,6 @@ std::optional<std::vector<std::uint8_t>> FaultInjectingTransport::Receive(
   PumpRequests();
   response_link_.Tick();
   return response_link_.Pop();
-}
-
-EndpointScript::EndpointScript(std::vector<Phase> phases)
-    : phases_(std::move(phases)) {
-  if (phases_.empty()) {
-    throw std::invalid_argument("EndpointScript: empty schedule");
-  }
-}
-
-void EndpointScript::Set(EndpointMode mode) {
-  std::lock_guard<std::mutex> lock(mu_);
-  phases_ = {{0, mode}};
-}
-
-EndpointMode EndpointScript::ModeForCall() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ++calls_;
-  while (phases_.size() > 1 && phases_.front().calls <= 0) {
-    phases_.erase(phases_.begin());
-  }
-  auto& phase = phases_.front();
-  if (phases_.size() > 1) --phase.calls;
-  if (phase.mode == EndpointMode::kDead || phase.mode == EndpointMode::kUnavailable) {
-    ++failures_;
-  }
-  return phase.mode;
-}
-
-std::uint64_t EndpointScript::call_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return calls_;
-}
-
-std::uint64_t EndpointScript::failure_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return failures_;
-}
-
-ScriptedTransport::ScriptedTransport(proto::Handler backend, EndpointScript* script,
-                                     VirtualClock* clock, double slow_seconds,
-                                     std::uint32_t retry_after_ms)
-    : backend_(std::move(backend)), script_(script), clock_(clock),
-      slow_seconds_(slow_seconds), retry_after_ms_(retry_after_ms) {
-  if (!backend_ || script_ == nullptr) {
-    throw std::invalid_argument("ScriptedTransport: null backend or script");
-  }
-}
-
-std::vector<std::uint8_t> ScriptedTransport::Call(
-    std::span<const std::uint8_t> request) {
-  switch (script_->ModeForCall()) {
-    case EndpointMode::kDead:
-      throw std::runtime_error("ScriptedTransport: endpoint dead");
-    case EndpointMode::kUnavailable:
-      return proto::Encode(proto::UnavailableResp{retry_after_ms_});
-    case EndpointMode::kSlow:
-      // The slow replica costs virtual time but eventually answers — paired
-      // with a request deadline this is the "slow, not dead" failure class.
-      if (clock_ != nullptr) clock_->Advance(slow_seconds_);
-      return backend_(request);
-    case EndpointMode::kOk:
-      break;
-  }
-  return backend_(request);
 }
 
 }  // namespace p4p::testsupport

@@ -11,18 +11,10 @@
 // of the client under test). A delayed datagram becomes deliverable after
 // its tick count elapses; an empty Receive() returns std::nullopt, which
 // the client interprets as that try's timeout.
-//
-// For the TCP/failover path, VirtualClock + EndpointScript +
-// ScriptedTransport model a replica set where each endpoint follows a
-// scripted failure schedule — dead, flapping, overloaded, slow-then-recover
-// — against a virtual clock, so every circuit-breaker and retry decision of
-// ResilientPortalClient is reproducible bit-for-bit.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <deque>
-#include <mutex>
 #include <optional>
 #include <random>
 #include <vector>
@@ -112,94 +104,6 @@ class FaultInjectingTransport final : public proto::DatagramTransport {
   std::mt19937_64 rng_;
   FaultyDatagramLink request_link_;
   FaultyDatagramLink response_link_;
-};
-
-// --- Scripted endpoint failures for the TCP/failover path -------------------
-
-/// Deterministic substitute for the wall clock: seconds as an atomic
-/// microsecond counter, advanced by "sleeping". Thread-safe.
-class VirtualClock {
- public:
-  double Now() const {
-    return static_cast<double>(micros_.load(std::memory_order_acquire)) * 1e-6;
-  }
-  void Advance(double seconds) {
-    micros_.fetch_add(static_cast<std::int64_t>(seconds * 1e6),
-                      std::memory_order_acq_rel);
-  }
-  /// Adapters matching ResilientPortalClient's clock/sleeper injection
-  /// points: time only moves when someone sleeps.
-  std::function<double()> NowFn() {
-    return [this] { return Now(); };
-  }
-  std::function<void(double)> SleeperFn() {
-    return [this](double seconds) { Advance(seconds); };
-  }
-
- private:
-  std::atomic<std::int64_t> micros_{0};
-};
-
-/// What one endpoint does with the next request aimed at it.
-enum class EndpointMode {
-  kOk,           ///< serve normally through the backend handler
-  kDead,         ///< transport failure (connect refused / black hole)
-  kUnavailable,  ///< answer with UnavailableResp (overload shedding)
-  kSlow,         ///< consume virtual time, then serve (slow-then-recover)
-};
-
-/// One replica's scripted failure schedule: a sequence of (calls, mode)
-/// phases consumed per request, with the final phase lasting forever, plus
-/// a thread-safe override for mid-run flips (flapping replicas in the
-/// concurrency hammer). Deterministic given the call sequence.
-class EndpointScript {
- public:
-  struct Phase {
-    int calls = 0;  ///< requests served in this mode (final phase: ignored)
-    EndpointMode mode = EndpointMode::kOk;
-  };
-
-  explicit EndpointScript(EndpointMode initial = EndpointMode::kOk)
-      : phases_{{0, initial}} {}
-  explicit EndpointScript(std::vector<Phase> phases);
-
-  /// Overrides the schedule from now on (clears remaining phases).
-  void Set(EndpointMode mode);
-
-  /// Consumes one request: the mode it is served with.
-  EndpointMode ModeForCall();
-
-  std::uint64_t call_count() const;
-  std::uint64_t failure_count() const;  ///< kDead + kUnavailable calls served
-
- private:
-  mutable std::mutex mu_;
-  std::vector<Phase> phases_;  // front() is current; last never popped
-  std::uint64_t calls_ = 0;
-  std::uint64_t failures_ = 0;
-};
-
-/// Transport to one scripted replica: consults the endpoint's script per
-/// request and either serves through the in-process handler, throws (dead),
-/// answers UnavailableResp with `retry_after_ms` (overloaded), or advances
-/// the virtual clock by `slow_seconds` before serving (slow). Wrap in a
-/// factory keyed on SrvRecord to model a replica set.
-class ScriptedTransport final : public proto::Transport {
- public:
-  /// `script` and `clock` must outlive the transport; `clock` may be null
-  /// when the script never goes kSlow.
-  ScriptedTransport(proto::Handler backend, EndpointScript* script,
-                    VirtualClock* clock = nullptr, double slow_seconds = 1.0,
-                    std::uint32_t retry_after_ms = 50);
-
-  std::vector<std::uint8_t> Call(std::span<const std::uint8_t> request) override;
-
- private:
-  proto::Handler backend_;
-  EndpointScript* script_;
-  VirtualClock* clock_;
-  double slow_seconds_;
-  std::uint32_t retry_after_ms_;
 };
 
 }  // namespace p4p::testsupport

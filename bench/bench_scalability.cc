@@ -6,16 +6,20 @@
 //  2. Virtual coordinate embedding (Section 10 future work) — embed the
 //     external view into low-dimensional coordinates; report the stress of
 //     the approximation and the peer-selection quality (unit BDP) when the
-//     P4P selector runs on embedded distances instead of the full mesh.
+//     P4P selector runs on embedded distances instead of the full mesh:
+//     both arms set inter-PID matching weights w_ij = 1/d_ij and differ
+//     only in d.
 //  3. Portal query caching — how many application decisions one fetched
-//     view serves under the version/TTL cache.
+//     view serves under the version/TTL cache (CachingPortalClient); TTL
+//     refreshes answered NotModified are not fetches.
 //
 // The figures are written to BENCH_scalability.json. Simulator throughput
 // is perfbench's `fleet` workload.
 #include "common.h"
 
+#include <cmath>
+
 #include "core/embedding.h"
-#include "core/trackerless.h"
 #include "proto/caching_client.h"
 #include "proto/service.h"
 
@@ -60,7 +64,7 @@ int main() {
                 sizeof(double) * graph.node_count());
   }
 
-  // Selection quality with embedded distances, via the trackerless cache.
+  // Selection quality, d = the full view or the 8-dimension embedding.
   core::EmbeddingConfig ecfg;
   ecfg.dimensions = 8;
   ecfg.iterations = 4000;
@@ -82,24 +86,25 @@ int main() {
   bt.horizon = 3600.0;
   bt.rng_seed = 1414;
 
-  auto run_with_cache = [&](bool use_embedding) {
-    core::DistanceCache cache(1e9);
+  auto run_weighted = [&](auto distance) {
+    const auto n = static_cast<std::size_t>(tracker.num_pids());
+    std::vector<std::vector<double>> w(n, std::vector<double>(n, 0.0));
     for (core::Pid i = 0; i < tracker.num_pids(); ++i) {
-      core::CachedRow row;
-      row.origin = i;
-      row.version = 1;
-      row.learned_at = 0.0;
       for (core::Pid j = 0; j < tracker.num_pids(); ++j) {
-        row.distances.push_back(use_embedding ? emb.Distance(i, j) : view.at(i, j));
+        const double d = distance(i, j);
+        if (i != j && d > 0 && std::isfinite(d)) w[i][j] = 1.0 / d;
       }
-      cache.Learn(std::move(row));
     }
-    core::TrackerlessSelector selector(cache, [] { return 0.0; });
+    core::P4PSelector selector;
+    selector.RegisterITracker(swarm.as_number, &tracker);
+    selector.SetMatchingWeights(swarm.as_number, std::move(w));
     sim::BitTorrentSimulator simulator(graph, routing, bt);
     return simulator.Run(peers, selector);
   };
-  const auto full = run_with_cache(false);
-  const auto approx = run_with_cache(true);
+  const auto full =
+      run_weighted([&](core::Pid i, core::Pid j) { return view.at(i, j); });
+  const auto approx =
+      run_weighted([&](core::Pid i, core::Pid j) { return emb.Distance(i, j); });
   core::NativeRandomSelector native;
   sim::BitTorrentSimulator native_sim(graph, routing, bt);
   const auto base = native_sim.Run(peers, native);

@@ -44,8 +44,9 @@ int main() {
   std::mt19937_64 rng(16);
   for (const char* domain : {"abilene.net", "isp-a.net", "isp-c.net"}) {
     const auto record = directory.Resolve(domain, rng);
-    std::printf("%-28s -> %s:%u\n", proto::P4pServiceName(domain).c_str(),
-                record->target.c_str(), record->port);
+    // The port is kernel-chosen, so it is left out to keep runs identical.
+    std::printf("%-28s -> %s\n", proto::P4pServiceName(domain).c_str(),
+                record->target.c_str());
     // Fetch each portal's view over the wire, as an appTracker would.
     proto::PortalClient client(
         std::make_unique<proto::TcpClient>(record->port));

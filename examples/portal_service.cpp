@@ -35,7 +35,8 @@ int main() {
 
   proto::ITrackerService service(&tracker, &policy, &capabilities, &pid_map);
   proto::TcpServer server(0, service.handler());
-  std::printf("iTracker portal listening on 127.0.0.1:%u\n\n", server.port());
+  // The port is kernel-chosen, so it is left out to keep runs identical.
+  std::printf("iTracker portal listening on 127.0.0.1\n\n");
 
   // --- application side: a remote appTracker ---
   proto::PortalClient client(std::make_unique<proto::TcpClient>(server.port()));

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "core/capability.h"
-#include "core/policy_adaptive.h"
-#include "core/selectors.h"
 
 namespace p4p::core {
 namespace {
@@ -88,61 +86,6 @@ TEST(Capability, RejectsBadCapability) {
   EXPECT_THROW(reg.Add({CapabilityType::kCache, kInvalidPid, 1e9, ""}),
                std::invalid_argument);
   EXPECT_THROW(reg.Add({CapabilityType::kCache, 1, -1.0, ""}), std::invalid_argument);
-}
-
-TEST(PolicyAdaptive, Validation) {
-  PolicyRegistry policy;
-  EXPECT_THROW(PolicyAdaptiveSelector(nullptr, policy, [] { return 0.0; }),
-               std::invalid_argument);
-  EXPECT_THROW(PolicyAdaptiveSelector(std::make_unique<NativeRandomSelector>(),
-                                      policy, nullptr),
-               std::invalid_argument);
-  EXPECT_THROW(PolicyAdaptiveSelector(std::make_unique<NativeRandomSelector>(),
-                                      policy, [] { return 0.0; }, 0.5, 0.8),
-               std::invalid_argument);
-}
-
-TEST(PolicyAdaptive, EffectiveWantTracksThresholds) {
-  PolicyRegistry policy;
-  policy.SetThresholds({0.7, 0.9});
-  double util = 0.0;
-  PolicyAdaptiveSelector sel(std::make_unique<NativeRandomSelector>(), policy,
-                             [&util] { return util; }, 0.6, 0.3);
-  EXPECT_EQ(sel.EffectiveWant(20), 20);  // calm network
-  util = 0.7;
-  EXPECT_EQ(sel.EffectiveWant(20), 12);  // near congestion: x0.6
-  util = 0.95;
-  EXPECT_EQ(sel.EffectiveWant(20), 6);   // heavy usage: x0.3
-  EXPECT_EQ(sel.EffectiveWant(0), 0);
-  EXPECT_EQ(sel.EffectiveWant(1), 1);    // never below 1
-}
-
-TEST(PolicyAdaptive, BacksOffUnderHeavyUsage) {
-  PolicyRegistry policy;
-  policy.SetThresholds({0.7, 0.9});
-  double util = 0.95;
-  PolicyAdaptiveSelector sel(std::make_unique<NativeRandomSelector>(), policy,
-                             [&util] { return util; });
-  std::vector<sim::PeerInfo> candidates;
-  for (int i = 0; i < 30; ++i) {
-    sim::PeerInfo p;
-    p.id = i;
-    p.node = 0;
-    candidates.push_back(p);
-  }
-  std::mt19937_64 rng(1);
-  const auto heavy = sel.SelectPeers(candidates[0], candidates, 20, rng);
-  EXPECT_EQ(heavy.size(), 6u);
-  util = 0.1;
-  const auto calm = sel.SelectPeers(candidates[0], candidates, 20, rng);
-  EXPECT_EQ(calm.size(), 20u);
-}
-
-TEST(PolicyAdaptive, NameWrapsInner) {
-  PolicyRegistry policy;
-  PolicyAdaptiveSelector sel(std::make_unique<NativeRandomSelector>(), policy,
-                             [] { return 0.0; });
-  EXPECT_EQ(sel.name(), "PolicyAdaptive(Native)");
 }
 
 }  // namespace

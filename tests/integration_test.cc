@@ -4,17 +4,16 @@
 // absolute numbers.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/apptracker.h"
 #include "core/embedding.h"
 #include "core/itracker.h"
 #include "core/management.h"
 #include "core/matching.h"
-#include "core/policy_adaptive.h"
 #include "core/selectors.h"
-#include "core/trackerless.h"
 #include "net/synth.h"
 #include "net/topology.h"
-#include "proto/caching_client.h"
 #include "proto/service.h"
 #include "sim/bittorrent.h"
 
@@ -251,83 +250,6 @@ TEST_F(IntegrationTest, WorksOnSynthromaticIspTopologies) {
   }
 }
 
-TEST_F(IntegrationTest, TrackerlessSwarmMatchesTrackerBasedQuality) {
-  // Peers run on locally cached p-distance rows (gossip-distributable)
-  // instead of an appTracker, and still beat native on unit BDP.
-  core::ITracker tracker(graph_, routing_);
-  core::DistanceCache cache(1e9);
-  for (core::Pid i = 0; i < tracker.num_pids(); ++i) {
-    core::CachedRow row;
-    row.origin = i;
-    row.version = tracker.version();
-    row.learned_at = 0.0;
-    row.distances = tracker.GetPDistances(i);
-    cache.Learn(std::move(row));
-  }
-  core::TrackerlessSelector trackerless(cache, [] { return 0.0; });
-  core::NativeRandomSelector native;
-
-  const auto peers = ClusteredSwarm(50, 47);
-  sim::BitTorrentSimulator sim(graph_, routing_, SmallConfig());
-  const auto t_result = sim.Run(peers, trackerless);
-  const auto n_result = sim.Run(peers, native);
-  EXPECT_DOUBLE_EQ(t_result.completed_fraction, 1.0);
-  EXPECT_LT(t_result.unit_bdp(), n_result.unit_bdp());
-}
-
-TEST_F(IntegrationTest, CachedPortalFeedsTrackerlessCache) {
-  // PortalClient -> CachingPortalClient -> DistanceCache: the full peer-side
-  // information path over the wire protocol.
-  core::ITracker tracker(graph_, routing_);
-  proto::ITrackerService service(&tracker);
-  double now = 0.0;
-  proto::CachingPortalClient portal(
-      std::make_unique<proto::InProcessTransport>(service.handler()),
-      [&now] { return now; }, 60.0);
-
-  core::DistanceCache cache(300.0);
-  for (core::Pid i = 0; i < tracker.num_pids(); ++i) {
-    core::CachedRow row;
-    row.origin = i;
-    row.version = 1;
-    row.learned_at = now;
-    row.distances = portal.GetPDistances(i);
-    cache.Learn(std::move(row));
-  }
-  EXPECT_EQ(portal.fetch_count(), 1u);  // one wire fetch for all rows
-  const auto row = cache.Get(net::kNewYork, 10.0);
-  ASSERT_TRUE(row.has_value());
-  EXPECT_DOUBLE_EQ(row->distances[net::kSeattle],
-                   tracker.pdistance(net::kNewYork, net::kSeattle));
-}
-
-TEST_F(IntegrationTest, PolicyBackoffShrinksSwarmDegreeUnderLoad) {
-  // The provider publishes thresholds; the application, seeing heavy
-  // utilization, requests fewer peers — observable as lower total traffic
-  // crossing the network per unit time (fewer concurrent streams).
-  core::PolicyRegistry policy;
-  policy.SetThresholds({0.5, 0.8});
-  double utilization = 0.95;  // permanently heavy
-  auto inner = std::make_unique<core::NativeRandomSelector>();
-  core::PolicyAdaptiveSelector adaptive(std::move(inner), policy,
-                                        [&utilization] { return utilization; });
-  core::NativeRandomSelector plain;
-
-  const auto peers = ClusteredSwarm(40, 48);
-  sim::BitTorrentSimulator sim(graph_, routing_, SmallConfig());
-  const auto backed_off = sim.Run(peers, adaptive);
-  const auto full = sim.Run(peers, plain);
-  // Both complete; the backed-off swarm still finishes (robustness), and
-  // its neighbor degree cap shows up as no-worse bottleneck traffic.
-  EXPECT_DOUBLE_EQ(backed_off.completed_fraction, 1.0);
-  EXPECT_DOUBLE_EQ(full.completed_fraction, 1.0);
-  const double bo_bn =
-      backed_off.link_bytes[static_cast<std::size_t>(backed_off.busiest_link())];
-  const double full_bn =
-      full.link_bytes[static_cast<std::size_t>(full.busiest_link())];
-  EXPECT_LE(bo_bn, 1.2 * full_bn);
-}
-
 TEST_F(IntegrationTest, ManagementMonitorWatchesLiveControlLoop) {
   // Wire the monitor into the epoch callback of a live swarm and verify it
   // records the control loop's behavior.
@@ -350,8 +272,8 @@ TEST_F(IntegrationTest, ManagementMonitorWatchesLiveControlLoop) {
 }
 
 TEST_F(IntegrationTest, EmbeddedViewPreservesSteering) {
-  // The §10 scalability path: embed the view, rebuild a distance cache from
-  // coordinates, and steer a swarm trackerlessly from the embedding.
+  // The §10 scalability path: embed the view and steer a swarm with the P4P
+  // selector weighing inter-PID choices by 1/d over embedded distances.
   core::ITrackerConfig tcfg;
   tcfg.mode = core::PriceMode::kStatic;
   core::ITracker tracker(graph_, routing_, tcfg);
@@ -362,18 +284,17 @@ TEST_F(IntegrationTest, EmbeddedViewPreservesSteering) {
   ecfg.iterations = 4000;
   const auto emb = core::CoordinateEmbedding::Fit(view, ecfg);
 
-  core::DistanceCache cache(1e9);
+  const auto n = static_cast<std::size_t>(tracker.num_pids());
+  std::vector<std::vector<double>> weights(n, std::vector<double>(n, 0.0));
   for (core::Pid i = 0; i < tracker.num_pids(); ++i) {
-    core::CachedRow row;
-    row.origin = i;
-    row.version = 1;
-    row.learned_at = 0.0;
     for (core::Pid j = 0; j < tracker.num_pids(); ++j) {
-      row.distances.push_back(emb.Distance(i, j));
+      const double d = emb.Distance(i, j);
+      if (i != j && d > 0 && std::isfinite(d)) weights[i][j] = 1.0 / d;
     }
-    cache.Learn(std::move(row));
   }
-  core::TrackerlessSelector embedded(cache, [] { return 0.0; });
+  core::P4PSelector embedded;
+  embedded.RegisterITracker(1, &tracker);
+  embedded.SetMatchingWeights(1, std::move(weights));
   core::NativeRandomSelector native;
   const auto peers = ClusteredSwarm(50, 50);
   sim::BitTorrentSimulator sim(graph_, routing_, SmallConfig());

@@ -165,12 +165,6 @@ double RoutingTable::route_cost(NodeId src, NodeId dst) const {
   return dist_[static_cast<std::size_t>(src) * n_ + static_cast<std::size_t>(dst)];
 }
 
-std::vector<LinkId> RoutingTable::path(NodeId src, NodeId dst) const {
-  if (!reachable(src, dst)) throw_unreachable(src, dst);
-  const auto view = path_view(src, dst);
-  return std::vector<LinkId>(view.begin(), view.end());
-}
-
 double RoutingTable::route_distance(NodeId src, NodeId dst) const {
   if (!reachable(src, dst)) throw_unreachable(src, dst);
   double total = 0.0;

@@ -61,11 +61,6 @@ class RoutingTable {
                                      tree_offsets_[s + 1] - tree_offsets_[s]);
   }
 
-  /// Copying wrapper around path_view() for callers that need ownership.
-  /// Empty when src == dst. Throws std::out_of_range for invalid ids,
-  /// std::runtime_error if dst is unreachable from src.
-  std::vector<LinkId> path(NodeId src, NodeId dst) const;
-
   /// True if dst is reachable from src.
   bool reachable(NodeId src, NodeId dst) const;
 

@@ -60,7 +60,7 @@ TEST_F(ITrackerTest, PDistanceSumsLinkPricesOnPath) {
   // Price only the links on the NY -> DC path.
   double expected = 0.0;
   int idx = 1;
-  for (net::LinkId e : routing_.path(net::kNewYork, net::kWashingtonDC)) {
+  for (net::LinkId e : routing_.path_view(net::kNewYork, net::kWashingtonDC)) {
     prices[static_cast<std::size_t>(e)] = idx * 0.5;
     expected += idx * 0.5;
     ++idx;
@@ -365,7 +365,7 @@ TEST_F(ITrackerTest, MemoInvalidatesOnUpdate) {
     for (Pid j = 0; j < tracker.num_pids(); ++j) {
       if (i == j) continue;
       double expected = 0.0;
-      for (net::LinkId e : routing_.path(i, j)) expected += tracker.link_price(e);
+      for (net::LinkId e : routing_.path_view(i, j)) expected += tracker.link_price(e);
       EXPECT_NEAR(tracker.pdistance(i, j), expected, 1e-15);
     }
   }

@@ -147,7 +147,7 @@ TEST_F(SelectorsTest, P4PPrefersLowDistancePids) {
   ITracker tracker(graph_, routing_, tcfg);
   std::vector<double> prices(graph_.link_count(), 0.01);
   // Make everything toward Seattle very expensive from NY.
-  for (net::LinkId e : routing_.path(net::kNewYork, net::kSeattle)) {
+  for (net::LinkId e : routing_.path_view(net::kNewYork, net::kSeattle)) {
     prices[static_cast<std::size_t>(e)] = 10.0;
   }
   tracker.SetStaticPrices(prices);
@@ -323,7 +323,7 @@ TEST_F(SelectorsTest, P4PZeroDistanceWeightScalesWithPriceMagnitude) {
   tcfg.mode = PriceMode::kStatic;
   ITracker tracker(graph_, routing_, tcfg);
   std::vector<double> prices(graph_.link_count(), 0.0);
-  for (net::LinkId e : routing_.path(net::kNewYork, net::kWashingtonDC)) {
+  for (net::LinkId e : routing_.path_view(net::kNewYork, net::kWashingtonDC)) {
     prices[static_cast<std::size_t>(e)] = 1e-12;  // tiny but positive
   }
   tracker.SetStaticPrices(prices);
@@ -433,7 +433,7 @@ TEST_F(SelectorsTest, BucketP4PMatchesSpanPathPreferences) {
   tcfg.mode = PriceMode::kStatic;
   ITracker tracker(graph_, routing_, tcfg);
   std::vector<double> prices(graph_.link_count(), 0.01);
-  for (net::LinkId e : routing_.path(net::kNewYork, net::kSeattle)) {
+  for (net::LinkId e : routing_.path_view(net::kNewYork, net::kSeattle)) {
     prices[static_cast<std::size_t>(e)] = 10.0;
   }
   tracker.SetStaticPrices(prices);
